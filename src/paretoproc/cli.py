@@ -8,7 +8,7 @@ identical config and seed give byte-identical outputs. Outputs are plot-ready
 CSV/JSON only, rendering is left to external tools.
 
 Exit codes: 0 on success, 1 on any failed verification in verify-all,
-2 on configuration errors.
+2 on configuration, input or domain errors, reported as one line on stderr.
 """
 from __future__ import annotations
 
@@ -25,6 +25,7 @@ import scipy
 
 from . import __version__
 from .dfeval import battery_to_csv, default_battery, queries_from_json, run_battery
+from .errors import ParetoProcError
 from .gof import ks_critical_value, ks_statistic, standard_frechet_cdf
 from .grid import Grid
 from .lifting import (
@@ -170,7 +171,8 @@ def _build_spec(cfg: RunConfig) -> SpectralProfileSpec:
     )
 
 
-def _write_manifest(cfg: RunConfig) -> None:
+def _manifest(cfg: RunConfig) -> dict:
+    """The run manifest: command, seed, options, versions and config hash."""
     doc = {
         "command": cfg.command,
         "seed": cfg.seed,
@@ -185,8 +187,7 @@ def _write_manifest(cfg: RunConfig) -> None:
     doc["config_sha256"] = hashlib.sha256(
         json.dumps({k: doc[k] for k in ("command", "seed", "options")}, sort_keys=True).encode()
     ).hexdigest()
-    cfg.outdir.mkdir(parents=True, exist_ok=True)
-    (cfg.outdir / "manifest.json").write_text(json.dumps(doc, indent=2, sort_keys=True))
+    return doc
 
 
 def _cmd_simulate(cfg: RunConfig) -> int:
@@ -249,18 +250,14 @@ def _cmd_maxstable_check(cfg: RunConfig) -> int:
 def _cmd_lift(cfg: RunConfig) -> int:
     grid = _build_grid(cfg)
     data_path = cfg.options.get("data")
-    if data_path:
-        data = field_sample_from_csv(data_path, grid)
-    else:
-        # no input file: generate scenario fields so the command is self-contained
-        data = None
-    if data is None:
+    if not data_path:
         raise ConfigError("lift requires --data pointing at a FieldSample CSV")
+    data = field_sample_from_csv(data_path, grid)
     nf = estimate_norming(data, int(cfg.opt("k")))
     sites_list = cfg.options.get("sites_list")
     sites = [int(s) for s in str(sites_list).split(",")] if sites_list else None
     report = lift(data, nf, float(cfg.opt("t0")), policy=cfg.opt("policy"), sites=sites)
-    write_lift_report(report, cfg.outdir, extra_manifest={"seed": cfg.seed, "policy": cfg.opt("policy")})
+    write_lift_report(report, cfg.outdir, extra_manifest={**_manifest(cfg), "policy": cfg.opt("policy")})
     print(f"selected {len(report.selected_ids)} of {data.n} fields")
     return 0
 
@@ -271,7 +268,7 @@ def _cmd_scenario43(cfg: RunConfig) -> int:
         int(cfg.opt("n")), int(cfg.opt("k")), float(cfg.opt("t0")), rng,
         n_sites=int(cfg.opt("sites")),
     )
-    write_lift_report(report, cfg.outdir, extra_manifest={"seed": cfg.seed})
+    write_lift_report(report, cfg.outdir, extra_manifest=_manifest(cfg))
     field_sample_to_csv(report.source, cfg.outdir / "source.csv")
     print(f"selected {len(report.selected_ids)} of {report.source.n} fields; "
           f"figure data in {cfg.outdir}")
@@ -302,7 +299,8 @@ _RUNNERS = {
 
 def run(cfg: RunConfig) -> int:
     """Execute a merged configuration; artifacts land in cfg.outdir."""
-    _write_manifest(cfg)
+    cfg.outdir.mkdir(parents=True, exist_ok=True)
+    (cfg.outdir / "manifest.json").write_text(json.dumps(_manifest(cfg), indent=2, sort_keys=True))
     return _RUNNERS[cfg.command](cfg)
 
 
@@ -310,13 +308,9 @@ def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
-        cfg = _merge_config(args)
-        return run(cfg)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 2
-    except (ValueError, OSError) as exc:
-        print(f"config error: {exc}", file=sys.stderr)
+        return run(_merge_config(args))
+    except (ConfigError, ParetoProcError, ValueError, OSError) as exc:
+        print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
         return 2
 
 

@@ -13,14 +13,13 @@ event evaluated as an empirical frequency of directly simulated processes.
 """
 from __future__ import annotations
 
-import csv
 import json
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import NonPositiveArgument, OutOfSupport, PreconditionFailed
-from .grid import Field, Grid
+from .grid import Field, Grid, write_csv_table
 from .pareto import sample_radii, sample_simple_pareto_batch, vector_grid
 from .rng import make_rng
 from .spectral import SpectralProfileSpec, sample_profiles
@@ -390,14 +389,5 @@ def queries_from_json(path, grid: Grid) -> list[DfQuery]:
 
 
 def battery_to_csv(rows: list[BatteryRow], path) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(
-            ["query_id", "estimate", "std_error", "oracle_estimate", "oracle_se", "pass"]
-        )
-        for r in rows:
-            writer.writerow(
-                [r.query_id, format(r.estimate, ".17g"), format(r.std_error, ".17g"),
-                 format(r.oracle_estimate, ".17g"), format(r.oracle_se, ".17g"),
-                 int(r.passed)]
-            )
+    fields = ["query_id", "estimate", "std_error", "oracle_estimate", "oracle_se", "passed"]
+    write_csv_table(path, fields[:-1] + ["pass"], [[getattr(r, f) for r in rows] for f in fields])

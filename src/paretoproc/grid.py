@@ -149,16 +149,27 @@ def combine(f: Field, g: Field, op: str) -> Field:
 # mirror holds the raw "sites" and "values" arrays.
 # ---------------------------------------------------------------------------
 
-def field_to_csv(f: Field, path) -> None:
-    d = f.grid.dim
-    header = ["site_index"] + [f"coord_{j + 1}" for j in range(d)] + ["value"]
+ROWS_PER_BLOCK = 4096  # rows formatted per write: bounds a table write's memory
+
+
+def write_csv_table(path, header: list[str], columns) -> None:
+    """CSV table with decimal integer cells, ``.17g`` float cells (exact round
+    trip) and ``\\r\\n`` line ends. Columns broadcast to a common shape, one
+    row per entry in C order: ``(n, 1)`` ids, ``(m,)`` site indices and
+    ``(n, m)`` values give the long format with one row per (sample, site)."""
+    cols = np.broadcast_arrays(*[np.asarray(c) for c in columns])
+    row = ",".join("%d" if c.dtype.kind in "biu" else "%.17g" for c in cols) + "\r\n"
+    step = max(1, ROWS_PER_BLOCK // int(np.prod(cols[0].shape[1:])))
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        for i in range(f.grid.n_sites):
-            row = [i] + [format(c, ".17g") for c in f.grid.sites[i]]
-            row.append(format(f.values[i], ".17g"))
-            writer.writerow(row)
+        fh.write(",".join(header) + "\r\n")
+        for start in range(0, cols[0].shape[0], step):
+            block = [c[start : start + step].ravel().tolist() for c in cols]
+            fh.write("".join(row % cells for cells in zip(*block)))
+
+
+def field_to_csv(f: Field, path) -> None:
+    header = ["site_index"] + [f"coord_{j + 1}" for j in range(f.grid.dim)] + ["value"]
+    write_csv_table(path, header, [np.arange(f.grid.n_sites), *f.grid.sites.T, f.values])
 
 
 def field_from_csv(path) -> Field:

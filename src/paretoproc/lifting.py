@@ -14,12 +14,14 @@ from __future__ import annotations
 import csv
 import json
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 
 from .errors import DegenerateTail, InsufficientData
-from .grid import Field, Grid
+from .grid import Field, Grid, write_csv_table
 from .maxstable import sample_moving_maximum_batch
+from .rng import make_rng
 from .transforms import (
     GAMMA_ZERO_TOL,
     NormingFunctions,
@@ -57,24 +59,17 @@ class FieldSample:
     def n(self) -> int:
         return self.values.shape[0]
 
-    @property
-    def fields(self) -> list[Field]:
-        return [Field(self.grid, row) for row in self.values]
-
-    @classmethod
-    def from_fields(cls, fields: list[Field], label: str = "", seed: int | None = None):
-        return cls(fields[0].grid, np.vstack([f.values for f in fields]), label, seed)
-
 
 @dataclass(frozen=True)
 class LiftReport:
-    """Outcome of one lifting run, with the normalized intermediates kept."""
+    """Outcome of one lifting run, with the normalized intermediates kept as
+    read-only (k, n_sites) arrays; row i belongs to field ``selected_ids[i]``."""
 
     selected_ids: list[int]
     t0: float
     norming: NormingFunctions
-    lifted: list[Field]
-    normalized: list[Field]
+    lifted: np.ndarray
+    normalized: np.ndarray
     source: FieldSample | None = None
 
 
@@ -159,14 +154,10 @@ def lift(
     if not t0 >= 1.0:
         raise ValueError("t0 must be >= 1")
     selected = select_exceedances(data, nf, policy, sites)
-    grid = data.grid
-    if selected:
-        normalized_vals = apply_T_values(data.values[selected], nf)
-        lifted_vals = invert_T_values(t0 * normalized_vals, nf)
-        normalized = [Field(grid, row) for row in normalized_vals]
-        lifted = [Field(grid, row) for row in lifted_vals]
-    else:
-        normalized, lifted = [], []
+    normalized = apply_T_values(data.values[selected], nf)
+    lifted = invert_T_values(t0 * normalized, nf)
+    normalized.setflags(write=False)
+    lifted.setflags(write=False)
     return LiftReport(selected, float(t0), nf, lifted, normalized, source=data)
 
 
@@ -226,7 +217,7 @@ def run_storm_scenario(
     if n < 20:
         raise ValueError("scenario needs n >= 20")
     if rng is None:
-        rng = np.random.default_rng()
+        rng = make_rng(0, "storm_scenario")
     data = sample_scenario_fields(n, rng, n_sites)
     nf = estimate_norming(data, k)
     return lift(data, nf, t0)
@@ -238,13 +229,14 @@ def run_storm_scenario(
 # a manifest.
 # ---------------------------------------------------------------------------
 
+def _write_long(path, ids, values: np.ndarray) -> None:
+    """One row (sample_id, site_index, value) per sample and site."""
+    write_csv_table(path, ["sample_id", "site_index", "value"],
+                    [np.asarray(ids, dtype=int)[:, None], np.arange(values.shape[1]), values])
+
+
 def field_sample_to_csv(data: FieldSample, path) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["sample_id", "site_index", "value"])
-        for i in range(data.n):
-            for j in range(data.grid.n_sites):
-                writer.writerow([i, j, format(data.values[i, j], ".17g")])
+    _write_long(path, np.arange(data.n), data.values)
 
 
 def field_sample_from_csv(path, grid: Grid, label: str = "") -> FieldSample:
@@ -266,23 +258,13 @@ def field_sample_from_csv(path, grid: Grid, label: str = "") -> FieldSample:
 
 
 def write_lift_report(report: LiftReport, outdir, extra_manifest: dict | None = None) -> None:
-    from pathlib import Path
-
+    """Report directory; manifest.json holds the report keys and ``extra_manifest``."""
     out = Path(outdir)
     out.mkdir(parents=True, exist_ok=True)
     (out / "norming.json").write_text(norming_to_json(report.norming))
-    with open(out / "selected.csv", "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["sample_id"])
-        for i in report.selected_ids:
-            writer.writerow([i])
-    for name, fields in (("lifted.csv", report.lifted), ("normalized.csv", report.normalized)):
-        with open(out / name, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["sample_id", "site_index", "value"])
-            for sid, f in zip(report.selected_ids, fields):
-                for j, v in enumerate(f.values):
-                    writer.writerow([sid, j, format(v, ".17g")])
+    write_csv_table(out / "selected.csv", ["sample_id"], [report.selected_ids])
+    _write_long(out / "lifted.csv", report.selected_ids, report.lifted)
+    _write_long(out / "normalized.csv", report.selected_ids, report.normalized)
     manifest = {
         "t0": report.t0,
         "k": report.norming.k,

@@ -6,13 +6,13 @@ on a d-point grid yields the d-dimensional simple Pareto random vector.
 """
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import SpecGridMismatch, ZeroField
-from .grid import Field, Grid, sup_field
+from .grid import Field, Grid, sup_field, write_csv_table
+from .rng import fill_rows
 from .spectral import BERNOULLI_PAIR, SpectralProfileSpec, sample_profiles
 
 STABILITY = "stability"
@@ -89,22 +89,18 @@ def pot_conditional_batch(
     if method == STABILITY:
         y = r * sample_radii(n, rng)
         v = sample_profiles(spec, grid, n, rng)
-        return y, v, y[:, None] * v
-    if method != REJECTION:
-        raise ValueError(f"unknown method {method!r}")
-    ys, vs = [], []
-    remaining = n
-    while remaining > 0:
+    elif method == REJECTION:
+
+        def draw(size):
+            y = sample_radii(size, rng)
+            v = sample_profiles(spec, grid, size, rng)
+            keep = y > r
+            return y[keep], v[keep]
+
         # r is the acceptance odds; oversample to keep the loop short
-        block = max(1024, int(1.2 * remaining * r))
-        y = sample_radii(block, rng)
-        v = sample_profiles(spec, grid, block, rng)
-        keep = y > r
-        ys.append(y[keep][:remaining])
-        vs.append(v[keep][:remaining])
-        remaining -= ys[-1].size
-    y = np.concatenate(ys)
-    v = np.vstack(vs)
+        y, v = fill_rows(n, lambda remaining: max(1024, int(1.2 * remaining * r)), draw)
+    else:
+        raise ValueError(f"unknown method {method!r}")
     return y, v, y[:, None] * v
 
 
@@ -150,16 +146,7 @@ def export_batch_csv(
 ) -> None:
     """Write a batch as samples.csv (sample_id, site_index, w, v) plus a
     per-sample radii file (sample_id, y)."""
-    with open(samples_path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["sample_id", "site_index", "w", "v"])
-        for i in range(w.shape[0]):
-            for j in range(w.shape[1]):
-                writer.writerow(
-                    [i, j, format(w[i, j], ".17g"), format(v[i, j], ".17g")]
-                )
-    with open(radii_path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["sample_id", "y"])
-        for i in range(y.size):
-            writer.writerow([i, format(y[i], ".17g")])
+    n, m = w.shape
+    write_csv_table(samples_path, ["sample_id", "site_index", "w", "v"],
+                    [np.arange(n)[:, None], np.arange(m), w, v])
+    write_csv_table(radii_path, ["sample_id", "y"], [np.arange(y.size), y])

@@ -30,7 +30,7 @@ from .grid import Field, Grid
 from .lifting import FieldSample, estimate_norming, lift, run_storm_scenario
 from .maxstable import PenroseConfig, findim_evd, mmax_self_similarity_pvalue, sample_max_stable_batch
 from .pareto import pot_conditional_batch, sample_simple_pareto_batch
-from .rng import make_rng
+from .rng import fill_rows, make_rng
 from .spectral import (
     BERNOULLI_PAIR,
     CONSTANT,
@@ -205,25 +205,24 @@ def check_generalized_stability(quick: bool = False) -> CheckResult:
         gamma = p.gamma.values
         for r in (2.0, 10.0):
             rng = make_rng(SEED, f"gen_stability_c{ci}_r{r:g}")
+
+            def simple_level(size, u, s):
+                # draw W, map it to the generalized process, renormalize by
+                # (u, s) and return to the simple scale
+                _, _, w = sample_simple_pareto_batch(spec, grid, size, rng)
+                g = p.mu.values + p.sigma.values * power_transform_values(w, gamma)
+                return inv_power_transform_values((g - u) / s, gamma)[0]
+
             # base arm: W recovered from the generalized process
-            _, _, w_base = sample_simple_pareto_batch(spec, grid, n, rng)
-            g_base = p.mu.values + p.sigma.values * power_transform_values(w_base, gamma)
-            z_base, _ = inv_power_transform_values(
-                (g_base - p.mu.values) / p.sigma.values, gamma
-            )
+            z_base = simple_level(n, p.mu.values, p.sigma.values)
             # renormalized arm: rescale by (u(r), s(r)), keep sup exceedances
             u_r, s_r = stability_norming(p, r)
-            kept = []
-            need = n
-            while need > 0:
-                draw = int(1.3 * need * r) + 1024
-                _, _, w = sample_simple_pareto_batch(spec, grid, draw, rng)
-                g = p.mu.values + p.sigma.values * power_transform_values(w, gamma)
-                z, _ = inv_power_transform_values((g - u_r.values) / s_r.values, gamma)
-                exceed = z.max(axis=1) > p.omega0
-                kept.append(z[exceed][:need])
-                need -= kept[-1].shape[0]
-            z_renorm = np.vstack(kept)
+
+            def renormalized(size):
+                z = simple_level(size, u_r.values, s_r.values)
+                return (z[z.max(axis=1) > p.omega0],)
+
+            (z_renorm,) = fill_rows(n, lambda need: int(1.3 * need * r) + 1024, renormalized)
             pvals.append(two_sample_ks_pvalue(z_base[:, site], z_renorm[:, site]))
     passed = all(p > 0.01 for p in pvals)
     return _timed(
@@ -299,10 +298,9 @@ def check_lifting_exact(quick: bool = False) -> CheckResult:
         data = FieldSample(grid, x)
         nf = NormingFunctions.constant(grid, gamma=1.0, a_t=t, b_t=t, t=t)
         report = lift(data, nf, t0)
-        lifted = np.vstack([f.values for f in report.lifted])
         reference = t0 * x[report.selected_ids]
-        spacing = np.spacing(np.maximum(np.abs(reference), np.abs(lifted)))
-        entry_ulp = np.abs(lifted - reference) / spacing
+        spacing = np.spacing(np.maximum(np.abs(reference), np.abs(report.lifted)))
+        entry_ulp = np.abs(report.lifted - reference) / spacing
         max_ulp = max(max_ulp, float(entry_ulp.max()))
     ok_exact = max_ulp <= 1.0
 
@@ -317,7 +315,7 @@ def check_lifting_exact(quick: bool = False) -> CheckResult:
     _, _, x2 = sample_simple_pareto_batch(spec, grid, n_fields, rng)
     report = lift(FieldSample(grid, x1), nf, t0)
     n_selected = len(report.selected_ids)
-    sup_lifted = np.array([f.values.max() for f in report.lifted]) / (t0 * t)
+    sup_lifted = report.lifted.max(axis=1) / (t0 * t)
     sup_base = x2.max(axis=1)
     sup_base = sup_base[sup_base > t] / t
     pval = two_sample_ks_pvalue(sup_lifted, sup_base)
@@ -374,10 +372,8 @@ def check_storm_scenario(quick: bool = False) -> CheckResult:
     for _ in range(reps):
         report = run_storm_scenario(n, k, t0, rng)
         counts.append(len(report.selected_ids))
-        if report.selected_ids:
-            lifted = np.vstack([f.values for f in report.lifted])
-            renorm = apply_T_values(lifted, report.norming)
-            all_exceed &= bool(np.all(renorm.max(axis=1) > t0))
+        renorm = apply_T_values(report.lifted, report.norming)
+        all_exceed &= bool(np.all(renorm.max(axis=1) > t0))
     mean_count = float(np.mean(counts))
     passed = 1.0 < mean_count < 19.0 and all_exceed
     return _timed(

@@ -1,9 +1,11 @@
 import json
 
+import numpy as np
 import pytest
 
 from paretoproc.cli import main
-from paretoproc.lifting import field_sample_to_csv, sample_scenario_fields
+from paretoproc.grid import Grid
+from paretoproc.lifting import FieldSample, field_sample_to_csv, sample_scenario_fields
 from paretoproc.rng import make_rng
 
 
@@ -102,6 +104,38 @@ def test_lift_command(tmp_path):
     assert code == 0
     assert (out / "norming.json").exists()
     assert (out / "lifted.csv").exists()
+
+
+@pytest.mark.parametrize("argv, error", [
+    pytest.param(["scenario43", "--n", "20", "--k", "50"], "InsufficientData",
+                 id="insufficient_data"),
+    pytest.param(["simulate", "--spec", "bernoulli_pair", "--n", "5"], "SpecGridMismatch",
+                 id="spec_grid_mismatch"),
+    pytest.param(["lift", "--data", "{tied}", "--sites", "3", "--k", "5"], "DegenerateTail",
+                 id="degenerate_tail"),
+])
+def test_library_error_exits_two_with_one_line(tmp_path, capsys, argv, error):
+    tied = tmp_path / "tied.csv"  # equal values: tied top order statistics at every site
+    field_sample_to_csv(FieldSample(Grid.regular(3), np.ones((30, 3))), tied)
+    argv = [a.format(tied=tied) for a in argv]
+    assert main(argv + ["--seed", "1", "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"{error}: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("command", ["scenario43", "lift"])
+def test_lift_report_manifest_keeps_run_keys(tmp_path, command):
+    argv = ["--sites", "11", "--k", "5", "--t0", "10", "--seed", "5", "--out", str(tmp_path / "out")]
+    if command == "scenario43":
+        argv = ["scenario43", "--n", "30"] + argv
+    else:
+        data = sample_scenario_fields(30, make_rng(4, "cli_lift"), n_sites=11)
+        field_sample_to_csv(data, tmp_path / "fields.csv")
+        argv = ["lift", "--data", str(tmp_path / "fields.csv")] + argv
+    assert main(argv) == 0
+    manifest = json.loads((tmp_path / "out" / "manifest.json").read_text())
+    assert manifest["command"] == command and manifest["seed"] == 5
+    assert {"options", "versions", "config_sha256", "t0", "k", "t", "n_selected"} <= set(manifest)
 
 
 def test_lift_without_data_is_config_error(tmp_path):

@@ -116,8 +116,9 @@ def test_lift_exact_multiplication_for_pareto_norming():
     _, _, x = sample_simple_pareto_batch(spec, grid, 500, make_rng(6, "lx"))
     nf = NormingFunctions.constant(grid, gamma=1.0, a_t=2.0, b_t=2.0, t=2.0)
     report = lift(FieldSample(grid, x), nf, t0=10.0)
-    lifted = np.vstack([f.values for f in report.lifted])
-    np.testing.assert_array_max_ulp(lifted, 10.0 * x[report.selected_ids], maxulp=1)
+    assert report.lifted.shape == (len(report.selected_ids), 2)
+    assert not report.lifted.flags.writeable and not report.normalized.flags.writeable
+    np.testing.assert_array_max_ulp(report.lifted, 10.0 * x[report.selected_ids], maxulp=1)
 
 
 def test_lifted_fields_exceed_lifted_threshold():
@@ -128,8 +129,7 @@ def test_lifted_fields_exceed_lifted_threshold():
     t0 = 10.0
     report = lift(FieldSample(grid, x), nf, t0)
     assert report.selected_ids
-    lifted = np.vstack([f.values for f in report.lifted])
-    assert np.all(apply_T_values(lifted, nf).max(axis=1) > t0)
+    assert np.all(apply_T_values(report.lifted, nf).max(axis=1) > t0)
 
 
 def test_lift_with_t0_one_is_identity_on_nonclamped_sites():
@@ -138,9 +138,9 @@ def test_lift_with_t0_one_is_identity_on_nonclamped_sites():
     _, _, x = sample_simple_pareto_batch(spec, grid, 200, make_rng(8, "id"))
     nf = NormingFunctions.constant(grid, gamma=0.5, a_t=1.0, b_t=1.0, t=4.0)
     report = lift(FieldSample(grid, x), nf, t0=1.0)
-    for sid, f, norm in zip(report.selected_ids, report.lifted, report.normalized):
-        free = norm.values > 0.0
-        np.testing.assert_allclose(f.values[free], x[sid][free], rtol=1e-12)
+    for sid, lifted, norm in zip(report.selected_ids, report.lifted, report.normalized):
+        free = norm > 0.0
+        np.testing.assert_allclose(lifted[free], x[sid][free], rtol=1e-12)
 
 
 def test_lift_monotone_in_t0():
@@ -151,9 +151,8 @@ def test_lift_monotone_in_t0():
     nf = NormingFunctions.constant(grid, gamma=1.0, a_t=2.0, b_t=2.0, t=2.0)
     low = lift(data, nf, t0=5.0)
     high = lift(data, nf, t0=10.0)
-    for f_low, f_high, norm in zip(low.lifted, high.lifted, low.normalized):
-        free = norm.values > 0.0
-        assert np.all(f_high.values[free] >= f_low.values[free])
+    free = low.normalized > 0.0
+    assert np.all(high.lifted[free] >= low.lifted[free])
 
 
 def test_lift_preserves_selection_law():
@@ -164,7 +163,7 @@ def test_lift_preserves_selection_law():
     _, _, x1 = sample_simple_pareto_batch(spec, grid, 1_500, make_rng(10, "pl1"))
     _, _, x2 = sample_simple_pareto_batch(spec, grid, 1_500, make_rng(10, "pl2"))
     report = lift(FieldSample(grid, x1), nf, t0)
-    sup_lifted = np.array([f.values.max() for f in report.lifted]) / (t0 * t)
+    sup_lifted = report.lifted.max(axis=1) / (t0 * t)
     sup_selected = x2.max(axis=1)
     sup_selected = sup_selected[sup_selected > t] / t
     assert len(report.selected_ids) >= 500
@@ -199,9 +198,7 @@ def test_scenario_runs_and_lifts_above_threshold():
     report = run_storm_scenario(20, 5, t0, rng)
     assert 0 <= len(report.selected_ids) <= 20
     assert len(report.lifted) == len(report.selected_ids)
-    if report.selected_ids:
-        lifted = np.vstack([f.values for f in report.lifted])
-        assert np.all(apply_T_values(lifted, report.norming).max(axis=1) > t0)
+    assert np.all(apply_T_values(report.lifted, report.norming).max(axis=1) > t0)
 
 
 def test_scenario_requires_twenty_fields():

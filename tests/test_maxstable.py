@@ -117,7 +117,6 @@ def test_doa_pareto_input(gmm_cfg):
                                  rng=make_rng(10, "doa"), input_kind="pareto")
     assert report["n_exceedances"] > 1_000
     by_name = {c["name"]: c for c in report["checks"]}
-    assert by_name["sup_ratio_x1"]["statistic"] == 1.0
     assert by_name["sup_ratio_x2"]["passed"]
     assert by_name["sup_ratio_x5"]["passed"]
     assert by_name["angle_two_sample_ks"]["passed"]
