@@ -3,7 +3,8 @@
 One JSON config document plus command-line flags (flags win) drive six
 commands: simulate, df-battery, maxstable-check, lift, scenario43 and
 verify-all. Every run requires an explicit seed, uses one named random
-stream per logical task, and writes a manifest sufficient to reproduce it;
+stream per logical task, and writes a manifest sufficient to reproduce it
+last, with ``status`` "ok" or "failed" (none if the command raises);
 identical config and seed give byte-identical outputs. Outputs are plot-ready
 CSV/JSON only, rendering is left to external tools.
 
@@ -26,7 +27,6 @@ import scipy
 from . import __version__
 from .dfeval import battery_to_csv, default_battery, queries_from_json, run_battery
 from .errors import ParetoProcError
-from .gof import ks_critical_value, ks_statistic, standard_frechet_cdf
 from .grid import Grid
 from .lifting import (
     estimate_norming,
@@ -36,7 +36,7 @@ from .lifting import (
     run_storm_scenario,
     write_lift_report,
 )
-from .maxstable import PenroseConfig, doa_empirical_check, mmax_self_similarity_pvalue, sample_max_stable_batch
+from .maxstable import PenroseConfig, construction_checks, doa_empirical_check
 from .pareto import export_batch_csv, sample_simple_pareto_batch
 from .rng import make_rng
 from .spectral import SpectralProfileSpec
@@ -218,19 +218,7 @@ def _cmd_maxstable_check(cfg: RunConfig) -> int:
     grid = _build_grid(cfg)
     spec = _build_spec(cfg)
     pcfg = PenroseConfig(spec, grid, truncation=float(cfg.opt("truncation")))
-    n = int(cfg.opt("n"))
-    site = grid.n_sites // 2
-    rng = make_rng(cfg.seed, "maxstable_marginal")
-    eta = sample_max_stable_batch(pcfg, n, rng)
-    stat = ks_statistic(eta[:, site], standard_frechet_cdf)
-    crit = ks_critical_value(n, alpha=0.01)
-    pval = mmax_self_similarity_pvalue(pcfg, 4, n, make_rng(cfg.seed, "maxstable_mmax"), site)
-    checks = [
-        {"name": "marginal_frechet_ks", "statistic": stat, "threshold": crit,
-         "passed": bool(stat < crit)},
-        {"name": "mmax_self_similarity_p", "statistic": pval, "threshold": 0.01,
-         "passed": bool(pval > 0.01)},
-    ]
+    checks = construction_checks(pcfg, int(cfg.opt("n")), cfg.seed)
     report = {
         "checks": checks,
         "doa_pareto": doa_empirical_check(
@@ -257,7 +245,7 @@ def _cmd_lift(cfg: RunConfig) -> int:
     sites_list = cfg.options.get("sites_list")
     sites = [int(s) for s in str(sites_list).split(",")] if sites_list else None
     report = lift(data, nf, float(cfg.opt("t0")), policy=cfg.opt("policy"), sites=sites)
-    write_lift_report(report, cfg.outdir, extra_manifest={**_manifest(cfg), "policy": cfg.opt("policy")})
+    write_lift_report(report, cfg.outdir, extra_manifest={"policy": cfg.opt("policy")})
     print(f"selected {len(report.selected_ids)} of {data.n} fields")
     return 0
 
@@ -268,8 +256,8 @@ def _cmd_scenario43(cfg: RunConfig) -> int:
         int(cfg.opt("n")), int(cfg.opt("k")), float(cfg.opt("t0")), rng,
         n_sites=int(cfg.opt("sites")),
     )
-    write_lift_report(report, cfg.outdir, extra_manifest=_manifest(cfg))
     field_sample_to_csv(report.source, cfg.outdir / "source.csv")
+    write_lift_report(report, cfg.outdir)
     print(f"selected {len(report.selected_ids)} of {report.source.n} fields; "
           f"figure data in {cfg.outdir}")
     return 0
@@ -298,10 +286,18 @@ _RUNNERS = {
 
 
 def run(cfg: RunConfig) -> int:
-    """Execute a merged configuration; artifacts land in cfg.outdir."""
+    """Execute a merged configuration; artifacts land in cfg.outdir. The
+    manifest is written last, keeping the keys a lift report put there."""
     cfg.outdir.mkdir(parents=True, exist_ok=True)
-    (cfg.outdir / "manifest.json").write_text(json.dumps(_manifest(cfg), indent=2, sort_keys=True))
-    return _RUNNERS[cfg.command](cfg)
+    path = cfg.outdir / "manifest.json"
+    path.unlink(missing_ok=True)
+    code = _RUNNERS[cfg.command](cfg)
+    doc = json.loads(path.read_text()) if path.exists() else {}
+    doc.update(_manifest(cfg), status="ok" if code == 0 else "failed")
+    tmp = path.with_name("manifest.json.tmp")
+    tmp.write_text(json.dumps(doc, indent=2, sort_keys=True))
+    os.replace(tmp, path)
+    return code
 
 
 def main(argv=None) -> int:

@@ -10,8 +10,8 @@ read-only), so they can be shared across workers without synchronization.
 """
 from __future__ import annotations
 
-import csv
 import json
+import warnings
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -172,16 +172,20 @@ def field_to_csv(f: Field, path) -> None:
     write_csv_table(path, header, [np.arange(f.grid.n_sites), *f.grid.sites.T, f.values])
 
 
+def read_csv_table(path) -> tuple[list[str], np.ndarray]:
+    """Header and a float ``(rows, columns)`` array of a CSV table, parsed by
+    numpy while streaming from the open file. An empty or header-only file
+    gives a ``(0, 1)`` array; ragged or non-numeric rows raise ``ValueError``."""
+    with open(path) as fh:
+        header = fh.readline().rstrip("\n").split(",")
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)  # "input contained no data"
+            return header, np.loadtxt(fh, delimiter=",", ndmin=2)
+
+
 def field_from_csv(path) -> Field:
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader)
-        d = len(header) - 2
-        sites, values = [], []
-        for row in reader:
-            sites.append([float(c) for c in row[1 : 1 + d]])
-            values.append(float(row[1 + d]))
-    return Field(Grid(np.asarray(sites)), np.asarray(values))
+    _, table = read_csv_table(path)
+    return Field(Grid(table[:, 1:-1]), table[:, -1])
 
 
 def field_to_json(f: Field) -> str:

@@ -11,7 +11,6 @@ threshold.
 """
 from __future__ import annotations
 
-import csv
 import json
 from dataclasses import dataclass
 from pathlib import Path
@@ -19,7 +18,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import DegenerateTail, InsufficientData
-from .grid import Field, Grid, write_csv_table
+from .grid import Field, Grid, read_csv_table, write_csv_table
 from .maxstable import sample_moving_maximum_batch
 from .rng import make_rng
 from .transforms import (
@@ -40,8 +39,6 @@ class FieldSample:
 
     grid: Grid
     values: np.ndarray
-    label: str = ""
-    seed: int | None = None
 
     def __post_init__(self):
         values = np.asarray(self.values, dtype=float)
@@ -203,7 +200,7 @@ def sample_scenario_fields(
     grid = Grid.regular(n_sites)
     z = sample_moving_maximum_batch(grid, n, rng)
     gamma = scenario_index_field(grid).values
-    return FieldSample(grid, z**gamma, label="powered_moving_maximum")
+    return FieldSample(grid, z**gamma)
 
 
 def run_storm_scenario(
@@ -239,22 +236,18 @@ def field_sample_to_csv(data: FieldSample, path) -> None:
     _write_long(path, np.arange(data.n), data.values)
 
 
-def field_sample_from_csv(path, grid: Grid, label: str = "") -> FieldSample:
-    rows: dict[int, dict[int, float]] = {}
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        next(reader)
-        for sample_id, site_index, value in reader:
-            rows.setdefault(int(sample_id), {})[int(site_index)] = float(value)
-    n = len(rows)
-    values = np.empty((n, grid.n_sites))
-    for i, sid in enumerate(sorted(rows)):
-        per_site = rows[sid]
-        if len(per_site) != grid.n_sites:
-            raise ValueError(f"sample {sid} has {len(per_site)} sites, expected {grid.n_sites}")
-        for j in range(grid.n_sites):
-            values[i, j] = per_site[j]
-    return FieldSample(grid, values, label=label)
+def field_sample_from_csv(path, grid: Grid) -> FieldSample:
+    """Read the long CSV. Rows may come in any order; every sample_id must
+    carry site_index 0..n_sites-1 exactly once, else ``ValueError``."""
+    _, table = read_csv_table(path)
+    m = grid.n_sites
+    if table.shape[1] != 3 or len(table) % m:
+        raise ValueError(f"{path}: expected columns sample_id, site_index, value and {m} rows per sample")
+    table = table[np.lexsort((table[:, 1], table[:, 0]))]
+    ids, sites, values = (table[:, j].reshape(-1, m) for j in range(3))
+    if not (np.all(sites == np.arange(m)) and np.all(ids == ids[:, :1])):
+        raise ValueError(f"{path}: every sample_id needs site_index 0..{m - 1} exactly once")
+    return FieldSample(grid, values)
 
 
 def write_lift_report(report: LiftReport, outdir, extra_manifest: dict | None = None) -> None:

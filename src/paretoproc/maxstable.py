@@ -14,39 +14,24 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import stats
 
+from .gof import ks_critical_value, ks_statistic, standard_frechet_cdf, two_sample_ks_pvalue
 from .grid import Field, Grid
 from .pareto import sample_radii
 from .rng import fill_rows, make_rng
-from .spectral import SpectralProfileSpec, sample_profiles
+from .spectral import SpectralProfileSpec, profile_mean_se, sample_profiles
 
 MEAN_RESCALE_N = 1_000_000
 _MEAN_CACHE: dict[tuple[SpectralProfileSpec, bytes], tuple[np.ndarray, np.ndarray]] = {}
 
 
 def _mean_field(spec: SpectralProfileSpec, grid: Grid) -> tuple[np.ndarray, np.ndarray]:
-    """High-precision Monte Carlo estimate of E V(s), cached per (spec, grid)."""
+    """Monte Carlo estimate of E V(s) and its standard error, cached per (spec, grid)."""
     key = (spec, grid.key())
-    cached = _MEAN_CACHE.get(key)
-    if cached is None:
+    if key not in _MEAN_CACHE:
         rng = make_rng(0, "mean_field_rescale")
-        total = np.zeros(grid.n_sites)
-        total_sq = np.zeros(grid.n_sites)
-        block = 100_000
-        done = 0
-        while done < MEAN_RESCALE_N:
-            n = min(block, MEAN_RESCALE_N - done)
-            p = sample_profiles(spec, grid, n, rng)
-            total += p.sum(axis=0)
-            total_sq += (p * p).sum(axis=0)
-            done += n
-        mean = total / MEAN_RESCALE_N
-        var = total_sq / MEAN_RESCALE_N - mean * mean
-        se = np.sqrt(np.maximum(var, 0.0) / MEAN_RESCALE_N)
-        cached = (mean, se)
-        _MEAN_CACHE[key] = cached
-    return cached
+        _MEAN_CACHE[key] = profile_mean_se(spec, grid, MEAN_RESCALE_N, rng)
+    return _MEAN_CACHE[key]
 
 
 @dataclass
@@ -163,7 +148,24 @@ def mmax_self_similarity_pvalue(
     one = sample_max_stable_batch(cfg, n, rng)[:, site]
     many = sample_max_stable_batch(cfg, m * n, rng)[:, site].reshape(n, m)
     scaled_max = many.max(axis=1) / m
-    return float(stats.ks_2samp(one, scaled_max).pvalue)
+    return two_sample_ks_pvalue(one, scaled_max)
+
+
+def construction_checks(cfg: PenroseConfig, n: int, seed: int) -> list[dict]:
+    """Construction checks at the middle site from n fields: standard Frechet
+    marginal KS (stream ``maxstable_marginal``, 1% critical value) and the
+    m = 4 self-similarity p-value (stream ``maxstable_mmax``, above 0.01)."""
+    site = cfg.grid.n_sites // 2
+    eta = sample_max_stable_batch(cfg, n, make_rng(seed, "maxstable_marginal"))
+    stat = ks_statistic(eta[:, site], standard_frechet_cdf)
+    crit = ks_critical_value(n, alpha=0.01)
+    pval = mmax_self_similarity_pvalue(cfg, 4, n, make_rng(seed, "maxstable_mmax"), site)
+    return [
+        {"name": "marginal_frechet_ks", "statistic": stat, "threshold": crit,
+         "passed": bool(stat < crit)},
+        {"name": "mmax_self_similarity_p", "statistic": pval, "threshold": 0.01,
+         "passed": bool(pval > 0.01)},
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -264,7 +266,7 @@ def doa_empirical_check(
     if input_kind == "pareto" and n_exc:
         angle = normalized[exceed, site] / radius[exceed]
         reference = _sup_weighted_angle_sample(cfg, n_exc, rng)[:, site]
-        pvalue = float(stats.ks_2samp(angle, reference).pvalue)
+        pvalue = two_sample_ks_pvalue(angle, reference)
         checks.append(
             {
                 "name": "angle_two_sample_ks",

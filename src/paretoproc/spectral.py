@@ -31,6 +31,7 @@ RESCALED_POSITIVE_FIELD = "rescaled_positive_field"
 BERNOULLI_PAIR = "bernoulli_pair"
 
 KINDS = (CONSTANT, GAUSSIAN_MOVING_MAX, RESCALED_POSITIVE_FIELD, BERNOULLI_PAIR)
+MEAN_BLOCK = 100_000  # profiles drawn at a time: bounds a mean estimate's memory
 
 _ALIASES = {
     "constantprofile": CONSTANT,
@@ -155,10 +156,26 @@ def sample_profile(
     return Field(grid, sample_profiles(spec, grid, 1, rng)[0])
 
 
+def profile_mean_se(
+    spec: SpectralProfileSpec, grid: Grid, n: int, rng: np.random.Generator
+) -> tuple[np.ndarray, np.ndarray]:
+    """Per-site Monte Carlo mean of n independent profiles and its standard
+    error, drawn ``MEAN_BLOCK`` profiles at a time."""
+    total = np.zeros(grid.n_sites)
+    total_sq = np.zeros(grid.n_sites)
+    for start in range(0, n, MEAN_BLOCK):
+        p = sample_profiles(spec, grid, min(MEAN_BLOCK, n - start), rng)
+        total += p.sum(axis=0)
+        total_sq += (p * p).sum(axis=0)
+    mean = total / n
+    var = total_sq / n - mean * mean
+    return mean, np.sqrt(np.maximum(var, 0.0) / n)
+
+
 def profile_mean(
     spec: SpectralProfileSpec, grid: Grid, n: int, rng: np.random.Generator
 ) -> Field:
     """Per-site Monte Carlo mean of n independent profiles."""
     if n < 1:
         raise ValueError("n must be >= 1")
-    return Field(grid, sample_profiles(spec, grid, n, rng).mean(axis=0))
+    return Field(grid, profile_mean_se(spec, grid, n, rng)[0])

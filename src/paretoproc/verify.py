@@ -22,13 +22,12 @@ from .dfeval import (
 from .gof import (
     ks_critical_value,
     ks_statistic,
-    standard_frechet_cdf,
     standard_pareto_cdf,
     two_sample_ks_pvalue,
 )
 from .grid import Field, Grid
 from .lifting import FieldSample, estimate_norming, lift, run_storm_scenario
-from .maxstable import PenroseConfig, findim_evd, mmax_self_similarity_pvalue, sample_max_stable_batch
+from .maxstable import PenroseConfig, construction_checks, findim_evd, sample_max_stable_batch
 from .pareto import pot_conditional_batch, sample_simple_pareto_batch
 from .rng import fill_rows, make_rng
 from .spectral import (
@@ -242,15 +241,8 @@ def check_max_stable(quick: bool = False) -> CheckResult:
     spec = SpectralProfileSpec(GAUSSIAN_MOVING_MAX)
     grid = _grid_for(spec.kind)
     cfg = PenroseConfig(spec, grid, truncation=1e-4)
-    site = grid.n_sites // 2
-    details = []
-
-    rng = make_rng(SEED, "maxstable_marginal")
-    eta = sample_max_stable_batch(cfg, n, rng)
-    stat = ks_statistic(eta[:, site], standard_frechet_cdf)
-    crit = ks_critical_value(n, alpha=0.01)
-    ok_marginal = stat < crit
-    details.append(f"marginal KS {stat:.5f} vs {crit:.5f}")
+    marginal, mmax = construction_checks(cfg, n, SEED)
+    details = [f"marginal KS {marginal['statistic']:.5f} vs {marginal['threshold']:.5f}"]
 
     sites = np.array([grid.n_sites // 4, grid.n_sites // 2, (3 * grid.n_sites) // 4])
     points = [(1.0, 1.0, 1.0), (2.0, 1.5, 1.2), (0.8, 1.5, 1.0)]
@@ -265,15 +257,11 @@ def check_max_stable(quick: bool = False) -> CheckResult:
         pooled = float(np.hypot(se, emp_se))
         ok_findim &= abs(est - emp) <= 3.0 * pooled
     details.append(f"findim within 3 SE at {len(points)} points: {ok_findim}")
-
-    rng = make_rng(SEED, "maxstable_mmax")
-    pval = mmax_self_similarity_pvalue(cfg, m=4, n=n, rng=rng, site=site)
-    ok_mmax = pval > 0.01
-    details.append(f"m-max KS p {pval:.3f}")
+    details.append(f"m-max KS p {mmax['statistic']:.3f}")
 
     return _timed(
         "max_stable_validation",
-        ok_marginal and ok_findim and ok_mmax,
+        marginal["passed"] and ok_findim and mmax["passed"],
         "; ".join(details),
         start,
     )

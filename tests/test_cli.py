@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+from paretoproc import cli
 from paretoproc.cli import main
 from paretoproc.grid import Grid
 from paretoproc.lifting import FieldSample, field_sample_to_csv, sample_scenario_fields
@@ -118,9 +119,38 @@ def test_library_error_exits_two_with_one_line(tmp_path, capsys, argv, error):
     tied = tmp_path / "tied.csv"  # equal values: tied top order statistics at every site
     field_sample_to_csv(FieldSample(Grid.regular(3), np.ones((30, 3))), tied)
     argv = [a.format(tied=tied) for a in argv]
-    assert main(argv + ["--seed", "1", "--out", str(tmp_path / "out")]) == 2
+    out = tmp_path / "out"
+    out.mkdir()
+    (out / "manifest.json").write_text("{}")  # a stale manifest from an earlier run
+    assert main(argv + ["--seed", "1", "--out", str(out)]) == 2
     err = capsys.readouterr().err
     assert err.startswith(f"{error}: ") and err.count("\n") == 1
+    assert not (out / "manifest.json").exists()
+
+
+HEADER = "sample_id,site_index,value\n"
+
+
+def _long_rows(site_offset=0):
+    """30 samples on 3 sites, site indices starting at ``site_offset``."""
+    return "".join(f"{i},{j + site_offset},{1.0 + i + j / 10}\n"
+                   for i in range(30) for j in range(3))
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("text", [
+    pytest.param("", id="empty"),
+    pytest.param(HEADER, id="header_only"),
+    pytest.param(HEADER + _long_rows(site_offset=1), id="sites_from_one"),
+    pytest.param(HEADER + _long_rows() + "0,1,9.0\n", id="duplicate_row"),
+])
+def test_malformed_lift_data_exits_two_with_one_line(tmp_path, capsys, text):
+    data = tmp_path / "fields.csv"
+    data.write_text(text)
+    argv = ["lift", "--data", str(data), "--sites", "3", "--k", "5", "--seed", "1"]
+    assert main(argv + ["--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("ValueError: ") and err.count("\n") == 1
 
 
 @pytest.mark.parametrize("command", ["scenario43", "lift"])
@@ -136,6 +166,13 @@ def test_lift_report_manifest_keeps_run_keys(tmp_path, command):
     manifest = json.loads((tmp_path / "out" / "manifest.json").read_text())
     assert manifest["command"] == command and manifest["seed"] == 5
     assert {"options", "versions", "config_sha256", "t0", "k", "t", "n_selected"} <= set(manifest)
+    assert manifest["status"] == "ok"
+
+
+def test_manifest_status_failed_on_exit_one(tmp_path, monkeypatch):
+    monkeypatch.setitem(cli._RUNNERS, "simulate", lambda cfg: 1)
+    assert main(["simulate", "--seed", "1", "--out", str(tmp_path)]) == 1
+    assert json.loads((tmp_path / "manifest.json").read_text())["status"] == "failed"
 
 
 def test_lift_without_data_is_config_error(tmp_path):

@@ -211,8 +211,13 @@ def test_field_sample_csv_roundtrip(tmp_path):
     data = sample_scenario_fields(21, make_rng(14, "io"), n_sites=4)
     path = tmp_path / "fields.csv"
     field_sample_to_csv(data, path)
-    back = field_sample_from_csv(path, grid)
-    assert np.array_equal(back.values, data.values)
+    header, *rows = path.read_text().splitlines(keepends=True)
+    order = make_rng(14, "shuffle").permutation(len(rows))
+    shuffled = tmp_path / "shuffled.csv"  # rows may come in any order
+    shuffled.write_text(header + "".join(rows[i] for i in order))
+    for p in (path, shuffled):
+        back = field_sample_from_csv(p, grid)
+        assert np.array_equal(back.values, data.values)
 
 
 def test_write_lift_report(tmp_path):

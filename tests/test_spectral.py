@@ -64,10 +64,10 @@ def test_profile_mean_constant_exact():
 
 def test_profile_mean_bernoulli_within_three_se():
     spec = SpectralProfileSpec("bernoulli_pair", omega0=1.0)
-    n = 40_000
-    mean = profile_mean(spec, Grid.regular(2), n, make_rng(4, "bp_mean"))
-    se = 0.5 / np.sqrt(n)
-    assert np.all(np.abs(mean.values - 0.5) <= 3.0 * se)
+    for n in (40_000, 250_000):  # one block, and several blocks
+        mean = profile_mean(spec, Grid.regular(2), n, make_rng(4, "bp_mean"))
+        se = 0.5 / np.sqrt(n)
+        assert np.all(np.abs(mean.values - 0.5) <= 3.0 * se)
 
 
 def test_profile_mean_n1_equals_single_profile():
