@@ -18,7 +18,7 @@ import hashlib
 import json
 import os
 import sys
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -136,31 +136,37 @@ def _merge_config(args: argparse.Namespace) -> RunConfig:
     options: dict = {}
     if args.config:
         try:
-            options.update(json.loads(Path(args.config).read_text()))
+            doc = json.loads(Path(args.config).read_text())
         except (OSError, json.JSONDecodeError) as exc:
             raise ConfigError(f"cannot read config {args.config}: {exc}") from exc
+        if not isinstance(doc, dict):
+            raise ConfigError(f"config {args.config} must hold a JSON object")
+        options.update(doc)
     for key, value in vars(args).items():
         if key in ("command", "config") or value is None:
             continue
         options[key] = value
-    seed = options.pop("seed", None)
-    if seed is None:
+    if options.get("seed") is None:
         raise ConfigError("a seed is required (pass --seed or put 'seed' in the config)")
+    # a config file skips argparse's typing: type its values like the defaults
+    for key, kind in {"seed": int, **{k: type(v) for k, v in _DEFAULTS.items()}}.items():
+        if key in options:
+            try:
+                options[key] = kind(options[key])
+            except (TypeError, ValueError, OverflowError) as exc:
+                raise ConfigError(f"config value {key}={options[key]!r}: expected {kind.__name__}") from exc
+    seed = options.pop("seed")
     out = options.pop("out", None) or os.environ.get("PARETOPROC_OUTDIR") or "paretoproc-out"
-    cfg = RunConfig(args.command, int(seed), Path(out), options)
-    if int(cfg.opt("sites")) < 2:
+    cfg = RunConfig(args.command, seed, Path(out), options)
+    if cfg.opt("sites") < 2:
         raise ConfigError("site count must be >= 2")
-    if not 1 <= int(cfg.opt("dim")) <= 3:
+    if not 1 <= cfg.opt("dim") <= 3:
         raise ConfigError("dim must be 1, 2 or 3")
     return cfg
 
 
 def _build_grid(cfg: RunConfig) -> Grid:
-    n, lo, hi, dim = (int(cfg.opt("sites")), float(cfg.opt("lo")),
-                      float(cfg.opt("hi")), int(cfg.opt("dim")))
-    if dim == 1:
-        return Grid.regular(n, lo, hi)
-    axes = [np.linspace(lo, hi, n)] * dim
+    axes = [np.linspace(cfg.opt("lo"), cfg.opt("hi"), cfg.opt("sites"))] * cfg.opt("dim")
     mesh = np.meshgrid(*axes, indexing="ij")
     return Grid(np.column_stack([m.ravel() for m in mesh]))
 
@@ -194,7 +200,7 @@ def _cmd_simulate(cfg: RunConfig) -> int:
     grid = _build_grid(cfg)
     spec = _build_spec(cfg)
     rng = make_rng(cfg.seed, "simulate")
-    y, v, w = sample_simple_pareto_batch(spec, grid, int(cfg.opt("n")), rng)
+    y, v, w = sample_simple_pareto_batch(spec, grid, cfg.opt("n"), rng)
     export_batch_csv(y, v, w, cfg.outdir / "samples.csv", cfg.outdir / "radii.csv")
     return 0
 
@@ -205,8 +211,8 @@ def _cmd_df_battery(cfg: RunConfig) -> int:
     if cfg.options.get("queries"):
         queries = queries_from_json(cfg.options["queries"], grid)
     else:
-        queries = default_battery(grid, n_mc=int(cfg.opt("n_mc")), seed=cfg.seed)
-    rows = run_battery(spec, grid, queries, n_direct=int(cfg.opt("n_direct")), seed=cfg.seed)
+        queries = default_battery(grid, n_mc=cfg.opt("n_mc"), seed=cfg.seed)
+    rows = run_battery(spec, grid, queries, n_direct=cfg.opt("n_direct"), seed=cfg.seed)
     battery_to_csv(rows, cfg.outdir / "battery.csv")
     for row in rows:
         print(f"query {row.query_id} [{row.mode}]: formula {row.estimate:.5f} "
@@ -217,17 +223,13 @@ def _cmd_df_battery(cfg: RunConfig) -> int:
 def _cmd_maxstable_check(cfg: RunConfig) -> int:
     grid = _build_grid(cfg)
     spec = _build_spec(cfg)
-    pcfg = PenroseConfig(spec, grid, truncation=float(cfg.opt("truncation")))
-    checks = construction_checks(pcfg, int(cfg.opt("n")), cfg.seed)
-    report = {
-        "checks": checks,
-        "doa_pareto": doa_empirical_check(
-            pcfg, int(cfg.opt("n_block")), int(cfg.opt("n_rep")),
-            make_rng(cfg.seed, "doa_pareto"), input_kind="pareto"),
-        "doa_maxstable": doa_empirical_check(
-            pcfg, int(cfg.opt("n_block")), int(cfg.opt("n_rep")),
-            make_rng(cfg.seed, "doa_maxstable"), input_kind="maxstable"),
-    }
+    pcfg = PenroseConfig(spec, grid, truncation=cfg.opt("truncation"))
+    checks = construction_checks(pcfg, cfg.opt("n"), cfg.seed)
+    report = {"checks": checks}
+    for kind in ("pareto", "maxstable"):
+        report[f"doa_{kind}"] = doa_empirical_check(
+            pcfg, cfg.opt("n_block"), cfg.opt("n_rep"),
+            make_rng(cfg.seed, f"doa_{kind}"), input_kind=kind)
     (cfg.outdir / "maxstable_report.json").write_text(json.dumps(report, indent=2, sort_keys=True))
     for c in checks:
         print(f"{c['name']}: statistic {c['statistic']:.5f} vs {c['threshold']:.5f} "
@@ -241,10 +243,10 @@ def _cmd_lift(cfg: RunConfig) -> int:
     if not data_path:
         raise ConfigError("lift requires --data pointing at a FieldSample CSV")
     data = field_sample_from_csv(data_path, grid)
-    nf = estimate_norming(data, int(cfg.opt("k")))
+    nf = estimate_norming(data, cfg.opt("k"))
     sites_list = cfg.options.get("sites_list")
     sites = [int(s) for s in str(sites_list).split(",")] if sites_list else None
-    report = lift(data, nf, float(cfg.opt("t0")), policy=cfg.opt("policy"), sites=sites)
+    report = lift(data, nf, cfg.opt("t0"), policy=cfg.opt("policy"), sites=sites)
     write_lift_report(report, cfg.outdir, extra_manifest={"policy": cfg.opt("policy")})
     print(f"selected {len(report.selected_ids)} of {data.n} fields")
     return 0
@@ -253,8 +255,8 @@ def _cmd_lift(cfg: RunConfig) -> int:
 def _cmd_scenario43(cfg: RunConfig) -> int:
     rng = make_rng(cfg.seed, "scenario43")
     report = run_storm_scenario(
-        int(cfg.opt("n")), int(cfg.opt("k")), float(cfg.opt("t0")), rng,
-        n_sites=int(cfg.opt("sites")),
+        cfg.opt("n"), cfg.opt("k"), cfg.opt("t0"), rng,
+        n_sites=cfg.opt("sites"),
     )
     field_sample_to_csv(report.source, cfg.outdir / "source.csv")
     write_lift_report(report, cfg.outdir)
@@ -269,9 +271,7 @@ def _cmd_verify_all(cfg: RunConfig) -> int:
     lines = [format_line(r) for r in results]
     for line in lines:
         print(line)
-    (cfg.outdir / "verify_report.json").write_text(json.dumps(
-        [{"name": r.name, "passed": r.passed, "detail": r.detail, "seconds": r.seconds}
-         for r in results], indent=2))
+    (cfg.outdir / "verify_report.json").write_text(json.dumps([asdict(r) for r in results], indent=2))
     return 0 if all(r.passed for r in results) else 1
 
 

@@ -66,30 +66,38 @@ class DfResult:
         return iter((self.estimate, self.std_error))
 
 
-def _profiles_for(q: DfQuery, spec: SpectralProfileSpec, grid: Grid) -> np.ndarray:
-    return sample_profiles(spec, grid, q.n_mc, make_rng(q.seed, "df_eval"))
-
-
 def _check_query_grid(q: DfQuery, grid: Grid) -> None:
     if q.w.grid is not grid and not np.array_equal(q.w.grid.sites, grid.sites):
         raise ValueError("query field and grid disagree")
 
 
-def _mean_result(per_draw: np.ndarray, no_mass: bool = False) -> DfResult:
+def _mean_result(per_draw: np.ndarray, has_mass: bool = True) -> DfResult:
+    if not has_mass:  # no draw fell in the restricted set: 0 by convention
+        return DfResult(0.0, 0.0, no_mass=True)
     n = per_draw.size
     est = float(per_draw.mean())
     se = float(per_draw.std(ddof=1) / np.sqrt(n)) if n > 1 else 0.0
-    return DfResult(est, se, no_mass)
+    return DfResult(est, se)
+
+
+def _formula(q: DfQuery, spec: SpectralProfileSpec, grid: Grid, per_draw) -> DfResult:
+    """Mean +- SE of ``per_draw(profiles, w) -> (values, has_mass)`` over the
+    query's n_mc profiles, drawn on stream (q.seed, "df_eval")."""
+    _check_query_grid(q, grid)
+    profiles = sample_profiles(spec, grid, q.n_mc, make_rng(q.seed, "df_eval"))
+    return _mean_result(*per_draw(profiles, q.w.values))
 
 
 # ---------------------------------------------------------------------------
 # Per-draw statistics. profiles: (n, m), w: (m,).
 # ---------------------------------------------------------------------------
 
-def _leq_positive_per_draw(profiles: np.ndarray, w: np.ndarray, omega0: float) -> np.ndarray:
+def _leq_positive_per_draw(
+    profiles: np.ndarray, w: np.ndarray, omega0: float
+) -> tuple[np.ndarray, bool]:
     # P(W <= w) = E sup V/(w ^ omega0) - E sup V/w, same draws for both terms
     lower = np.minimum(w, omega0)
-    return (profiles / lower).max(axis=1) - (profiles / w).max(axis=1)
+    return (profiles / lower).max(axis=1) - (profiles / w).max(axis=1), True
 
 
 def _leq_general_per_draw(profiles: np.ndarray, w: np.ndarray) -> tuple[np.ndarray, bool]:
@@ -99,7 +107,7 @@ def _leq_general_per_draw(profiles: np.ndarray, w: np.ndarray) -> tuple[np.ndarr
     support = ~zero_sites
     n = profiles.shape[0]
     if not support.any():
-        return np.zeros(n), True
+        return np.zeros(n), False
     in_b0 = np.all(profiles[:, support] <= w[support], axis=1)
     if zero_sites.any():
         in_b0 &= np.all(profiles[:, zero_sites] == 0.0, axis=1)
@@ -107,7 +115,7 @@ def _leq_general_per_draw(profiles: np.ndarray, w: np.ndarray) -> tuple[np.ndarr
     if in_b0.any():
         ratio_sup = (profiles[np.ix_(in_b0, support)] / w[support]).max(axis=1)
         out[in_b0] = 1.0 - ratio_sup
-    return out, not in_b0.any()
+    return out, bool(in_b0.any())
 
 
 def _gt_per_draw(profiles: np.ndarray, w: np.ndarray) -> tuple[np.ndarray, bool]:
@@ -122,16 +130,15 @@ def _gt_per_draw(profiles: np.ndarray, w: np.ndarray) -> tuple[np.ndarray, bool]
             below = (w / sub).max(axis=1) > 1.0  # w(s) > V(s) for some s
             vals = np.where(below, (sub / w).min(axis=1), 0.0)
         out[positive] = vals
-    in_b1_any = bool(positive.any() and np.any(out[positive] > 0))
-    return out, not in_b1_any
+    return out, bool(np.any(out > 0))
 
 
-def _not_leq_per_draw(profiles: np.ndarray, w: np.ndarray) -> np.ndarray:
+def _not_leq_per_draw(profiles: np.ndarray, w: np.ndarray) -> tuple[np.ndarray, bool]:
     # P(W not<= w) = E min(1, sup V/w); sites with V = w = 0 cannot exceed
     with np.errstate(divide="ignore", invalid="ignore"):
         ratios = profiles / w
     ratios = np.nan_to_num(ratios, nan=0.0, posinf=np.inf)
-    return np.minimum(1.0, ratios.max(axis=1))
+    return np.minimum(1.0, ratios.max(axis=1)), True
 
 
 # ---------------------------------------------------------------------------
@@ -140,36 +147,24 @@ def _not_leq_per_draw(profiles: np.ndarray, w: np.ndarray) -> np.ndarray:
 
 def df_leq_positive(q: DfQuery, spec: SpectralProfileSpec, grid: Grid) -> DfResult:
     """P(W <= w) for strictly positive w via the two-supremum formula."""
-    _check_query_grid(q, grid)
     if np.any(q.w.values == 0.0):
         raise NonPositiveArgument(
             "w has zero entries; use df_leq_general for the restricted formula"
         )
-    profiles = _profiles_for(q, spec, grid)
-    return _mean_result(_leq_positive_per_draw(profiles, q.w.values, spec.omega0))
+    return _formula(q, spec, grid, lambda v, w: _leq_positive_per_draw(v, w, spec.omega0))
 
 
 def df_leq_general(q: DfQuery, spec: SpectralProfileSpec, grid: Grid) -> DfResult:
     """P(W <= w) for w >= 0 via the zero-set-restricted formula."""
-    _check_query_grid(q, grid)
-    profiles = _profiles_for(q, spec, grid)
-    per_draw, no_mass = _leq_general_per_draw(profiles, q.w.values)
-    if no_mass:
-        return DfResult(0.0, 0.0, no_mass=True)
-    return _mean_result(per_draw)
+    return _formula(q, spec, grid, _leq_general_per_draw)
 
 
 def survival_gt(q: DfQuery, spec: SpectralProfileSpec, grid: Grid) -> DfResult:
     """P(W > w), exact in the regime sup w > omega0 (and 0 whenever the
     profile can vanish, since W > w needs a strictly positive profile)."""
-    _check_query_grid(q, grid)
     if q.mode != GT:
         raise ValueError("survival_gt expects a GT-mode query")
-    profiles = _profiles_for(q, spec, grid)
-    per_draw, no_mass = _gt_per_draw(profiles, q.w.values)
-    if no_mass:
-        return DfResult(0.0, 0.0, no_mass=True)
-    return _mean_result(per_draw)
+    return _formula(q, spec, grid, _gt_per_draw)
 
 
 def evaluate(q: DfQuery, spec: SpectralProfileSpec, grid: Grid) -> DfResult:
@@ -177,12 +172,22 @@ def evaluate(q: DfQuery, spec: SpectralProfileSpec, grid: Grid) -> DfResult:
     if q.mode == GT:
         return survival_gt(q, spec, grid)
     if q.mode == NOT_LEQ:
-        _check_query_grid(q, grid)
-        profiles = _profiles_for(q, spec, grid)
-        return _mean_result(_not_leq_per_draw(profiles, q.w.values))
+        return _formula(q, spec, grid, _not_leq_per_draw)
     if np.all(q.w.values > 0):
         return df_leq_positive(q, spec, grid)
     return df_leq_general(q, spec, grid)
+
+
+def _conditional_tail(spec: SpectralProfileSpec, grid: Grid, x: float, n_sim: int,
+                      rng: np.random.Generator, reduce, empty: str) -> float:
+    """Empirical P(X > x | X > omega0) for X = Y * reduce(V) from n_sim direct
+    draws; ``PreconditionFailed(empty)`` when no draw exceeds omega0."""
+    y = sample_radii(n_sim, rng)
+    values = y * reduce(sample_profiles(spec, grid, n_sim, rng))
+    n_cond = int(np.sum(values > spec.omega0))
+    if n_cond == 0:
+        raise PreconditionFailed(empty)
+    return float(np.sum(values > max(x, spec.omega0)) / n_cond)
 
 
 def conditional_sup_tail(
@@ -201,22 +206,14 @@ def conditional_sup_tail(
     """
     if rng is None:
         rng = make_rng(0, "conditional_sup_tail")
-    pre = sample_profiles(spec, grid, pretest_n, rng).min(axis=1)
-    mean_inf = pre.mean()
-    se_inf = pre.std(ddof=1) / np.sqrt(pretest_n)
+    mean_inf, se_inf = _mean_result(sample_profiles(spec, grid, pretest_n, rng).min(axis=1))
     if not mean_inf - 3.0 * se_inf > 0.0:
         raise PreconditionFailed(
             f"E inf V not significantly positive (estimate {mean_inf:.3g} "
             f"+/- {se_inf:.3g}); the conditional tail is undefined"
         )
-    y = sample_radii(n_sim, rng)
-    inf_v = sample_profiles(spec, grid, n_sim, rng).min(axis=1)
-    inf_w = y * inf_v
-    cond = inf_w > spec.omega0
-    n_cond = int(cond.sum())
-    if n_cond == 0:
-        raise PreconditionFailed("no conditioning events in the simulation")
-    return float(np.sum(inf_w > max(x, spec.omega0)) / n_cond)
+    return _conditional_tail(spec, grid, x, n_sim, rng, lambda v: v.min(axis=1),
+                             "no conditioning events in the simulation")
 
 
 def marginal_conditional_tail(
@@ -230,13 +227,8 @@ def marginal_conditional_tail(
     """Empirical P(W(s) > x | W(s) > omega0); contract value min(1, omega0/x)."""
     if rng is None:
         rng = make_rng(0, "marginal_conditional_tail")
-    y = sample_radii(n_sim, rng)
-    w_site = y * sample_profiles(spec, grid, n_sim, rng)[:, site]
-    cond = w_site > spec.omega0
-    n_cond = int(cond.sum())
-    if n_cond == 0:
-        raise PreconditionFailed(f"no exceedances of omega0 at site {site}")
-    return float(np.sum(w_site > max(x, spec.omega0)) / n_cond)
+    return _conditional_tail(spec, grid, x, n_sim, rng, lambda v: v[:, site],
+                             f"no exceedances of omega0 at site {site}")
 
 
 def df_generalized(
@@ -271,10 +263,7 @@ def df_findim(
         raise ValueError("w_vec must be nonnegative")
     grid = vector_grid(d)
     profiles = sample_profiles(spec, grid, n_mc, make_rng(seed, "df_findim"))
-    per_draw, no_mass = _leq_general_per_draw(profiles, w)
-    if no_mass:
-        return DfResult(0.0, 0.0, no_mass=True)
-    return _mean_result(per_draw)
+    return _mean_result(*_leq_general_per_draw(profiles, w))
 
 
 def bernoulli_pair_cdf(x: float, y: float, omega0: float = 1.0) -> float:
@@ -329,10 +318,9 @@ def run_battery(
     queries: list[DfQuery],
     n_direct: int = 20_000,
     seed: int = 0,
-    se_factor: float = 3.0,
 ) -> list[BatteryRow]:
     """Evaluate each query by formula and by direct frequency; a row passes
-    when the two agree within ``se_factor`` pooled standard errors.
+    when the two agree within 3 pooled standard errors.
 
     The binomial standard error of the direct arm is evaluated at the larger
     of the two probability estimates, so that events far below the direct
@@ -350,7 +338,7 @@ def run_battery(
         pooled = float(np.hypot(res.std_error, max(se, se_binom)))
         rows.append(
             BatteryRow(i, q.mode, res.estimate, res.std_error, p, se,
-                       bool(diff <= se_factor * pooled))
+                       bool(diff <= 3.0 * pooled))
         )
     return rows
 
@@ -374,17 +362,25 @@ def default_battery(grid: Grid, n_mc: int = 10_000, seed: int = 0) -> list[DfQue
 
 
 def queries_from_json(path, grid: Grid) -> list[DfQuery]:
-    """Battery file: JSON list of {mode, w (array or scalar), n_mc, seed}."""
+    """Battery file: JSON list of {mode, w (array or scalar), n_mc, seed}.
+    A malformed file raises ``ValueError`` naming the file and the entry."""
     with open(path) as fh:
         raw = json.load(fh)
+    if not isinstance(raw, list):
+        raise ValueError(f"{path}: expected a JSON list of queries")
     queries = []
-    for item in raw:
-        w = item["w"]
-        values = np.full(grid.n_sites, float(w)) if np.isscalar(w) else np.asarray(w, float)
-        queries.append(
-            DfQuery(Field(grid, values), item["mode"],
-                    int(item.get("n_mc", 10_000)), int(item.get("seed", 0)))
-        )
+    for i, item in enumerate(raw):
+        try:
+            w = item["w"]
+            values = np.full(grid.n_sites, float(w)) if np.isscalar(w) else np.asarray(w, float)
+            queries.append(
+                DfQuery(Field(grid, values), item["mode"],
+                        int(item.get("n_mc", 10_000)), int(item.get("seed", 0)))
+            )
+        except KeyError as exc:
+            raise ValueError(f"{path}: query {i} has no {exc} entry") from exc
+        except (TypeError, ValueError) as exc:
+            raise ValueError(f"{path}: query {i}: {exc}") from exc
     return queries
 
 

@@ -175,12 +175,16 @@ def field_to_csv(f: Field, path) -> None:
 def read_csv_table(path) -> tuple[list[str], np.ndarray]:
     """Header and a float ``(rows, columns)`` array of a CSV table, parsed by
     numpy while streaming from the open file. An empty or header-only file
-    gives a ``(0, 1)`` array; ragged or non-numeric rows raise ``ValueError``."""
+    gives a ``(0, 1)`` array; a bad row raises a ``ValueError`` naming the file."""
     with open(path) as fh:
         header = fh.readline().rstrip("\n").split(",")
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", UserWarning)  # "input contained no data"
-            return header, np.loadtxt(fh, delimiter=",", ndmin=2)
+            try:
+                return header, np.loadtxt(fh, delimiter=",", ndmin=2)
+            except ValueError as exc:
+                # keep numpy's first clause; the rest advises a usecols option
+                raise ValueError(f"{path}: {str(exc).split(';')[0]}") from exc
 
 
 def field_from_csv(path) -> Field:

@@ -26,7 +26,7 @@ from .transforms import (
     NormingFunctions,
     apply_T_values,
     invert_T_values,
-    norming_to_json,
+    record_to_json,
 )
 
 SUP_ANYWHERE = "sup_anywhere"
@@ -133,6 +133,9 @@ def select_exceedances(
         if sites is None or len(sites) == 0:
             raise ValueError("sites policy needs a nonempty site list")
         idx = np.asarray(sites, dtype=int)
+        m = data.grid.n_sites
+        if np.any((idx < 0) | (idx >= m)):
+            raise ValueError(f"site indices must lie in 0..{m - 1}")
         keep = np.all(data.values[:, idx] > nf.b_t.values[idx], axis=1)
     else:
         raise ValueError(f"unknown policy {policy!r}")
@@ -254,7 +257,7 @@ def write_lift_report(report: LiftReport, outdir, extra_manifest: dict | None = 
     """Report directory; manifest.json holds the report keys and ``extra_manifest``."""
     out = Path(outdir)
     out.mkdir(parents=True, exist_ok=True)
-    (out / "norming.json").write_text(norming_to_json(report.norming))
+    (out / "norming.json").write_text(record_to_json(report.norming))
     write_csv_table(out / "selected.csv", ["sample_id"], [report.selected_ids])
     _write_long(out / "lifted.csv", report.selected_ids, report.lifted)
     _write_long(out / "normalized.csv", report.selected_ids, report.normalized)

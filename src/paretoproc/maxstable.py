@@ -139,12 +139,11 @@ def mmax_self_similarity_pvalue(
     m: int,
     n: int,
     rng: np.random.Generator,
-    site: int | None = None,
 ) -> float:
-    """Two-sample KS p-value between eta(s) and the componentwise maximum of
-    m independent copies divided by m (equal in law for simple max-stable)."""
-    if site is None:
-        site = cfg.grid.n_sites // 2
+    """Two-sample KS p-value between eta(s) at the middle site and the
+    componentwise maximum of m independent copies divided by m (equal in law
+    for simple max-stable)."""
+    site = cfg.grid.n_sites // 2
     one = sample_max_stable_batch(cfg, n, rng)[:, site]
     many = sample_max_stable_batch(cfg, m * n, rng)[:, site].reshape(n, m)
     scaled_max = many.max(axis=1) / m
@@ -159,7 +158,7 @@ def construction_checks(cfg: PenroseConfig, n: int, seed: int) -> list[dict]:
     eta = sample_max_stable_batch(cfg, n, make_rng(seed, "maxstable_marginal"))
     stat = ks_statistic(eta[:, site], standard_frechet_cdf)
     crit = ks_critical_value(n, alpha=0.01)
-    pval = mmax_self_similarity_pvalue(cfg, 4, n, make_rng(seed, "maxstable_mmax"), site)
+    pval = mmax_self_similarity_pvalue(cfg, 4, n, make_rng(seed, "maxstable_mmax"))
     return [
         {"name": "marginal_frechet_ks", "statistic": stat, "threshold": crit,
          "passed": bool(stat < crit)},

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import json
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -232,59 +232,24 @@ def stability_norming(p: GpParams, r: float) -> tuple[Field, Field]:
     to the base law."""
     if not r >= 1:
         raise ValueError("r must be >= 1")
-    gamma = p.gamma.values
-    zero = np.abs(gamma) < GAMMA_ZERO_TOL
-    with np.errstate(divide="ignore", invalid="ignore"):
-        r_gamma = np.power(r, gamma)
-        incr = np.where(zero, np.log(r), (r_gamma - 1.0) / gamma)
-    u = p.mu.values + p.sigma.values * incr
-    s = p.sigma.values * r_gamma
+    u = p.mu.values + p.sigma.values * power_transform_values(r, p.gamma.values)
+    s = p.sigma.values * np.power(r, p.gamma.values)
     return Field(p.grid, u), Field(p.grid, s)
 
 
 # ---------------------------------------------------------------------------
-# JSON serialization: parallel arrays indexed by site.
+# JSON serialization of GpParams and NormingFunctions: one key per dataclass
+# field in field order, each Field as its array indexed by site.
 # ---------------------------------------------------------------------------
 
-def gp_params_to_json(p: GpParams) -> str:
-    return json.dumps(
-        {
-            "mu": p.mu.values.tolist(),
-            "sigma": p.sigma.values.tolist(),
-            "gamma": p.gamma.values.tolist(),
-            "omega0": p.omega0,
-        }
-    )
+def record_to_json(rec: GpParams | NormingFunctions) -> str:
+    items = ((f.name, getattr(rec, f.name)) for f in fields(rec))
+    return json.dumps({k: v.values.tolist() if isinstance(v, Field) else v for k, v in items})
 
 
-def gp_params_from_json(doc: str, grid: Grid) -> GpParams:
+def record_from_json(cls, doc: str, grid: Grid):
+    """Inverse of :func:`record_to_json` for ``cls`` GpParams or
+    NormingFunctions, with the Fields placed on ``grid``."""
     data = json.loads(doc)
-    return GpParams(
-        Field(grid, np.asarray(data["mu"])),
-        Field(grid, np.asarray(data["sigma"])),
-        Field(grid, np.asarray(data["gamma"])),
-        float(data["omega0"]),
-    )
-
-
-def norming_to_json(nf: NormingFunctions) -> str:
-    return json.dumps(
-        {
-            "gamma": nf.gamma.values.tolist(),
-            "a_t": nf.a_t.values.tolist(),
-            "b_t": nf.b_t.values.tolist(),
-            "t": nf.t,
-            "k": nf.k,
-        }
-    )
-
-
-def norming_from_json(doc: str, grid: Grid) -> NormingFunctions:
-    data = json.loads(doc)
-    return NormingFunctions(
-        Field(grid, np.asarray(data["gamma"])),
-        Field(grid, np.asarray(data["a_t"])),
-        Field(grid, np.asarray(data["b_t"])),
-        float(data["t"]),
-        data.get("k"),
-    )
+    return cls(**{k: Field(grid, np.asarray(v)) if isinstance(v, list) else v
+                  for k, v in data.items()})

@@ -57,7 +57,10 @@ class CheckResult:
     seconds: float
 
 
-def _timed(name: str, passed: bool, detail: str, start: float) -> CheckResult:
+def run_check(check, quick: bool = False) -> CheckResult:
+    """Run one check, which returns (name, passed, detail), and time it."""
+    start = time.perf_counter()
+    name, passed, detail = check(quick=quick)
     return CheckResult(name, bool(passed), detail, time.perf_counter() - start)
 
 
@@ -74,10 +77,9 @@ def _all_specs() -> list[SpectralProfileSpec]:
     ]
 
 
-def check_sup_pareto_law(quick: bool = False) -> CheckResult:
+def check_sup_pareto_law(quick: bool = False) -> tuple[str, bool, str]:
     """Supremum law: omega0^-1 sup W is standard Pareto for every built-in
     profile family (one-sample KS below the 1% critical value)."""
-    start = time.perf_counter()
     n = 20_000 if quick else 100_000
     crit = ks_critical_value(n, alpha=0.01)
     worst = 0.0
@@ -87,18 +89,16 @@ def check_sup_pareto_law(quick: bool = False) -> CheckResult:
         _, _, w = sample_simple_pareto_batch(spec, grid, n, rng)
         stat = ks_statistic(w.max(axis=1) / spec.omega0, standard_pareto_cdf)
         worst = max(worst, stat)
-    return _timed(
+    return (
         "sup_pareto_law",
         worst < crit,
         f"worst KS {worst:.5f} vs critical {crit:.5f} (n={n})",
-        start,
     )
 
 
-def check_pot_stability(quick: bool = False) -> CheckResult:
+def check_pot_stability(quick: bool = False) -> tuple[str, bool, str]:
     """Angle law above a threshold equals the unconditional angle law:
     rejection-path versus stability-path samples, two-sample KS."""
-    start = time.perf_counter()
     n = 2_000 if quick else 10_000
     spec = SpectralProfileSpec(GAUSSIAN_MOVING_MAX)
     grid = _grid_for(spec.kind)
@@ -110,11 +110,10 @@ def check_pot_stability(quick: bool = False) -> CheckResult:
         _, v_stab, _ = pot_conditional_batch(spec, grid, r, n, rng, method="stability")
         pvals.append(two_sample_ks_pvalue(v_rej[:, site], v_stab[:, site]))
     passed = all(p > 0.01 for p in pvals)
-    return _timed(
+    return (
         "pot_stability",
         passed,
         f"two-sample KS p-values {[f'{p:.3f}' for p in pvals]} (r=2,5; n={n}/arm)",
-        start,
     )
 
 
@@ -131,9 +130,8 @@ BIVARIATE_BATTERY = [
 ]
 
 
-def check_bivariate_closed_form(quick: bool = False) -> CheckResult:
+def check_bivariate_closed_form(quick: bool = False) -> tuple[str, bool, str]:
     """Two-site zero-or-peak vector: Monte Carlo df against the closed form."""
-    start = time.perf_counter()
     n_mc = 100_000 if quick else 1_000_000
     tol = 1e-3 * np.sqrt(1_000_000 / n_mc)
     spec = SpectralProfileSpec(BERNOULLI_PAIR)
@@ -142,19 +140,17 @@ def check_bivariate_closed_form(quick: bool = False) -> CheckResult:
         assert expected == bernoulli_pair_cdf(x, y)
         res = df_findim((x, y), spec, 2, n_mc=n_mc, seed=SEED + i)
         worst = max(worst, abs(res.estimate - expected))
-    return _timed(
+    return (
         "bivariate_closed_form",
         worst <= tol,
         f"worst |error| {worst:.2e} vs tolerance {tol:.1e} (n_mc={n_mc})",
-        start,
     )
 
 
-def check_formula_vs_empirical(quick: bool = False) -> CheckResult:
+def check_formula_vs_empirical(quick: bool = False) -> tuple[str, bool, str]:
     """Distribution formulas versus direct simulated frequencies over the
     five-query battery, every built-in family, many seeds; at least 95% of
     cells must agree within 3 pooled standard errors."""
-    start = time.perf_counter()
     n_seeds = 5 if quick else 20
     n_mc = 4_000 if quick else 10_000
     n_direct = 8_000 if quick else 20_000
@@ -167,11 +163,10 @@ def check_formula_vs_empirical(quick: bool = False) -> CheckResult:
             total += len(rows)
             passed += sum(r.passed for r in rows)
     frac = passed / total
-    return _timed(
+    return (
         "formula_vs_empirical",
         frac >= 0.95,
         f"{passed}/{total} battery cells within 3 pooled SE ({frac:.1%})",
-        start,
     )
 
 
@@ -191,10 +186,9 @@ def _generalized_configs(grid: Grid) -> list[GpParams]:
     return [smooth, sign_mixed]
 
 
-def check_generalized_stability(quick: bool = False) -> CheckResult:
+def check_generalized_stability(quick: bool = False) -> tuple[str, bool, str]:
     """Renormalizing the generalized process by (u(r), s(r)) and conditioning
     on a sup exceedance reproduces the base simple law (two-sample KS)."""
-    start = time.perf_counter()
     n = 2_000 if quick else 10_000
     spec = SpectralProfileSpec(GAUSSIAN_MOVING_MAX)
     grid = _grid_for(spec.kind, n_sites=51)
@@ -224,19 +218,17 @@ def check_generalized_stability(quick: bool = False) -> CheckResult:
             (z_renorm,) = fill_rows(n, lambda need: int(1.3 * need * r) + 1024, renormalized)
             pvals.append(two_sample_ks_pvalue(z_base[:, site], z_renorm[:, site]))
     passed = all(p > 0.01 for p in pvals)
-    return _timed(
+    return (
         "generalized_stability",
         passed,
         f"two-sample KS p-values {[f'{p:.3f}' for p in pvals]} "
         f"(2 configs x r=2,10; n={n}/arm)",
-        start,
     )
 
 
-def check_max_stable(quick: bool = False) -> CheckResult:
+def check_max_stable(quick: bool = False) -> tuple[str, bool, str]:
     """Poisson-profile construction: standard Frechet marginals, the
     finite-dimensional df formula, and invariance under scaled m-fold maxima."""
-    start = time.perf_counter()
     n = 2_000 if quick else 10_000
     spec = SpectralProfileSpec(GAUSSIAN_MOVING_MAX)
     grid = _grid_for(spec.kind)
@@ -259,19 +251,17 @@ def check_max_stable(quick: bool = False) -> CheckResult:
     details.append(f"findim within 3 SE at {len(points)} points: {ok_findim}")
     details.append(f"m-max KS p {mmax['statistic']:.3f}")
 
-    return _timed(
+    return (
         "max_stable_validation",
         marginal["passed"] and ok_findim and mmax["passed"],
         "; ".join(details),
-        start,
     )
 
 
-def check_lifting_exact(quick: bool = False) -> CheckResult:
+def check_lifting_exact(quick: bool = False) -> tuple[str, bool, str]:
     """With exact Pareto norming (gamma = 1, a_t = b_t = t) lifting is exact
     multiplication by t0, entrywise to 1 ulp; and the lifted supremum law
     matches the selected supremum law one threshold down."""
-    start = time.perf_counter()
     t, t0 = 2.0, 10.0
     n = 1_000 if quick else 2_500
 
@@ -309,19 +299,17 @@ def check_lifting_exact(quick: bool = False) -> CheckResult:
     pval = two_sample_ks_pvalue(sup_lifted, sup_base)
     ok_dist = pval > 0.01 and n_selected >= 500
 
-    return _timed(
+    return (
         "lifting_exactness",
         ok_exact and ok_dist,
         f"max entry ulp {max_ulp:.2f}; distributional KS p {pval:.3f} "
         f"({n_selected} selected)",
-        start,
     )
 
 
-def check_estimator_sanity(quick: bool = False) -> CheckResult:
+def check_estimator_sanity(quick: bool = False) -> tuple[str, bool, str]:
     """Moment estimator recovers gamma = 1 on standard Pareto samples and
     gamma = -1 on uniform samples (median absolute error over replications)."""
-    start = time.perf_counter()
     n, k = 10_000, 500
     reps = 10 if quick else 50
     rng = make_rng(SEED, "estimator_sanity")
@@ -338,20 +326,18 @@ def check_estimator_sanity(quick: bool = False) -> CheckResult:
             errors.append(abs(nf.gamma.values[0] - target))
         medians[label] = float(np.median(errors))
     passed = all(m < 0.15 for m in medians.values())
-    return _timed(
+    return (
         "estimator_sanity",
         passed,
         f"median |gamma error| pareto {medians['pareto']:.3f}, "
         f"uniform {medians['uniform']:.3f} (n={n}, k={k}, {reps} reps)",
-        start,
     )
 
 
-def check_storm_scenario(quick: bool = False) -> CheckResult:
+def check_storm_scenario(quick: bool = False) -> tuple[str, bool, str]:
     """End-to-end powered moving-maximum scenario: the pipeline completes,
     selection is nondegenerate on average, and every lifted field clears the
     lifted threshold."""
-    start = time.perf_counter()
     reps = 30 if quick else 200
     n, k, t0 = 20, 5, 10.0
     rng = make_rng(SEED, "storm_scenario")
@@ -364,12 +350,11 @@ def check_storm_scenario(quick: bool = False) -> CheckResult:
         all_exceed &= bool(np.all(renorm.max(axis=1) > t0))
     mean_count = float(np.mean(counts))
     passed = 1.0 < mean_count < 19.0 and all_exceed
-    return _timed(
+    return (
         "storm_scenario",
         passed,
         f"mean selected {mean_count:.2f} of {n} over {reps} reps; "
         f"all lifted exceed t0: {all_exceed}",
-        start,
     )
 
 
@@ -387,7 +372,7 @@ CHECKS = [
 
 
 def run_all(quick: bool = False) -> list[CheckResult]:
-    return [check(quick=quick) for check in CHECKS]
+    return [run_check(check, quick) for check in CHECKS]
 
 
 def format_line(result: CheckResult) -> str:

@@ -9,7 +9,7 @@ from paretoproc import verify
 
 
 def _run(check):
-    result = check(quick=False)
+    result = verify.run_check(check, quick=False)
     print(verify.format_line(result))
     assert result.passed, result.detail
 

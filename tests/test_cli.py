@@ -143,12 +143,54 @@ def _long_rows(site_offset=0):
     pytest.param(HEADER, id="header_only"),
     pytest.param(HEADER + _long_rows(site_offset=1), id="sites_from_one"),
     pytest.param(HEADER + _long_rows() + "0,1,9.0\n", id="duplicate_row"),
+    pytest.param(HEADER + _long_rows() + "30,0\n", id="ragged"),
+    pytest.param(HEADER + "0,0,rain\n" + _long_rows(), id="non_numeric"),
 ])
 def test_malformed_lift_data_exits_two_with_one_line(tmp_path, capsys, text):
     data = tmp_path / "fields.csv"
     data.write_text(text)
     argv = ["lift", "--data", str(data), "--sites", "3", "--k", "5", "--seed", "1"]
     assert main(argv + ["--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("ValueError: ") and err.count("\n") == 1
+    assert str(data) in err and "usecols" not in err
+
+
+@pytest.mark.parametrize("doc", [
+    pytest.param('{"seed": 1, "sites": null}', id="null_sites"),
+    pytest.param("[1, 2]", id="not_an_object"),
+    pytest.param('{"seed": 1, "kind": 5}', id="numeric_kind"),
+])
+def test_malformed_config_exits_two_with_one_line(tmp_path, capsys, doc):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(doc)
+    assert main(["simulate", "--config", str(cfg), "--n", "3", "--out", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err.count("\n") == 1
+
+
+@pytest.mark.parametrize("doc, entry", [
+    pytest.param('{"mode": "LEQ", "w": 2.0}', "list", id="object"),
+    pytest.param('[{"mode": "LEQ", "w": 2.0}, {"mode": "GT"}]', "query 1", id="missing_w"),
+])
+def test_malformed_query_file_exits_two_with_one_line(tmp_path, capsys, doc, entry):
+    queries = tmp_path / "q.json"
+    queries.write_text(doc)
+    argv = ["df-battery", "--spec", "constant", "--sites", "5", "--seed", "2",
+            "--queries", str(queries), "--out", str(tmp_path / "out")]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("ValueError: ") and err.count("\n") == 1
+    assert str(queries) in err and entry in err
+
+
+@pytest.mark.parametrize("sites_list", ["500", "-1"])
+def test_sites_list_out_of_range_exits_two(tmp_path, capsys, sites_list):
+    data = sample_scenario_fields(30, make_rng(4, "cli_lift"), n_sites=11)
+    field_sample_to_csv(data, tmp_path / "fields.csv")
+    argv = ["lift", "--data", str(tmp_path / "fields.csv"), "--sites", "11", "--k", "5",
+            "--policy", "sites", f"--sites-list={sites_list}", "--seed", "5",
+            "--out", str(tmp_path / "out")]
+    assert main(argv) == 2
     err = capsys.readouterr().err
     assert err.startswith("ValueError: ") and err.count("\n") == 1
 

@@ -111,6 +111,8 @@ def test_conditional_sup_tail():
     assert conditional_sup_tail(CONST, g, 0.5, n_sim=5_000, rng=make_rng(0, "c")) == 1.0
     with pytest.raises(PreconditionFailed):
         conditional_sup_tail(BP, Grid.regular(2), 2.0, n_sim=1_000, rng=make_rng(0, "c"))
+    with pytest.raises(PreconditionFailed, match="no conditioning events"):
+        conditional_sup_tail(CONST, g, 2.0, n_sim=0, rng=make_rng(0, "c"))
     rpf = SpectralProfileSpec("rescaled_positive_field")
     est = conditional_sup_tail(rpf, Grid.regular(21), 2.0, n_sim=200_000, rng=make_rng(1, "c"))
     # contract: omega0 / x
@@ -121,6 +123,8 @@ def test_marginal_conditional_tail():
     g = Grid.regular(5)
     assert marginal_conditional_tail(CONST, g, 2, 2.0, n_sim=50_000, rng=make_rng(2, "m")) == pytest.approx(0.5, abs=0.02)
     assert marginal_conditional_tail(CONST, g, 0, 0.5, n_sim=5_000, rng=make_rng(2, "m")) == 1.0
+    with pytest.raises(PreconditionFailed, match="no exceedances of omega0 at site 2"):
+        marginal_conditional_tail(CONST, g, 2, 2.0, n_sim=0, rng=make_rng(2, "m"))
     est = marginal_conditional_tail(GMM, Grid.regular(51), 25, 2.0, n_sim=200_000, rng=make_rng(3, "m"))
     assert est == pytest.approx(0.5, abs=0.05)
 

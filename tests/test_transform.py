@@ -14,13 +14,11 @@ from paretoproc.transforms import (
     NormingFunctions,
     apply_T,
     from_generalized,
-    gp_params_from_json,
-    gp_params_to_json,
     inv_power_transform_values,
     invert_T,
-    norming_from_json,
-    norming_to_json,
     power_transform_values,
+    record_from_json,
+    record_to_json,
     stability_norming,
     to_generalized,
 )
@@ -197,14 +195,14 @@ def test_generalized_homogeneity_of_threshold_events():
 
 def test_json_roundtrips(grid2):
     p = GpParams.constant(grid2, mu=1.0, sigma=2.0, gamma=-0.3, omega0=1.5)
-    back = gp_params_from_json(gp_params_to_json(p), grid2)
+    back = record_from_json(GpParams, record_to_json(p), grid2)
     assert np.array_equal(back.mu.values, p.mu.values)
     assert np.array_equal(back.sigma.values, p.sigma.values)
     assert np.array_equal(back.gamma.values, p.gamma.values)
     assert back.omega0 == p.omega0
     nf = NormingFunctions.constant(grid2, gamma=0.5, a_t=2.0, b_t=1.0, t=40.0)
-    doc = json.loads(norming_to_json(nf))
+    doc = json.loads(record_to_json(nf))
     assert doc["k"] is None
-    back = norming_from_json(norming_to_json(nf), grid2)
+    back = record_from_json(NormingFunctions, record_to_json(nf), grid2)
     assert back.t == 40.0
     assert np.array_equal(back.gamma.values, nf.gamma.values)
