@@ -1,12 +1,13 @@
 """Command-line front end.
 
 One JSON config document plus command-line flags (flags win) drive six
-commands: simulate, df-battery, maxstable-check, lift, scenario43 and
-verify-all. Every run requires an explicit seed, uses one named random
-stream per logical task, and writes a manifest sufficient to reproduce it
-last, with ``status`` "ok" or "failed" (none if the command raises);
-identical config and seed give byte-identical outputs. Outputs are plot-ready
-CSV/JSON only, rendering is left to external tools.
+commands, each taking only the options ``_COMMAND_TABLE`` lists for it; every
+option is declared once, with its type and default, in ``_OPTION_TABLE``.
+Every run requires an explicit seed, uses one named random stream per logical
+task, and writes a manifest sufficient to reproduce it last, with ``status``
+"ok" or "failed" (none if the command raises); identical config and seed give
+byte-identical outputs. Outputs are plot-ready CSV/JSON only, rendering is
+left to external tools.
 
 Exit codes: 0 on success, 1 on any failed verification in verify-all,
 2 on configuration, input or domain errors, reported as one line on stderr.
@@ -18,6 +19,7 @@ import hashlib
 import json
 import os
 import sys
+from collections import namedtuple
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
@@ -42,26 +44,52 @@ from .rng import make_rng
 from .spectral import SpectralProfileSpec
 from .verify import format_line, run_all
 
-COMMANDS = ("simulate", "df-battery", "maxstable-check", "lift", "scenario43", "verify-all")
 
-_DEFAULTS = {
-    "sites": 101,
-    "lo": 0.0,
-    "hi": 1.0,
-    "dim": 1,
-    "kind": "constant",
-    "omega0": 1.0,
-    "bandwidth": 0.1,
-    "corr_length": 0.3,
-    "n": 1000,
-    "n_mc": 10_000,
-    "n_direct": 20_000,
-    "n_block": 50,
-    "n_rep": 20_000,
-    "truncation": 1e-4,
-    "k": 5,
-    "t0": 10.0,
-    "policy": "sup_anywhere",
+# config key -> its type, default, help and flag (--key with "-" for "_"
+# unless given); the default fills what neither the config file nor a flag sets
+_Option = namedtuple("_Option", "type default help flag", defaults=("",))
+_OPTION_TABLE = {
+    "seed": _Option(int, None, "random seed (required here or in the config)"),
+    "out": _Option(str, None, "output directory (default: env PARETOPROC_OUTDIR or ./paretoproc-out)"),
+    "sites": _Option(int, 101, "sites per axis"),
+    "lo": _Option(float, 0.0, "domain lower bound"),
+    "hi": _Option(float, 1.0, "domain upper bound"),
+    "dim": _Option(int, 1, "domain dimension (1-3)"),
+    "kind": _Option(str, "constant", "spectral profile kind", "--spec"),
+    "omega0": _Option(float, 1.0, "profile supremum"),
+    "bandwidth": _Option(float, 0.1, "gaussian_moving_max bump width"),
+    "corr_length": _Option(float, 0.3, "rescaled_positive_field covariance length scale"),
+    "n": _Option(int, 1000, "number of samples or fields"),
+    "queries": _Option(str, None, "JSON battery file (default: built-in five queries)"),
+    "n_mc": _Option(int, 10_000, "profiles per built-in query"),
+    "n_direct": _Option(int, 20_000, "direct-simulation samples per query"),
+    "truncation": _Option(float, 1e-4, "smallest Poisson point kept"),
+    "n_block": _Option(int, 50, "block size of the domain-of-attraction checks"),
+    "n_rep": _Option(int, 20_000, "blocks of the domain-of-attraction checks"),
+    "data": _Option(str, None, "FieldSample CSV (sample_id, site_index, value)"),
+    "k": _Option(int, 5, "order-statistic level"),
+    "t0": _Option(float, 10.0, "lifting factor"),
+    "policy": _Option(str, "sup_anywhere", "selection policy: sup_anywhere or sites"),
+    "sites_list": _Option(str, None, "comma-separated site indices for the sites policy"),
+    "quick": _Option(bool, False, "run the checks at reduced sizes"),
+}
+
+_GRID = ("sites", "lo", "hi", "dim")
+_SPEC = ("kind", "omega0", "bandwidth", "corr_length")
+
+# command -> (help, the options its runner reads); every command also takes
+# --config, --seed and --out
+_COMMAND_TABLE = {
+    "simulate": ("draw simple Pareto samples", (*_GRID, *_SPEC, "n")),
+    "df-battery": ("formula vs direct-frequency battery",
+                   (*_GRID, *_SPEC, "queries", "n_mc", "n_direct")),
+    "maxstable-check": ("max-stable construction checks",
+                        (*_GRID, *_SPEC, "n", "truncation", "n_block", "n_rep")),
+    "lift": ("estimate norming, select and lift observed fields",
+             ("sites", "dim", "data", "k", "t0", "policy", "sites_list")),
+    "scenario43": ("end-to-end powered moving-maximum lifting scenario on [0, 1]",
+                   ("sites", "n", "k", "t0")),
+    "verify-all": ("run the verification suite", ("quick",)),
 }
 
 
@@ -75,64 +103,52 @@ class RunConfig:
     options: dict = field(default_factory=dict)
 
     def opt(self, key: str):
-        return self.options.get(key, _DEFAULTS.get(key))
+        return self.options.get(key, _OPTION_TABLE[key].default)
 
 
 class ConfigError(Exception):
     pass
 
 
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):
+        raise ConfigError(message)
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="paretoproc",
         description="Simulation and verification of Pareto processes on grids",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--config", help="JSON config file; flags override it")
-    common.add_argument("--seed", type=int, help="random seed (required here or in the config)")
-    common.add_argument("--out", help="output directory (default: env PARETOPROC_OUTDIR or ./paretoproc-out)")
-    common.add_argument("--sites", type=int, help="sites per axis")
-    common.add_argument("--lo", type=float, help="domain lower bound")
-    common.add_argument("--hi", type=float, help="domain upper bound")
-    common.add_argument("--dim", type=int, help="domain dimension (1-3)")
-    common.add_argument("--spec", dest="kind", help="spectral profile kind")
-    common.add_argument("--omega0", type=float)
-    common.add_argument("--bandwidth", type=float)
-    common.add_argument("--corr-length", dest="corr_length", type=float)
-
-    p = sub.add_parser("simulate", parents=[common], help="draw simple Pareto samples")
-    p.add_argument("--n", type=int, help="number of samples")
-
-    p = sub.add_parser("df-battery", parents=[common], help="formula vs direct-frequency battery")
-    p.add_argument("--queries", help="JSON battery file (default: built-in five queries)")
-    p.add_argument("--n-mc", dest="n_mc", type=int)
-    p.add_argument("--n-direct", dest="n_direct", type=int)
-
-    p = sub.add_parser("maxstable-check", parents=[common], help="max-stable construction checks")
-    p.add_argument("--n", type=int, help="samples for the marginal/m-max checks")
-    p.add_argument("--truncation", type=float)
-    p.add_argument("--n-block", dest="n_block", type=int)
-    p.add_argument("--n-rep", dest="n_rep", type=int)
-
-    p = sub.add_parser("lift", parents=[common], help="estimate norming, select and lift observed fields")
-    p.add_argument("--data", help="FieldSample CSV (sample_id, site_index, value)", required=False)
-    p.add_argument("--k", type=int, help="order-statistic level")
-    p.add_argument("--t0", type=float, help="lifting factor")
-    p.add_argument("--policy", choices=["sup_anywhere", "sites"])
-    p.add_argument("--sites-list", dest="sites_list", help="comma-separated site indices for the sites policy")
-
-    p = sub.add_parser("scenario43", parents=[common], help="end-to-end powered moving-maximum lifting scenario")
-    p.add_argument("--n", type=int, help="number of generated fields")
-    p.add_argument("--k", type=int)
-    p.add_argument("--t0", type=float)
-
-    p = sub.add_parser("verify-all", parents=[common], help="run the verification suite")
-    p.add_argument("--quick", action="store_true", default=None)
+    for command, (help_text, keys) in _COMMAND_TABLE.items():
+        p = sub.add_parser(command, help=help_text)
+        p.add_argument("--config", help="JSON config file; flags override it")
+        for key in ("seed", "out", *keys):
+            o = _OPTION_TABLE[key]
+            flag = o.flag or "--" + key.replace("_", "-")
+            if o.type is bool:
+                p.add_argument(flag, dest=key, action="store_true", default=None, help=o.help)
+            else:
+                text = o.help if o.default is None else f"{o.help} (default: {o.default})"
+                p.add_argument(flag, dest=key, type=o.type, help=text)
     return parser
 
 
+def _typed(key: str, value):
+    """A config-file value typed like its flag: numbers convert, strings and
+    booleans must already be JSON strings and booleans."""
+    kind = _OPTION_TABLE[key].type
+    if kind not in (str, bool) or isinstance(value, kind):
+        try:
+            return kind(value)
+        except (TypeError, ValueError, OverflowError):
+            pass
+    raise ConfigError(f"config value {key}={value!r}: expected {kind.__name__}")
+
+
 def _merge_config(args: argparse.Namespace) -> RunConfig:
+    keys = ("seed", "out", *_COMMAND_TABLE[args.command][1])
     options: dict = {}
     if args.config:
         try:
@@ -141,20 +157,13 @@ def _merge_config(args: argparse.Namespace) -> RunConfig:
             raise ConfigError(f"cannot read config {args.config}: {exc}") from exc
         if not isinstance(doc, dict):
             raise ConfigError(f"config {args.config} must hold a JSON object")
-        options.update(doc)
-    for key, value in vars(args).items():
-        if key in ("command", "config") or value is None:
-            continue
-        options[key] = value
-    if options.get("seed") is None:
+        for key, value in doc.items():
+            if key not in keys:
+                raise ConfigError(f"config {args.config}: {args.command} has no option {key!r}")
+            options[key] = _typed(key, value)
+    options.update((k, v) for k, v in vars(args).items() if k in keys and v is not None)
+    if "seed" not in options:
         raise ConfigError("a seed is required (pass --seed or put 'seed' in the config)")
-    # a config file skips argparse's typing: type its values like the defaults
-    for key, kind in {"seed": int, **{k: type(v) for k, v in _DEFAULTS.items()}}.items():
-        if key in options:
-            try:
-                options[key] = kind(options[key])
-            except (TypeError, ValueError, OverflowError) as exc:
-                raise ConfigError(f"config value {key}={options[key]!r}: expected {kind.__name__}") from exc
     seed = options.pop("seed")
     out = options.pop("out", None) or os.environ.get("PARETOPROC_OUTDIR") or "paretoproc-out"
     cfg = RunConfig(args.command, seed, Path(out), options)
@@ -166,15 +175,14 @@ def _merge_config(args: argparse.Namespace) -> RunConfig:
 
 
 def _build_grid(cfg: RunConfig) -> Grid:
+    # lift takes no --lo/--hi: its grid's coordinates reach no output
     axes = [np.linspace(cfg.opt("lo"), cfg.opt("hi"), cfg.opt("sites"))] * cfg.opt("dim")
     mesh = np.meshgrid(*axes, indexing="ij")
     return Grid(np.column_stack([m.ravel() for m in mesh]))
 
 
 def _build_spec(cfg: RunConfig) -> SpectralProfileSpec:
-    return SpectralProfileSpec.from_config(
-        {key: cfg.opt(key) for key in ("kind", "omega0", "bandwidth", "corr_length")}
-    )
+    return SpectralProfileSpec(**{key: cfg.opt(key) for key in _SPEC})
 
 
 def _manifest(cfg: RunConfig) -> dict:
@@ -182,7 +190,7 @@ def _manifest(cfg: RunConfig) -> dict:
     doc = {
         "command": cfg.command,
         "seed": cfg.seed,
-        "options": {k: str(v) if isinstance(v, Path) else v for k, v in sorted(cfg.options.items())},
+        "options": dict(sorted(cfg.options.items())),
         "versions": {
             "paretoproc": __version__,
             "numpy": np.__version__,
@@ -208,8 +216,10 @@ def _cmd_simulate(cfg: RunConfig) -> int:
 def _cmd_df_battery(cfg: RunConfig) -> int:
     grid = _build_grid(cfg)
     spec = _build_spec(cfg)
-    if cfg.options.get("queries"):
-        queries = queries_from_json(cfg.options["queries"], grid)
+    if cfg.opt("queries"):
+        if "n_mc" in cfg.options:
+            raise ConfigError("--n-mc does not apply with --queries: each query sets its own n_mc")
+        queries = queries_from_json(cfg.opt("queries"), grid)
     else:
         queries = default_battery(grid, n_mc=cfg.opt("n_mc"), seed=cfg.seed)
     rows = run_battery(spec, grid, queries, n_direct=cfg.opt("n_direct"), seed=cfg.seed)
@@ -239,13 +249,13 @@ def _cmd_maxstable_check(cfg: RunConfig) -> int:
 
 def _cmd_lift(cfg: RunConfig) -> int:
     grid = _build_grid(cfg)
-    data_path = cfg.options.get("data")
+    data_path = cfg.opt("data")
     if not data_path:
         raise ConfigError("lift requires --data pointing at a FieldSample CSV")
     data = field_sample_from_csv(data_path, grid)
     nf = estimate_norming(data, cfg.opt("k"))
-    sites_list = cfg.options.get("sites_list")
-    sites = [int(s) for s in str(sites_list).split(",")] if sites_list else None
+    sites_list = cfg.opt("sites_list")
+    sites = [int(s) for s in sites_list.split(",")] if sites_list else None
     report = lift(data, nf, cfg.opt("t0"), policy=cfg.opt("policy"), sites=sites)
     write_lift_report(report, cfg.outdir, extra_manifest={"policy": cfg.opt("policy")})
     print(f"selected {len(report.selected_ids)} of {data.n} fields")
@@ -266,11 +276,9 @@ def _cmd_scenario43(cfg: RunConfig) -> int:
 
 
 def _cmd_verify_all(cfg: RunConfig) -> int:
-    quick = bool(cfg.options.get("quick"))
-    results = run_all(quick=quick)
-    lines = [format_line(r) for r in results]
-    for line in lines:
-        print(line)
+    results = run_all(quick=cfg.opt("quick"))
+    for r in results:
+        print(format_line(r))
     (cfg.outdir / "verify_report.json").write_text(json.dumps([asdict(r) for r in results], indent=2))
     return 0 if all(r.passed for r in results) else 1
 
@@ -301,10 +309,8 @@ def run(cfg: RunConfig) -> int:
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
     try:
-        return run(_merge_config(args))
+        return run(_merge_config(_build_parser().parse_args(argv)))
     except (ConfigError, ParetoProcError, ValueError, OSError) as exc:
         print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
         return 2

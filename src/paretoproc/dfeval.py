@@ -363,9 +363,12 @@ def default_battery(grid: Grid, n_mc: int = 10_000, seed: int = 0) -> list[DfQue
 
 def queries_from_json(path, grid: Grid) -> list[DfQuery]:
     """Battery file: JSON list of {mode, w (array or scalar), n_mc, seed}.
-    A malformed file raises ``ValueError`` naming the file and the entry."""
+    A non-JSON or malformed file raises ``ValueError`` naming the file (and entry)."""
     with open(path) as fh:
-        raw = json.load(fh)
+        try:
+            raw = json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise ValueError(f"{path}: {exc}") from exc
     if not isinstance(raw, list):
         raise ValueError(f"{path}: expected a JSON list of queries")
     queries = []

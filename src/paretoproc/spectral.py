@@ -71,15 +71,6 @@ class SpectralProfileSpec:
         if self.kind == RESCALED_POSITIVE_FIELD and not self.corr_length > 0:
             raise ValueError("rescaled_positive_field requires corr_length > 0")
 
-    @classmethod
-    def from_config(cls, cfg: dict) -> "SpectralProfileSpec":
-        """Build from config keys kind, omega0, bandwidth, corr_length."""
-        kwargs = {"kind": cfg["kind"]}
-        for key in ("omega0", "bandwidth", "corr_length"):
-            if cfg.get(key) is not None:
-                kwargs[key] = float(cfg[key])
-        return cls(**kwargs)
-
 
 def _check_grid(spec: SpectralProfileSpec, grid: Grid) -> None:
     if spec.kind == BERNOULLI_PAIR and grid.n_sites != 2:

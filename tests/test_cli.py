@@ -156,21 +156,55 @@ def test_malformed_lift_data_exits_two_with_one_line(tmp_path, capsys, text):
     assert str(data) in err and "usecols" not in err
 
 
-@pytest.mark.parametrize("doc", [
-    pytest.param('{"seed": 1, "sites": null}', id="null_sites"),
-    pytest.param("[1, 2]", id="not_an_object"),
-    pytest.param('{"seed": 1, "kind": 5}', id="numeric_kind"),
+@pytest.mark.parametrize("doc, command, names", [
+    pytest.param('{"seed": 1, "sites": null}', "simulate", "sites", id="null_sites"),
+    pytest.param("[1, 2]", "simulate", "JSON object", id="not_an_object"),
+    pytest.param('{"seed": 1, "kind": 5}', "simulate", "kind", id="numeric_kind"),
+    pytest.param('{"seed": 1, "out": 5}', "simulate", "out", id="out_number"),
+    pytest.param('{"seed": 1, "k": 5}', "simulate", "'k'", id="unread_key"),
+    pytest.param('{"seed": 0, "quick": "no"}', "verify-all", "quick", id="quick_string"),
 ])
-def test_malformed_config_exits_two_with_one_line(tmp_path, capsys, doc):
+def test_malformed_config_exits_two_with_one_line(tmp_path, capsys, doc, command, names):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(doc)
-    assert main(["simulate", "--config", str(cfg), "--n", "3", "--out", str(tmp_path / "out")]) == 2
-    assert capsys.readouterr().err.count("\n") == 1
+    assert main([command, "--config", str(cfg), "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("ConfigError: ") and err.count("\n") == 1
+    assert names in err
+
+
+@pytest.mark.parametrize("argv, flag", [
+    pytest.param(["scenario43", "--dim", "2"], "--dim", id="scenario43_dim"),
+    pytest.param(["scenario43", "--spec", "constant"], "--spec", id="scenario43_spec"),
+    pytest.param(["lift", "--omega0", "2"], "--omega0", id="lift_omega0"),
+    pytest.param(["lift", "--lo", "3"], "--lo", id="lift_lo"),
+    pytest.param(["verify-all", "--sites", "5"], "--sites", id="verify_all_sites"),
+    pytest.param(["simulate", "--n", "many"], "--n", id="bad_type"),
+    pytest.param(["lift", "--k"], "--k", id="missing_value"),
+])
+def test_flag_error_exits_two_with_one_line(tmp_path, capsys, argv, flag):
+    assert main(argv + ["--seed", "1", "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("ConfigError: ") and err.count("\n") == 1
+    assert flag in err
+    assert not (tmp_path / "out").exists()
+
+
+def test_n_mc_with_query_file_exits_two(tmp_path, capsys):
+    queries = tmp_path / "q.json"
+    queries.write_text('[{"mode": "LEQ", "w": 2.0, "n_mc": 1000, "seed": 0}]')
+    argv = ["df-battery", "--sites", "5", "--seed", "2", "--queries", str(queries),
+            "--n-mc", "50", "--out", str(tmp_path / "out")]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("ConfigError: ") and err.count("\n") == 1
+    assert "--n-mc" in err
 
 
 @pytest.mark.parametrize("doc, entry", [
     pytest.param('{"mode": "LEQ", "w": 2.0}', "list", id="object"),
     pytest.param('[{"mode": "LEQ", "w": 2.0}, {"mode": "GT"}]', "query 1", id="missing_w"),
+    pytest.param('[{"mode": "LEQ", "w": 2.0}\n{"mode": "GT"}]', "delimiter", id="not_json"),
 ])
 def test_malformed_query_file_exits_two_with_one_line(tmp_path, capsys, doc, entry):
     queries = tmp_path / "q.json"
@@ -244,10 +278,20 @@ def test_outdir_from_environment(tmp_path, monkeypatch):
     assert (tmp_path / "envout" / "samples.csv").exists()
 
 
-def test_unknown_command_exits_two():
+def test_unknown_command_exits_two(capsys):
+    assert main(["frobnicate"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("ConfigError: ") and err.count("\n") == 1
+    assert main([]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("ConfigError: ") and err.count("\n") == 1 and "command" in err
+
+
+def test_help_exits_zero(capsys):
     with pytest.raises(SystemExit) as exc:
-        main(["frobnicate"])
-    assert exc.value.code == 2
+        main(["scenario43", "--help"])
+    assert exc.value.code == 0
+    assert "--t0" in capsys.readouterr().out
 
 
 def test_verify_all_quick(tmp_path):

@@ -98,9 +98,7 @@ def test_spec_validation():
 def test_spec_kind_aliases_and_config():
     assert SpectralProfileSpec("ConstantProfile").kind == "constant"
     assert SpectralProfileSpec("GaussianMovingMax").kind == "gaussian_moving_max"
-    spec = SpectralProfileSpec.from_config(
-        {"kind": "RescaledPositiveField", "omega0": 2.0, "corr_length": 0.4}
-    )
+    spec = SpectralProfileSpec("RescaledPositiveField", omega0=2.0, corr_length=0.4)
     assert spec.kind == "rescaled_positive_field"
     assert spec.omega0 == 2.0
     assert spec.corr_length == 0.4
