@@ -3,7 +3,8 @@
 One JSON config document plus command-line flags (flags win) drive six
 commands, each taking only the options ``_COMMAND_TABLE`` lists for it; every
 option is declared once, with its type and default, in ``_OPTION_TABLE``.
-Every run requires an explicit seed, uses one named random stream per logical
+Every run but verify-all (whose checks are calibrated at ``verify.SEED``)
+requires an explicit seed; every run uses one named random stream per logical
 task, and writes a manifest sufficient to reproduce it last, with ``status``
 "ok" or "failed" (none if the command raises); identical config and seed give
 byte-identical outputs. Outputs are plot-ready CSV/JSON only, rendering is
@@ -15,7 +16,9 @@ Exit codes: 0 on success, 1 on any failed verification in verify-all,
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
+import importlib.metadata
 import json
 import os
 import sys
@@ -24,7 +27,6 @@ from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 import numpy as np
-import scipy
 
 from . import __version__
 from .dfeval import battery_to_csv, default_battery, queries_from_json, run_battery
@@ -42,7 +44,7 @@ from .maxstable import PenroseConfig, construction_checks, doa_empirical_check
 from .pareto import export_batch_csv, sample_simple_pareto_batch
 from .rng import make_rng
 from .spectral import SpectralProfileSpec
-from .verify import format_line, run_all
+from .verify import SEED, format_line, run_all
 
 
 # config key -> its type, default, help and flag (--key with "-" for "_"
@@ -78,17 +80,17 @@ _GRID = ("sites", "lo", "hi", "dim")
 _SPEC = ("kind", "omega0", "bandwidth", "corr_length")
 
 # command -> (help, the options its runner reads); every command also takes
-# --config, --seed and --out
+# --config and --out
 _COMMAND_TABLE = {
-    "simulate": ("draw simple Pareto samples", (*_GRID, *_SPEC, "n")),
+    "simulate": ("draw simple Pareto samples", ("seed", *_GRID, *_SPEC, "n")),
     "df-battery": ("formula vs direct-frequency battery",
-                   (*_GRID, *_SPEC, "queries", "n_mc", "n_direct")),
+                   ("seed", *_GRID, *_SPEC, "queries", "n_mc", "n_direct")),
     "maxstable-check": ("max-stable construction checks",
-                        (*_GRID, *_SPEC, "n", "truncation", "n_block", "n_rep")),
+                        ("seed", *_GRID, *_SPEC, "n", "truncation", "n_block", "n_rep")),
     "lift": ("estimate norming, select and lift observed fields",
-             ("sites", "dim", "data", "k", "t0", "policy", "sites_list")),
+             ("seed", "sites", "dim", "data", "k", "t0", "policy", "sites_list")),
     "scenario43": ("end-to-end powered moving-maximum lifting scenario on [0, 1]",
-                   ("sites", "n", "k", "t0")),
+                   ("seed", "sites", "n", "k", "t0")),
     "verify-all": ("run the verification suite", ("quick",)),
 }
 
@@ -124,7 +126,7 @@ def _build_parser() -> argparse.ArgumentParser:
     for command, (help_text, keys) in _COMMAND_TABLE.items():
         p = sub.add_parser(command, help=help_text)
         p.add_argument("--config", help="JSON config file; flags override it")
-        for key in ("seed", "out", *keys):
+        for key in ("out", *keys):
             o = _OPTION_TABLE[key]
             flag = o.flag or "--" + key.replace("_", "-")
             if o.type is bool:
@@ -148,7 +150,7 @@ def _typed(key: str, value):
 
 
 def _merge_config(args: argparse.Namespace) -> RunConfig:
-    keys = ("seed", "out", *_COMMAND_TABLE[args.command][1])
+    keys = ("out", *_COMMAND_TABLE[args.command][1])
     options: dict = {}
     if args.config:
         try:
@@ -162,9 +164,10 @@ def _merge_config(args: argparse.Namespace) -> RunConfig:
                 raise ConfigError(f"config {args.config}: {args.command} has no option {key!r}")
             options[key] = _typed(key, value)
     options.update((k, v) for k, v in vars(args).items() if k in keys and v is not None)
-    if "seed" not in options:
+    # a command without a seed option runs at the seed its checks are calibrated at
+    seed = options.pop("seed", None) if "seed" in keys else SEED
+    if seed is None:
         raise ConfigError("a seed is required (pass --seed or put 'seed' in the config)")
-    seed = options.pop("seed")
     out = options.pop("out", None) or os.environ.get("PARETOPROC_OUTDIR") or "paretoproc-out"
     cfg = RunConfig(args.command, seed, Path(out), options)
     if cfg.opt("sites") < 2:
@@ -185,6 +188,13 @@ def _build_spec(cfg: RunConfig) -> SpectralProfileSpec:
     return SpectralProfileSpec(**{key: cfg.opt(key) for key in _SPEC})
 
 
+@functools.cache
+def _scipy_version() -> str:
+    # read from package metadata (about 6 ms), once per process: importing
+    # scipy just for its version would cost about 0.2 s
+    return importlib.metadata.version("scipy")
+
+
 def _manifest(cfg: RunConfig) -> dict:
     """The run manifest: command, seed, options, versions and config hash."""
     doc = {
@@ -194,7 +204,7 @@ def _manifest(cfg: RunConfig) -> dict:
         "versions": {
             "paretoproc": __version__,
             "numpy": np.__version__,
-            "scipy": scipy.__version__,
+            "scipy": _scipy_version(),
             "python": sys.version.split()[0],
         },
     }

@@ -2,7 +2,9 @@
 from __future__ import annotations
 
 import numpy as np
-from scipy import stats
+
+# scipy.stats is imported inside the two KS functions: it takes about a
+# second to import, and most commands never run a KS test
 
 
 def standard_pareto_cdf(x: np.ndarray) -> np.ndarray:
@@ -18,6 +20,8 @@ def standard_frechet_cdf(x: np.ndarray) -> np.ndarray:
 
 def ks_statistic(samples: np.ndarray, cdf) -> float:
     """One-sample Kolmogorov-Smirnov statistic against a given cdf."""
+    from scipy import stats
+
     return float(stats.kstest(samples, cdf).statistic)
 
 
@@ -28,4 +32,6 @@ def ks_critical_value(n: int, alpha: float = 0.01) -> float:
 
 
 def two_sample_ks_pvalue(a: np.ndarray, b: np.ndarray) -> float:
+    from scipy import stats
+
     return float(stats.ks_2samp(a, b).pvalue)

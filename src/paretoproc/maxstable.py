@@ -19,28 +19,41 @@ from .gof import ks_critical_value, ks_statistic, standard_frechet_cdf, two_samp
 from .grid import Field, Grid
 from .pareto import sample_radii
 from .rng import fill_rows, make_rng
-from .spectral import SpectralProfileSpec, profile_mean_se, sample_profiles
+from .spectral import (
+    LRUCache,
+    SpectralProfileSpec,
+    exact_profile_mean,
+    profile_mean_se,
+    sample_profiles,
+)
 
 MEAN_RESCALE_N = 1_000_000
-_MEAN_CACHE: dict[tuple[SpectralProfileSpec, bytes], tuple[np.ndarray, np.ndarray]] = {}
+# Monte Carlo mean fields keyed by (spec, grid fingerprint)
+_MEAN_CACHE = LRUCache(16)
 
 
 def _mean_field(spec: SpectralProfileSpec, grid: Grid) -> tuple[np.ndarray, np.ndarray]:
-    """Monte Carlo estimate of E V(s) and its standard error, cached per (spec, grid)."""
-    key = (spec, grid.key())
-    if key not in _MEAN_CACHE:
-        rng = make_rng(0, "mean_field_rescale")
-        _MEAN_CACHE[key] = profile_mean_se(spec, grid, MEAN_RESCALE_N, rng)
-    return _MEAN_CACHE[key]
+    """E V(s) and its standard error: exact with SE 0 where a closed form
+    exists, else a Monte Carlo estimate from MEAN_RESCALE_N profiles, cached
+    per (spec, grid)."""
+    exact = exact_profile_mean(spec, grid)
+    if exact is not None:
+        return exact, np.zeros(grid.n_sites)
+    return _MEAN_CACHE.get_or_set(
+        (spec, grid.key()),
+        lambda: profile_mean_se(spec, grid, MEAN_RESCALE_N, make_rng(0, "mean_field_rescale")),
+    )
 
 
 @dataclass
 class PenroseConfig:
     """Poisson-profile construction config.
 
-    The profile family is rescaled internally to E V(s) = 1 by dividing by a
-    cached Monte Carlo estimate of the mean field; ``mean_field_se`` records
-    the residual bias of that rescale. ``truncation`` is the smallest Poisson
+    The profile family is rescaled internally to E V(s) = 1 by dividing by
+    the mean field: exact for ``constant``, ``bernoulli_pair`` and
+    ``gaussian_moving_max`` on a tensor grid, else a cached Monte Carlo
+    estimate. ``mean_field_se`` records the standard error of that rescale
+    (0 where the mean is exact). ``truncation`` is the smallest Poisson
     point retained (points below it can shift the maximum only with
     probability of order truncation).
     """

@@ -18,6 +18,7 @@ Built-in kinds:
 """
 from __future__ import annotations
 
+from collections import OrderedDict
 from dataclasses import dataclass
 
 import numpy as np
@@ -32,6 +33,7 @@ BERNOULLI_PAIR = "bernoulli_pair"
 
 KINDS = (CONSTANT, GAUSSIAN_MOVING_MAX, RESCALED_POSITIVE_FIELD, BERNOULLI_PAIR)
 MEAN_BLOCK = 100_000  # profiles drawn at a time: bounds a mean estimate's memory
+EXACT_BLOCK = 1 << 18  # (site, cell) pairs per block of the exact bump mean
 
 _ALIASES = {
     "constantprofile": CONSTANT,
@@ -66,8 +68,8 @@ class SpectralProfileSpec:
         object.__setattr__(self, "kind", _canonical_kind(self.kind))
         if not self.omega0 > 0:
             raise ValueError("omega0 must be positive")
-        if self.kind == GAUSSIAN_MOVING_MAX and not self.bandwidth > 0:
-            raise ValueError("gaussian_moving_max requires bandwidth > 0")
+        if self.kind == GAUSSIAN_MOVING_MAX and not 0.0 < self.bandwidth * self.bandwidth < np.inf:
+            raise ValueError("gaussian_moving_max requires bandwidth > 0 with a finite, nonzero square")
         if self.kind == RESCALED_POSITIVE_FIELD and not self.corr_length > 0:
             raise ValueError("rescaled_positive_field requires corr_length > 0")
 
@@ -77,31 +79,56 @@ def _check_grid(spec: SpectralProfileSpec, grid: Grid) -> None:
         raise SpecGridMismatch(
             f"bernoulli_pair needs exactly 2 sites, grid has {grid.n_sites}"
         )
+    if spec.kind == GAUSSIAN_MOVING_MAX:
+        # the bump's exponent at the site farthest from the center must be finite
+        with np.errstate(over="ignore"):
+            reach = np.sum(np.ptp(grid.sites, axis=0) ** 2) / spec.bandwidth**2
+        if not np.isfinite(reach):
+            raise SpecGridMismatch(
+                f"bandwidth {spec.bandwidth:g} is too small for the extent of the grid"
+            )
 
 
-def _rescale_to_omega0(raw: np.ndarray, omega0: float) -> np.ndarray:
+def _rescale_to_omega0(raw: np.ndarray, rowmax: np.ndarray, omega0: float) -> np.ndarray:
     # (x / rowmax) * omega0: the argmax entry becomes exactly omega0 and
     # rounding monotonicity keeps every other entry <= omega0.
-    rowmax = raw.max(axis=1, keepdims=True)
     return (raw / rowmax) * omega0
 
 
+class LRUCache(OrderedDict):
+    """A dict that keeps only its ``maxsize`` most recently used entries."""
+
+    def __init__(self, maxsize: int):
+        super().__init__()
+        self.maxsize = maxsize
+
+    def get_or_set(self, key, compute):
+        """The value stored under ``key``; on a miss, ``compute()`` is stored
+        and the least recently used entry beyond ``maxsize`` dropped."""
+        if key in self:
+            self.move_to_end(key)
+            return self[key]
+        value = self[key] = compute()
+        if len(self) > self.maxsize:
+            self.popitem(last=False)
+        return value
+
+
 # Cholesky factors of the squared-exponential covariance, keyed by
-# (grid fingerprint, corr_length). Grids are immutable so entries never stale.
-_CHOL_CACHE: dict[tuple[bytes, float], np.ndarray] = {}
+# (grid fingerprint, corr_length). Grids are immutable so entries never stale;
+# one factor takes 8 MB at 1001 sites, so only a few are kept.
+_CHOL_CACHE = LRUCache(4)
 
 
 def _sq_exp_cholesky(grid: Grid, corr_length: float) -> np.ndarray:
-    key = (grid.key(), float(corr_length))
-    chol = _CHOL_CACHE.get(key)
-    if chol is None:
+    def factor():
         diff = grid.sites[:, None, :] - grid.sites[None, :, :]
         sq_dist = np.sum(diff * diff, axis=-1)
         cov = np.exp(-0.5 * sq_dist / corr_length**2)
         cov[np.diag_indices_from(cov)] += 1e-10  # numerical positive definiteness
-        chol = np.linalg.cholesky(cov)
-        _CHOL_CACHE[key] = chol
-    return chol
+        return np.linalg.cholesky(cov)
+
+    return _CHOL_CACHE.get_or_set((grid.key(), float(corr_length)), factor)
 
 
 def sample_profiles(
@@ -130,14 +157,22 @@ def sample_profiles(
         diff = grid.sites[None, :, :] - centers[:, None, :]
         sq_dist = np.sum(diff * diff, axis=-1)
         raw = np.exp(-0.5 * sq_dist / spec.bandwidth**2)
-        return _rescale_to_omega0(raw, w0)
+        rowmax = raw.max(axis=1, keepdims=True)
+        # a bump much narrower than the site spacing can underflow at every
+        # site; those rows alone are shifted by their largest exponent
+        low = rowmax[:, 0] < np.finfo(float).tiny
+        if low.any():
+            e = -0.5 * sq_dist[low] / spec.bandwidth**2
+            raw[low] = np.exp(e - e.max(axis=1, keepdims=True))
+            rowmax[low] = 1.0
+        return _rescale_to_omega0(raw, rowmax, w0)
     # rescaled_positive_field
     chol = _sq_exp_cholesky(grid, spec.corr_length)
     z = rng.standard_normal((n, m)) @ chol.T
     # subtract the row max before exponentiating so exp never overflows;
     # the rescale divides it out again
     raw = np.exp(z - z.max(axis=1, keepdims=True))
-    return _rescale_to_omega0(raw, w0)
+    return _rescale_to_omega0(raw, raw.max(axis=1, keepdims=True), w0)
 
 
 def sample_profile(
@@ -170,3 +205,56 @@ def profile_mean(
     if n < 1:
         raise ValueError("n must be >= 1")
     return Field(grid, profile_mean_se(spec, grid, n, rng)[0])
+
+
+def _bump_axis_mean(x: np.ndarray, h: float) -> np.ndarray:
+    """E exp(-((x - c)^2 - (k - c)^2) / 2h^2) at each coordinate of ``x``,
+    for c uniform on [min x, max x] and k the coordinate nearest c.
+
+    Over the cell of coordinate k the exponent is linear in c with slope
+    a = (x - k) / h^2 and at most 0, so each cell integral is
+    exp(e_max) * (1 - exp(-|a| * cell length)) / |a|, or the cell length
+    when x = k; no positive number is exponentiated."""
+    u, inverse = np.unique(x, return_inverse=True)
+    if u.size == 1:
+        return np.ones(x.size)
+    edges = np.concatenate(([u[0]], (u[:-1] + u[1:]) / 2, [u[-1]]))
+    c0, c1, length = edges[:-1], edges[1:], np.diff(edges)
+    total = np.empty(u.size)
+    rows = max(1, EXACT_BLOCK // u.size)
+    for start in range(0, u.size, rows):
+        s = u[start:start + rows, None]
+        d = s - u
+        e0 = -d * (s + u - 2.0 * c0) / (2.0 * h * h)
+        e1 = -d * (s + u - 2.0 * c1) / (2.0 * h * h)
+        slope = np.abs(d) / (h * h)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            cell = (np.exp(np.minimum(np.maximum(e0, e1), 0.0))
+                    * -np.expm1(-slope * length) / slope)
+        total[start:start + rows] = np.where(d == 0.0, length, cell).sum(axis=1)
+    return (total / (u[-1] - u[0]))[inverse]
+
+
+def exact_profile_mean(spec: SpectralProfileSpec, grid: Grid) -> np.ndarray | None:
+    """E V(s) at every site in closed form, or None where there is none.
+
+    ``constant`` has mean omega0 and ``bernoulli_pair`` omega0 / 2. For
+    ``gaussian_moving_max`` on a tensor grid (every combination of the axis
+    coordinates is a site) both the bump and its nearest site factorize by
+    axis, and the center's coordinates are independent, so the mean is
+    omega0 times the product of per-axis means. ``rescaled_positive_field``
+    and scattered multi-dimensional grids have no closed form here."""
+    _check_grid(spec, grid)
+    if spec.kind == CONSTANT:
+        return np.full(grid.n_sites, spec.omega0)
+    if spec.kind == BERNOULLI_PAIR:
+        return np.full(2, spec.omega0 / 2.0)
+    if spec.kind != GAUSSIAN_MOVING_MAX:
+        return None
+    axes = grid.sites.T
+    if np.prod([np.unique(x).size for x in axes]) != grid.n_sites:
+        return None
+    mean = np.full(grid.n_sites, spec.omega0)
+    for x in axes:
+        mean *= _bump_axis_mean(x, spec.bandwidth)
+    return mean

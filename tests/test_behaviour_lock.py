@@ -49,7 +49,7 @@ EXPECTED = {
         "selected.csv": "f56e25e04e27e5248571fd7c340c494da50cb7bf9e275a0460cce612d4a8b7c7",
     },
     "maxstable-check": {
-        "maxstable_report.json": "a4d7be85e48c261503a7e700f975cecef1558859d1d92a0621d8a0457a2e6f14",
+        "maxstable_report.json": "d0d719deea2dae2e4326978ede105584a4f1121eaecf372768eaf6a1158f8edb",
     },
     "df-battery": {
         "battery.csv": "a5de5e8fbda0157f653baaaec1b1c92f9315a5dd9164b0f2563f9e23b7ce3792",

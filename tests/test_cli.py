@@ -1,13 +1,20 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy
 
+import paretoproc
 from paretoproc import cli
 from paretoproc.cli import main
 from paretoproc.grid import Grid
 from paretoproc.lifting import FieldSample, field_sample_to_csv, sample_scenario_fields
 from paretoproc.rng import make_rng
+from paretoproc.verify import SEED
 
 
 def test_simulate_is_byte_identical_across_runs(tmp_path):
@@ -162,7 +169,8 @@ def test_malformed_lift_data_exits_two_with_one_line(tmp_path, capsys, text):
     pytest.param('{"seed": 1, "kind": 5}', "simulate", "kind", id="numeric_kind"),
     pytest.param('{"seed": 1, "out": 5}', "simulate", "out", id="out_number"),
     pytest.param('{"seed": 1, "k": 5}', "simulate", "'k'", id="unread_key"),
-    pytest.param('{"seed": 0, "quick": "no"}', "verify-all", "quick", id="quick_string"),
+    pytest.param('{"quick": "no"}', "verify-all", "quick", id="quick_string"),
+    pytest.param('{"seed": 0}', "verify-all", "'seed'", id="verify_all_seed"),
 ])
 def test_malformed_config_exits_two_with_one_line(tmp_path, capsys, doc, command, names):
     cfg = tmp_path / "cfg.json"
@@ -179,6 +187,7 @@ def test_malformed_config_exits_two_with_one_line(tmp_path, capsys, doc, command
     pytest.param(["lift", "--omega0", "2"], "--omega0", id="lift_omega0"),
     pytest.param(["lift", "--lo", "3"], "--lo", id="lift_lo"),
     pytest.param(["verify-all", "--sites", "5"], "--sites", id="verify_all_sites"),
+    pytest.param(["verify-all"], "--seed", id="verify_all_seed"),
     pytest.param(["simulate", "--n", "many"], "--n", id="bad_type"),
     pytest.param(["lift", "--k"], "--k", id="missing_value"),
 ])
@@ -296,7 +305,39 @@ def test_help_exits_zero(capsys):
 
 def test_verify_all_quick(tmp_path):
     out = tmp_path / "verify"
-    assert main(["verify-all", "--quick", "--seed", "0", "--out", str(out)]) == 0
+    assert main(["verify-all", "--quick", "--out", str(out)]) == 0
     report = json.loads((out / "verify_report.json").read_text())
     assert len(report) == 9
     assert all(entry["passed"] for entry in report)
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["seed"] == SEED
+    assert manifest["versions"]["scipy"] == scipy.__version__
+
+
+@pytest.mark.parametrize("bandwidth, code", [
+    pytest.param("1e-4", 0, id="narrower_than_spacing"),
+    pytest.param("1e-160", 2, id="square_too_small_for_grid"),
+    pytest.param("1e-200", 2, id="square_underflows"),
+    pytest.param("1e200", 2, id="square_overflows"),
+])
+def test_extreme_bandwidth_writes_no_nan(tmp_path, capsys, bandwidth, code):
+    out = tmp_path / "out"
+    argv = ["simulate", "--spec", "gaussian_moving_max", "--bandwidth", bandwidth,
+            "--sites", "101", "--n", "100", "--seed", "1", "--out", str(out)]
+    assert main(argv) == code
+    if code == 0:
+        cells = np.loadtxt(out / "samples.csv", delimiter=",", skiprows=1)
+        assert cells.shape[0] == 100 * 101 and np.all(np.isfinite(cells))
+    else:
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "bandwidth" in err
+        assert not (out / "samples.csv").exists()
+
+
+def test_cli_import_leaves_scipy_stats_unloaded():
+    src = str(Path(paretoproc.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    code = "import sys, paretoproc.cli; print('scipy.stats' in sys.modules)"
+    result = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                            text=True, check=True, timeout=120)
+    assert result.stdout.strip() == "False"

@@ -6,6 +6,7 @@ from paretoproc.gof import (
     ks_statistic,
     standard_frechet_cdf,
 )
+from paretoproc import maxstable
 from paretoproc.grid import Grid
 from paretoproc.maxstable import (
     PenroseConfig,
@@ -17,7 +18,7 @@ from paretoproc.maxstable import (
     sample_moving_maximum_batch,
 )
 from paretoproc.rng import make_rng
-from paretoproc.spectral import SpectralProfileSpec
+from paretoproc.spectral import SpectralProfileSpec, exact_profile_mean
 
 
 @pytest.fixture(scope="module")
@@ -134,3 +135,23 @@ def test_doa_maxstable_input(gmm_cfg):
 def test_doa_rejects_low_threshold(gmm_cfg):
     with pytest.raises(ValueError):
         doa_empirical_check(gmm_cfg, n_block=2, n_rep=100, rng=make_rng(12, "low"))
+
+
+@pytest.mark.parametrize("spec, grid", [
+    pytest.param(SpectralProfileSpec("constant", omega0=2.0), Grid.regular(5), id="constant"),
+    pytest.param(SpectralProfileSpec("bernoulli_pair"), Grid.regular(2), id="bernoulli_pair"),
+    pytest.param(SpectralProfileSpec("gaussian_moving_max"), Grid.regular(51),
+                 id="gaussian_moving_max"),
+])
+def test_mean_field_exact_with_zero_se(spec, grid):
+    cfg = PenroseConfig(spec, grid)
+    assert np.array_equal(cfg.mean_field, exact_profile_mean(spec, grid))
+    assert np.all(cfg.mean_field_se == 0.0)
+
+
+def test_mean_field_monte_carlo_on_scattered_grid():
+    spec = SpectralProfileSpec("gaussian_moving_max", bandwidth=0.3)
+    grid = Grid(np.random.default_rng(2).random((6, 2)))
+    cfg = PenroseConfig(spec, grid)
+    assert np.all(cfg.mean_field_se > 0.0)
+    assert (spec, grid.key()) in maxstable._MEAN_CACHE

@@ -1,12 +1,15 @@
 import numpy as np
 import pytest
 
+from paretoproc import spectral
 from paretoproc.errors import SpecGridMismatch
 from paretoproc.grid import Grid
 from paretoproc.rng import make_rng
 from paretoproc.spectral import (
     SpectralProfileSpec,
+    exact_profile_mean,
     profile_mean,
+    profile_mean_se,
     sample_profile,
     sample_profiles,
 )
@@ -102,3 +105,63 @@ def test_spec_kind_aliases_and_config():
     assert spec.kind == "rescaled_positive_field"
     assert spec.omega0 == 2.0
     assert spec.corr_length == 0.4
+
+
+def _tensor_grid_2d():
+    # 11 x 7 sites on different ranges, rows shuffled so site order differs
+    # from axis order
+    x, y = np.meshgrid(np.linspace(0.0, 1.0, 11), np.linspace(-1.0, 2.0, 7), indexing="ij")
+    sites = np.column_stack([x.ravel(), y.ravel()])
+    return Grid(sites[np.random.default_rng(0).permutation(len(sites))])
+
+
+@pytest.mark.parametrize("grid, spec", [
+    pytest.param(Grid.regular(101), SpectralProfileSpec("gaussian_moving_max", bandwidth=0.03),
+                 id="1d_h0.03"),
+    pytest.param(Grid.regular(101), SpectralProfileSpec("gaussian_moving_max", bandwidth=0.1),
+                 id="1d_h0.1"),
+    pytest.param(Grid.regular(101), SpectralProfileSpec("gaussian_moving_max", bandwidth=0.3),
+                 id="1d_h0.3"),
+    pytest.param(_tensor_grid_2d(),
+                 SpectralProfileSpec("gaussian_moving_max", omega0=2.0, bandwidth=0.2),
+                 id="2d_tensor"),
+])
+def test_exact_bump_mean_agrees_with_monte_carlo(grid, spec):
+    exact = exact_profile_mean(spec, grid)
+    mean, se = profile_mean_se(spec, grid, 100_000, make_rng(6, "exact_mean"))
+    assert np.all(se > 0.0)
+    assert np.all(np.abs(mean - exact) <= 4.5 * se)
+
+
+def test_exact_mean_constant_and_bernoulli():
+    mean = exact_profile_mean(SpectralProfileSpec("constant", omega0=2.5), Grid.regular(7))
+    assert np.array_equal(mean, np.full(7, 2.5))
+    bernoulli = SpectralProfileSpec("bernoulli_pair", omega0=3.0)
+    assert np.array_equal(exact_profile_mean(bernoulli, Grid.regular(2)), [1.5, 1.5])
+    with pytest.raises(SpecGridMismatch):
+        exact_profile_mean(bernoulli, Grid.regular(3))
+
+
+def test_no_exact_mean_without_closed_form():
+    scattered = Grid(np.random.default_rng(1).random((12, 2)))
+    assert exact_profile_mean(SpectralProfileSpec("gaussian_moving_max"), scattered) is None
+    spec = SpectralProfileSpec("rescaled_positive_field")
+    assert exact_profile_mean(spec, Grid.regular(11)) is None
+
+
+def test_cholesky_cache_drops_least_recently_used():
+    cache = spectral._CHOL_CACHE
+    grid = Grid.regular(5)
+    lengths = [0.11 + 0.01 * i for i in range(cache.maxsize + 1)]
+
+    def draw(corr_length):
+        spec = SpectralProfileSpec("rescaled_positive_field", corr_length=corr_length)
+        sample_profiles(spec, grid, 1, make_rng(0, "chol"))
+
+    for c in lengths[:-1]:
+        draw(c)
+    draw(lengths[0])  # the first entry is now the most recently used
+    draw(lengths[-1])
+    assert len(cache) == cache.maxsize
+    assert (grid.key(), lengths[1]) not in cache
+    assert all((grid.key(), c) in cache for c in [lengths[0], *lengths[2:]])
