@@ -117,7 +117,9 @@ class _Parser(argparse.ArgumentParser):
         raise ConfigError(message)
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    # built once per process (about 2 ms a build); parsing leaves it unchanged
     parser = _Parser(
         prog="paretoproc",
         description="Simulation and verification of Pareto processes on grids",

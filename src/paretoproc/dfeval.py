@@ -327,6 +327,8 @@ def run_battery(
     arm's 1/n resolution (empirical frequency exactly 0) are compared at the
     formula's scale instead of degenerating to a zero-width interval.
     """
+    if n_direct < 1:
+        raise ValueError("n_direct must be >= 1")
     rows = []
     for i, q in enumerate(queries):
         res = evaluate(q, spec, grid)

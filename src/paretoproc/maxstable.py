@@ -23,6 +23,7 @@ from .spectral import (
     LRUCache,
     SpectralProfileSpec,
     exact_profile_mean,
+    gaussian_bump,
     profile_mean_se,
     sample_profiles,
 )
@@ -74,7 +75,8 @@ class PenroseConfig:
 
 
 def _rescaled_profiles(cfg: PenroseConfig, n: int, rng: np.random.Generator) -> np.ndarray:
-    return sample_profiles(cfg.spec, cfg.grid, n, rng) / cfg.mean_field
+    profiles = sample_profiles(cfg.spec, cfg.grid, n, rng)
+    return np.divide(profiles, cfg.mean_field, out=profiles)
 
 
 def _poisson_max(
@@ -83,7 +85,8 @@ def _poisson_max(
 ) -> np.ndarray:
     """n sitewise maxima of z_i * draw(k, rng) over the points z_i =
     scale / (cumulative standard-exponential sum) above ``truncation``,
-    as an (n, m) matrix; ``bound`` is an upper bound of every drawn profile."""
+    as an (n, m) matrix; ``bound`` is an upper bound of every drawn profile.
+    ``draw`` must return a fresh array: the loop overwrites it in place."""
     out = np.zeros((n, m))
     gamma_sum = np.zeros(n)
     active = np.arange(n)
@@ -95,10 +98,12 @@ def _poisson_max(
         if not active.size:
             break
         z = z[live]
-        out[active] = np.maximum(out[active], z[:, None] * draw(active.size, rng))
+        best = draw(active.size, rng)
+        best *= z[:, None]
+        out[active] = np.maximum(out[active], best, out=best)
         # points only get smaller; once z * bound cannot beat the current
         # minimum over sites, no later point can change any site
-        undecided = z * bound > out[active].min(axis=1)
+        undecided = z * bound > best.min(axis=1)
         active = active[undecided]
     return out
 
@@ -202,7 +207,8 @@ def sample_moving_maximum_batch(
 
     def kernels(k, rng):
         centers = lo + width * rng.random(k)
-        return np.exp(-0.5 * (coords[None, :] - centers[:, None]) ** 2) / np.sqrt(2.0 * np.pi)
+        phi = gaussian_bump(grid.sites, centers[:, None], 1.0)
+        return np.divide(phi, np.sqrt(2.0 * np.pi), out=phi)
 
     return _poisson_max(n, grid.n_sites, width, phi_max, kernels, rng)
 

@@ -70,8 +70,8 @@ class SpectralProfileSpec:
             raise ValueError("omega0 must be positive")
         if self.kind == GAUSSIAN_MOVING_MAX and not 0.0 < self.bandwidth * self.bandwidth < np.inf:
             raise ValueError("gaussian_moving_max requires bandwidth > 0 with a finite, nonzero square")
-        if self.kind == RESCALED_POSITIVE_FIELD and not self.corr_length > 0:
-            raise ValueError("rescaled_positive_field requires corr_length > 0")
+        if self.kind == RESCALED_POSITIVE_FIELD and not 0.0 < self.corr_length * self.corr_length < np.inf:
+            raise ValueError("rescaled_positive_field requires corr_length > 0 with a finite, nonzero square")
 
 
 def _check_grid(spec: SpectralProfileSpec, grid: Grid) -> None:
@@ -90,9 +90,33 @@ def _check_grid(spec: SpectralProfileSpec, grid: Grid) -> None:
 
 
 def _rescale_to_omega0(raw: np.ndarray, rowmax: np.ndarray, omega0: float) -> np.ndarray:
-    # (x / rowmax) * omega0: the argmax entry becomes exactly omega0 and
-    # rounding monotonicity keeps every other entry <= omega0.
-    return (raw / rowmax) * omega0
+    # (x / rowmax) * omega0 in place: the argmax entry becomes exactly omega0
+    # and rounding monotonicity keeps every other entry <= omega0.
+    raw /= rowmax
+    raw *= omega0
+    return raw
+
+
+def _bump_exponent(sites: np.ndarray, centers: np.ndarray, h: float) -> np.ndarray:
+    """-|s - c|^2 / 2h^2 for every center c (rows) and site s (columns),
+    built in one (n, m) buffer: axis squares are added in axis order, the
+    same sums as ``np.sum(diff * diff, -1)``."""
+    out = np.subtract(sites[:, 0], centers[:, :1])
+    out *= out
+    for a in range(1, sites.shape[1]):
+        sq = np.subtract(sites[:, a], centers[:, a:a + 1])
+        sq *= sq
+        out += sq
+    out *= -0.5
+    out /= h**2
+    return out
+
+
+def gaussian_bump(sites: np.ndarray, centers: np.ndarray, h: float) -> np.ndarray:
+    """exp(-|s - c|^2 / 2h^2) as an (n, m) matrix for (m, d) sites and (n, d)
+    centers; the exponent and its exp share one buffer, which is returned."""
+    out = _bump_exponent(sites, centers, h)
+    return np.exp(out, out=out)
 
 
 class LRUCache(OrderedDict):
@@ -154,15 +178,13 @@ def sample_profiles(
         lo = grid.sites.min(axis=0)
         hi = grid.sites.max(axis=0)
         centers = lo + rng.random((n, grid.dim)) * (hi - lo)
-        diff = grid.sites[None, :, :] - centers[:, None, :]
-        sq_dist = np.sum(diff * diff, axis=-1)
-        raw = np.exp(-0.5 * sq_dist / spec.bandwidth**2)
+        raw = gaussian_bump(grid.sites, centers, spec.bandwidth)
         rowmax = raw.max(axis=1, keepdims=True)
         # a bump much narrower than the site spacing can underflow at every
         # site; those rows alone are shifted by their largest exponent
         low = rowmax[:, 0] < np.finfo(float).tiny
         if low.any():
-            e = -0.5 * sq_dist[low] / spec.bandwidth**2
+            e = _bump_exponent(grid.sites, centers[low], spec.bandwidth)
             raw[low] = np.exp(e - e.max(axis=1, keepdims=True))
             rowmax[low] = 1.0
         return _rescale_to_omega0(raw, rowmax, w0)
@@ -171,8 +193,9 @@ def sample_profiles(
     z = rng.standard_normal((n, m)) @ chol.T
     # subtract the row max before exponentiating so exp never overflows;
     # the rescale divides it out again
-    raw = np.exp(z - z.max(axis=1, keepdims=True))
-    return _rescale_to_omega0(raw, raw.max(axis=1, keepdims=True), w0)
+    z -= z.max(axis=1, keepdims=True)
+    np.exp(z, out=z)
+    return _rescale_to_omega0(z, z.max(axis=1, keepdims=True), w0)
 
 
 def sample_profile(

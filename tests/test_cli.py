@@ -334,6 +334,43 @@ def test_extreme_bandwidth_writes_no_nan(tmp_path, capsys, bandwidth, code):
         assert not (out / "samples.csv").exists()
 
 
+@pytest.mark.parametrize("argv", [
+    pytest.param(["--corr-length", "1e-170", "--sites", "5"], id="square_underflows"),
+    pytest.param(["--corr-length", "1e-300", "--dim", "3", "--sites", "3"], id="square_underflows_3d"),
+    pytest.param(["--corr-length", "1e200", "--sites", "5"], id="square_overflows"),
+])
+def test_extreme_corr_length_exits_two_with_one_line(tmp_path, capsys, argv):
+    out = tmp_path / "out"
+    assert main(["simulate", "--spec", "rescaled_positive_field", *argv,
+                 "--n", "10", "--seed", "1", "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "corr_length" in err
+    assert not (out / "samples.csv").exists()
+
+
+def test_df_battery_without_direct_samples_exits_two(tmp_path, capsys):
+    out = tmp_path / "out"
+    assert main(["df-battery", "--n-direct", "0", "--sites", "5", "--seed", "1",
+                 "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err == "ValueError: n_direct must be >= 1\n"
+    assert not (out / "battery.csv").exists()
+
+
+def test_cached_parser_keeps_no_flag_between_calls(tmp_path):
+    # the parser is built once per process; a flag given in one call must not
+    # reach the next
+    assert cli._build_parser() is cli._build_parser()
+    base = ["simulate", "--spec", "constant", "--sites", "3", "--seed", "1"]
+    assert main(base + ["--n", "5", "--out", str(tmp_path / "a")]) == 0
+    assert main(base + ["--out", str(tmp_path / "b")]) == 0
+    first = json.loads((tmp_path / "a" / "manifest.json").read_text())
+    second = json.loads((tmp_path / "b" / "manifest.json").read_text())
+    assert first["options"]["n"] == 5 and "n" not in second["options"]
+    radii = np.loadtxt(tmp_path / "b" / "radii.csv", delimiter=",", skiprows=1)
+    assert radii.shape[0] == cli._OPTION_TABLE["n"].default
+
+
 def test_cli_import_leaves_scipy_stats_unloaded():
     src = str(Path(paretoproc.__file__).parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}

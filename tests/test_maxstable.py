@@ -113,6 +113,22 @@ def test_moving_maximum_marginals_frechet():
     assert stat < ks_critical_value(n, alpha=0.01)
 
 
+def test_moving_maximum_kernel_matches_normal_density_bitwise():
+    # the shared bump kernel at h = 1, divided by sqrt(2 pi), is the normal
+    # density the sampler was written with
+    grid = Grid.regular(41)
+    coords = grid.coords()
+    lo, hi = coords.min() - 4.0, coords.max() + 4.0
+
+    def kernels(k, rng):
+        centers = lo + (hi - lo) * rng.random(k)
+        return np.exp(-0.5 * (coords[None, :] - centers[:, None]) ** 2) / np.sqrt(2.0 * np.pi)
+
+    reference = maxstable._poisson_max(500, 41, hi - lo, 1.0 / np.sqrt(2.0 * np.pi),
+                                       kernels, make_rng(10, "mk"))
+    assert np.array_equal(sample_moving_maximum_batch(grid, 500, make_rng(10, "mk")), reference)
+
+
 def test_doa_pareto_input(gmm_cfg):
     report = doa_empirical_check(gmm_cfg, n_block=50, n_rep=40_000,
                                  rng=make_rng(10, "doa"), input_kind="pareto")

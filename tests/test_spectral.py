@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -8,6 +10,7 @@ from paretoproc.rng import make_rng
 from paretoproc.spectral import (
     SpectralProfileSpec,
     exact_profile_mean,
+    gaussian_bump,
     profile_mean,
     profile_mean_se,
     sample_profile,
@@ -96,6 +99,9 @@ def test_spec_validation():
         SpectralProfileSpec("gaussian_moving_max", bandwidth=0.0)
     with pytest.raises(ValueError):
         SpectralProfileSpec("no_such_kind")
+    for corr_length in (0.0, 1e-170, 1e200):
+        with pytest.raises(ValueError, match="corr_length"):
+            SpectralProfileSpec("rescaled_positive_field", corr_length=corr_length)
 
 
 def test_spec_kind_aliases_and_config():
@@ -165,3 +171,27 @@ def test_cholesky_cache_drops_least_recently_used():
     assert len(cache) == cache.maxsize
     assert (grid.key(), lengths[1]) not in cache
     assert all((grid.key(), c) in cache for c in [lengths[0], *lengths[2:]])
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
+@pytest.mark.parametrize("h", [0.1, 0.03])
+def test_gaussian_bump_matches_summed_squares_bitwise(dim, h):
+    rng = np.random.default_rng(dim)
+    sites, centers = rng.random((37, dim)), rng.random((500, dim))
+    diff = sites[None, :, :] - centers[:, None, :]
+    reference = np.exp(-0.5 * np.sum(diff * diff, axis=-1) / h**2)
+    assert np.array_equal(gaussian_bump(sites, centers, h), reference)
+
+
+def test_gaussian_bump_profiles_allocate_little_beyond_output():
+    # the bump is built in its output buffer: no (n, m, d) difference and no
+    # second (n, m) temporary
+    spec = SpectralProfileSpec("gaussian_moving_max")
+    grid = Grid.regular(101)
+    tracemalloc.start()
+    try:
+        p = sample_profiles(spec, grid, 20_000, make_rng(0, "alloc"))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.25 * p.nbytes
