@@ -11,7 +11,9 @@ read-only), so they can be shared across workers without synchronization.
 from __future__ import annotations
 
 import json
+import os
 import warnings
+from collections import deque
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -152,19 +154,61 @@ def combine(f: Field, g: Field, op: str) -> Field:
 ROWS_PER_BLOCK = 4096  # rows formatted per write: bounds a table write's memory
 
 
+def _format_rows(row: str, block) -> str:
+    """The text of one block: ``block`` holds each column's slice, all of one
+    shape, and ``row`` the one-row template. One ``%`` over the block's
+    template takes the cells interleaved in row order."""
+    k = len(block)
+    cells = [None] * (k * block[0].size)
+    for j, c in enumerate(block):
+        cells[j::k] = c.ravel().tolist()
+    return (row * block[0].size) % tuple(cells)
+
+
 def write_csv_table(path, header: list[str], columns) -> None:
     """CSV table with decimal integer cells, ``.17g`` float cells (exact round
     trip) and ``\\r\\n`` line ends. Columns broadcast to a common shape, one
     row per entry in C order: ``(n, 1)`` ids, ``(m,)`` site indices and
-    ``(n, m)`` values give the long format with one row per (sample, site)."""
+    ``(n, m)`` values give the long format with one row per (sample, site).
+
+    A table of more than one block is formatted by one forked worker process
+    per CPU this process may run on, and written in row order with at most
+    two blocks per worker in flight; the bytes are those of in-process
+    formatting, which a one-block table, a one-CPU or daemonic process and a
+    platform without ``fork`` use."""
     cols = np.broadcast_arrays(*[np.asarray(c) for c in columns])
     row = ",".join("%d" if c.dtype.kind in "biu" else "%.17g" for c in cols) + "\r\n"
     step = max(1, ROWS_PER_BLOCK // int(np.prod(cols[0].shape[1:])))
+    starts = range(0, cols[0].shape[0], step)
+    blocks = ([c[s : s + step] for c in cols] for s in starts)
+    workers = 1
+    if len(starts) > 1 and hasattr(os, "fork"):
+        import multiprocessing
+
+        # a daemonic process, such as a multiprocessing.Pool worker, may not have children
+        if not multiprocessing.current_process().daemon:
+            cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+            workers = min(cpus or 1, len(starts))
     with open(path, "w", newline="") as fh:
         fh.write(",".join(header) + "\r\n")
-        for start in range(0, cols[0].shape[0], step):
-            block = [c[start : start + step].ravel().tolist() for c in cols]
-            fh.write("".join(row % cells for cells in zip(*block)))
+        if workers < 2:
+            for block in blocks:
+                fh.write(_format_rows(row, block))
+            return
+        from concurrent.futures import ProcessPoolExecutor
+        from concurrent.futures.process import BrokenProcessPool
+
+        try:
+            with ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork")) as pool:
+                pending = deque()  # futures in row order, at most 2 per worker
+                for block in blocks:
+                    if len(pending) == 2 * workers:
+                        fh.write(pending.popleft().result())
+                    pending.append(pool.submit(_format_rows, row, block))
+                while pending:
+                    fh.write(pending.popleft().result())
+        except BrokenProcessPool as exc:
+            raise OSError(f"writing {path}: a CSV formatting worker process died") from exc
 
 
 def field_to_csv(f: Field, path) -> None:

@@ -172,6 +172,8 @@ def construction_checks(cfg: PenroseConfig, n: int, seed: int) -> list[dict]:
     """Construction checks at the middle site from n fields: standard Frechet
     marginal KS (stream ``maxstable_marginal``, 1% critical value) and the
     m = 4 self-similarity p-value (stream ``maxstable_mmax``, above 0.01)."""
+    if n < 1:
+        raise ValueError("n must be >= 1")
     site = cfg.grid.n_sites // 2
     eta = sample_max_stable_batch(cfg, n, make_rng(seed, "maxstable_marginal"))
     stat = ks_statistic(eta[:, site], standard_frechet_cdf)

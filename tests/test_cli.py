@@ -9,7 +9,7 @@ import pytest
 import scipy
 
 import paretoproc
-from paretoproc import cli
+from paretoproc import cli, grid
 from paretoproc.cli import main
 from paretoproc.grid import Grid
 from paretoproc.lifting import FieldSample, field_sample_to_csv, sample_scenario_fields
@@ -357,6 +357,44 @@ def test_df_battery_without_direct_samples_exits_two(tmp_path, capsys):
     assert not (out / "battery.csv").exists()
 
 
+@pytest.mark.parametrize("argv, message", [
+    pytest.param(["--n", "0"], "n must be >= 1", id="n"),
+    pytest.param(["--n-rep", "0"], "n_block and n_rep must be >= 1", id="n_rep"),
+])
+def test_maxstable_check_empty_sample_exits_two(tmp_path, capsys, argv, message):
+    out = tmp_path / "out"
+    assert main(["maxstable-check", "--sites", "5", "--n", "100", "--n-rep", "100", *argv,
+                 "--seed", "1", "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"ValueError: {message}\n" and captured.out == ""
+    assert not (out / "maxstable_report.json").exists()
+
+
+_PARENT_PID = os.getpid()
+_format_rows = grid._format_rows
+
+
+def _die_in_worker(row, block):
+    if os.getpid() != _PARENT_PID:
+        os._exit(1)
+    return _format_rows(row, block)
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="the writer forks its workers")
+def test_dead_csv_worker_exits_two_with_one_line(tmp_path, capsys, monkeypatch):
+    # a table of many blocks is formatted in worker processes; one that dies
+    # is an OSError naming the file, and the next write starts a fresh pool
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    monkeypatch.setattr(grid, "_format_rows", _die_in_worker)
+    argv = ["simulate", "--sites", "101", "--n", "2000", "--seed", "1"]
+    assert main(argv + ["--out", str(tmp_path / "a")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("OSError: writing ") and "samples.csv" in err and err.count("\n") == 1
+    monkeypatch.setattr(grid, "_format_rows", _format_rows)
+    assert main(argv + ["--out", str(tmp_path / "b")]) == 0
+    assert (tmp_path / "b" / "manifest.json").exists()
+
+
 def test_cached_parser_keeps_no_flag_between_calls(tmp_path):
     # the parser is built once per process; a flag given in one call must not
     # reach the next
@@ -374,7 +412,8 @@ def test_cached_parser_keeps_no_flag_between_calls(tmp_path):
 def test_cli_import_leaves_scipy_stats_unloaded():
     src = str(Path(paretoproc.__file__).parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    code = "import sys, paretoproc.cli; print('scipy.stats' in sys.modules)"
+    code = ("import sys, paretoproc.cli; print(sorted(m for m in sys.modules if m in "
+            "('scipy.stats', 'multiprocessing', 'concurrent.futures')))")
     result = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                             text=True, check=True, timeout=120)
-    assert result.stdout.strip() == "False"
+    assert result.stdout.strip() == "[]"

@@ -1,7 +1,12 @@
+import concurrent.futures
+import multiprocessing
+import os
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from paretoproc import grid
 from paretoproc.errors import DomainError, GridMismatch
 from paretoproc.grid import (
     Field,
@@ -13,6 +18,7 @@ from paretoproc.grid import (
     field_to_json,
     inf_field,
     sup_field,
+    write_csv_table,
 )
 
 
@@ -118,3 +124,76 @@ def test_json_roundtrip():
     back = field_from_json(field_to_json(f))
     assert np.array_equal(back.values, f.values)
     assert np.array_equal(back.grid.sites, g.sites)
+
+
+def _reference_csv(path, header, columns):
+    """The writer as it was before block templates and worker processes: one
+    ``row % cells`` per row."""
+    cols = np.broadcast_arrays(*[np.asarray(c) for c in columns])
+    row = ",".join("%d" if c.dtype.kind in "biu" else "%.17g" for c in cols) + "\r\n"
+    step = max(1, grid.ROWS_PER_BLOCK // int(np.prod(cols[0].shape[1:])))
+    with open(path, "w", newline="") as fh:
+        fh.write(",".join(header) + "\r\n")
+        for start in range(0, cols[0].shape[0], step):
+            block = [c[start : start + step].ravel().tolist() for c in cols]
+            fh.write("".join(row % cells for cells in zip(*block)))
+
+
+EDGE_FLOATS = [-0.0, 5e-324, 2.2250738585072014e-308, 1.7976931348623157e308, 0.1,
+               np.nan, -np.inf]
+
+
+def _tables():
+    rng = np.random.default_rng(7)
+    n, m = 23, 3  # 7-row blocks hold 2 samples, so the last block is short
+    values = rng.standard_normal((n, m)) * 10.0 ** rng.integers(-300, 300, (n, m))
+    values.ravel()[: len(EDGE_FLOATS)] = EDGE_FLOATS
+    return {
+        "long": (["sample_id", "site_index", "value"],
+                 [np.arange(n)[:, None], np.arange(m), values]),
+        "bool": (["query_id", "estimate", "pass"],
+                 [np.arange(30), rng.random(30), rng.random(30) < 0.5]),
+        "edge": (["i", "x"], [np.arange(len(EDGE_FLOATS)), np.array(EDGE_FLOATS)]),
+        "empty": (["sample_id", "site_index", "value"],
+                  [np.zeros((0, 1), int), np.arange(m), np.zeros((0, m))]),
+        "ragged": (["i", "x"], [np.arange(7 * 5 + 3), rng.random(7 * 5 + 3)]),
+    }
+
+
+@pytest.mark.parametrize("cpus", [1, 2, 3])
+@pytest.mark.parametrize("name", sorted(_tables()))
+def test_writer_bytes_match_per_row_formatting(tmp_path, monkeypatch, name, cpus):
+    # 7-row blocks make every table span many blocks, and so many workers
+    monkeypatch.setattr(grid, "ROWS_PER_BLOCK", 7)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
+    header, columns = _tables()[name]
+    write_csv_table(tmp_path / "new.csv", header, columns)
+    _reference_csv(tmp_path / "ref.csv", header, columns)
+    assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
+
+
+def test_one_block_table_never_opens_a_pool(tmp_path, monkeypatch):
+    def no_pool(*args, **kwargs):
+        raise AssertionError("a one-block table opened a process pool")
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    header, columns = _tables()["long"]  # 69 rows: one block of 4096
+    write_csv_table(tmp_path / "new.csv", header, columns)
+    _reference_csv(tmp_path / "ref.csv", header, columns)
+    assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
+
+
+def _write_long_table(path):
+    write_csv_table(path, *_tables()["long"])
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="needs fork")
+def test_daemonic_process_formats_in_process(tmp_path, monkeypatch):
+    # a multiprocessing.Pool worker may not start processes of its own
+    monkeypatch.setattr(grid, "ROWS_PER_BLOCK", 7)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    with multiprocessing.get_context("fork").Pool(1) as pool:
+        pool.apply(_write_long_table, (tmp_path / "new.csv",))
+    _reference_csv(tmp_path / "ref.csv", *_tables()["long"])
+    assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
