@@ -4,9 +4,12 @@ CLI command.
 A change that must leave every output as it is keeps these digests. A change
 that alters a random stream or an output format on purpose re-pins the
 affected digests and says so in CHANGES.md. ``manifest.json`` is left out
-because it records library versions.
+because it records library versions. ``stdout`` stands for the text the
+command prints, pinned where that text is a report of its own.
 """
+import contextlib
 import hashlib
+import io
 
 import pytest
 
@@ -24,7 +27,7 @@ COMMANDS = {
     "lift": (["lift", "--data", "{scenario43}/source.csv", *SCENARIO], REPORT),
     "maxstable-check": (["maxstable-check", "--spec", "gaussian_moving_max", "--sites", "11",
                          "--n", "300", "--n-block", "50", "--n-rep", "2000", "--seed", SEED],
-                        ("maxstable_report.json",)),
+                        ("maxstable_report.json", "stdout")),
     "df-battery": (["df-battery", "--spec", "gaussian_moving_max", "--sites", "11",
                     "--n-mc", "2000", "--n-direct", "4000", "--seed", SEED], ("battery.csv",)),
 }
@@ -50,6 +53,7 @@ EXPECTED = {
     },
     "maxstable-check": {
         "maxstable_report.json": "d0d719deea2dae2e4326978ede105584a4f1121eaecf372768eaf6a1158f8edb",
+        "stdout": "db5dfeb27263e3488dc67f20928e0ec8ffb2ecd486b72f0d22e3d11df73f7d2e",
     },
     "df-battery": {
         "battery.csv": "a5de5e8fbda0157f653baaaec1b1c92f9315a5dd9164b0f2563f9e23b7ce3792",
@@ -64,7 +68,10 @@ def digests(tmp_path_factory):
     found = {}
     for name, (argv, outputs) in COMMANDS.items():  # scenario43 runs before lift
         argv = [a.format(**{k: str(v) for k, v in dirs.items()}) for a in argv]
-        assert main(argv + ["--out", str(dirs[name])]) == 0
+        printed = io.StringIO()
+        with contextlib.redirect_stdout(printed):
+            assert main(argv + ["--out", str(dirs[name])]) == 0
+        (dirs[name] / "stdout").write_text(printed.getvalue())
         found[name] = {f: hashlib.sha256((dirs[name] / f).read_bytes()).hexdigest()
                        for f in outputs}
     return found
