@@ -31,6 +31,7 @@ from .errors import (
     SpecGridMismatch,
     ZeroField,
 )
+from .gof import Check
 from .grid import Field, Grid, combine, inf_field, sup_field
 from .lifting import (
     FieldSample,
@@ -70,6 +71,7 @@ from .transforms import (
 )
 
 __all__ = [
+    "Check",
     "DfQuery",
     "DfResult",
     "DegenerateTail",

@@ -252,10 +252,10 @@ def _cmd_maxstable_check(cfg: RunConfig) -> int:
         report[f"doa_{kind}"] = doa_empirical_check(
             pcfg, cfg.opt("n_block"), cfg.opt("n_rep"),
             make_rng(cfg.seed, f"doa_{kind}"), input_kind=kind)
-    (cfg.outdir / "maxstable_report.json").write_text(json.dumps(report, indent=2, sort_keys=True))
+    text = json.dumps(report, indent=2, sort_keys=True, default=asdict)
+    (cfg.outdir / "maxstable_report.json").write_text(text)
     for c in checks:
-        print(f"{c['name']}: statistic {c['statistic']:.5f} vs {c['threshold']:.5f} "
-              f"-> {'ok' if c['passed'] else 'FAIL'}")
+        print(c)
     return 0
 
 

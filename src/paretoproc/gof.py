@@ -1,7 +1,30 @@
 """Goodness-of-fit helpers shared by tests, reports and the verification suite."""
 from __future__ import annotations
 
+from dataclasses import dataclass
+
 import numpy as np
+
+
+@dataclass(frozen=True)
+class Check:
+    """One gate: a statistic judged against a threshold, and the verdict.
+    ``statistic`` and ``threshold`` are None where the sample had nothing to
+    measure, which fails the gate."""
+
+    name: str
+    statistic: float | None
+    threshold: float | None
+    passed: bool
+
+    def __post_init__(self):
+        object.__setattr__(self, "passed", bool(self.passed))
+
+    def __str__(self) -> str:
+        stat, threshold = (f"{v:.5f}" if v is not None else "null"
+                           for v in (self.statistic, self.threshold))
+        return f"{self.name}: statistic {stat} vs {threshold} -> {'ok' if self.passed else 'FAIL'}"
+
 
 # scipy.stats is imported inside the two KS functions: it takes about a
 # second to import, and most commands never run a KS test

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .gof import ks_critical_value, ks_statistic, standard_frechet_cdf, two_sample_ks_pvalue
+from .gof import Check, ks_critical_value, ks_statistic, standard_frechet_cdf, two_sample_ks_pvalue
 from .grid import Field, Grid
 from .pareto import sample_radii
 from .rng import fill_rows, make_rng
@@ -168,7 +168,7 @@ def mmax_self_similarity_pvalue(
     return two_sample_ks_pvalue(one, scaled_max)
 
 
-def construction_checks(cfg: PenroseConfig, n: int, seed: int) -> list[dict]:
+def construction_checks(cfg: PenroseConfig, n: int, seed: int) -> list[Check]:
     """Construction checks at the middle site from n fields: standard Frechet
     marginal KS (stream ``maxstable_marginal``, 1% critical value) and the
     m = 4 self-similarity p-value (stream ``maxstable_mmax``, above 0.01)."""
@@ -180,10 +180,8 @@ def construction_checks(cfg: PenroseConfig, n: int, seed: int) -> list[dict]:
     crit = ks_critical_value(n, alpha=0.01)
     pval = mmax_self_similarity_pvalue(cfg, 4, n, make_rng(seed, "maxstable_mmax"))
     return [
-        {"name": "marginal_frechet_ks", "statistic": stat, "threshold": crit,
-         "passed": bool(stat < crit)},
-        {"name": "mmax_self_similarity_p", "statistic": pval, "threshold": 0.01,
-         "passed": bool(pval > 0.01)},
+        Check("marginal_frechet_ks", stat, crit, stat < crit),
+        Check("mmax_self_similarity_p", pval, 0.01, pval > 0.01),
     ]
 
 
@@ -240,12 +238,17 @@ def doa_empirical_check(
       measure of the limit), drawn independently by rejection.
     * ``maxstable``: i.i.d. simple max-stable fields normalized by their exact
       Frechet quantile norming; the ratio checks hold asymptotically in t, so
-      only they are gated.
+      only they are gated. It needs t >= 2: at t = 1 the quantile b_t is 0.
+
+    A ratio check without sup exceedances records statistic and threshold
+    None and fails.
     """
     if input_kind not in ("pareto", "maxstable"):
         raise ValueError("input_kind must be 'pareto' or 'maxstable'")
     if n_block < 1 or n_rep < 1:
         raise ValueError("n_block and n_rep must be >= 1")
+    if input_kind == "maxstable" and n_block < 2:
+        raise ValueError("n_block must be >= 2 for max-stable input")
     t = float(n_block)
     m = cfg.grid.n_sites
     site = m // 2
@@ -271,30 +274,19 @@ def doa_empirical_check(
     n_exc = int(exceed.sum())
     checks = []
     for x in (2.0, 5.0):
-        q_hat = float(np.mean(radius[exceed] > x)) if n_exc else np.nan
-        se = float(np.sqrt(q_hat * (1.0 - q_hat) / n_exc)) if n_exc else np.nan
-        gap = abs(q_hat - 1.0 / x)
-        checks.append(
-            {
-                "name": f"sup_ratio_x{x:g}",
-                "statistic": q_hat,
-                "threshold": se_factor * se,
-                "passed": bool(n_exc and gap <= max(se_factor * se, 1e-12)),
-            }
-        )
+        if not n_exc:
+            checks.append(Check(f"sup_ratio_x{x:g}", None, None, False))
+            continue
+        q_hat = float(np.mean(radius[exceed] > x))
+        bound = se_factor * float(np.sqrt(q_hat * (1.0 - q_hat) / n_exc))
+        checks.append(Check(f"sup_ratio_x{x:g}", q_hat, bound,
+                            abs(q_hat - 1.0 / x) <= max(bound, 1e-12)))
 
     if input_kind == "pareto" and n_exc:
         angle = normalized[exceed, site] / radius[exceed]
         reference = _sup_weighted_angle_sample(cfg, n_exc, rng)[:, site]
         pvalue = two_sample_ks_pvalue(angle, reference)
-        checks.append(
-            {
-                "name": "angle_two_sample_ks",
-                "statistic": pvalue,
-                "threshold": 0.01,
-                "passed": bool(pvalue > 0.01),
-            }
-        )
+        checks.append(Check("angle_two_sample_ks", pvalue, 0.01, pvalue > 0.01))
 
     return {
         "input": input_kind,

@@ -4,7 +4,8 @@ Each check exercises one distributional guarantee of the toolkit at a fixed
 seed and either its full Monte Carlo size or a reduced "quick" size (same
 logic, looser derived tolerances where the size enters the bound). The
 acceptance test suite runs the full versions; ``paretoproc verify-all`` runs
-either set and reports one line per check.
+either set and reports one line per check. Each check returns its name and
+one ``gof.Check`` record per gate; it passes when every gate passes.
 """
 from __future__ import annotations
 
@@ -13,13 +14,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dfeval import (
-    bernoulli_pair_cdf,
-    default_battery,
-    df_findim,
-    run_battery,
-)
+from .dfeval import default_battery, df_findim, run_battery
 from .gof import (
+    Check,
     ks_critical_value,
     ks_statistic,
     standard_pareto_cdf,
@@ -53,15 +50,16 @@ SEED = 20260810
 class CheckResult:
     name: str
     passed: bool
-    detail: str
+    checks: tuple[Check, ...]
     seconds: float
 
 
 def run_check(check, quick: bool = False) -> CheckResult:
-    """Run one check, which returns (name, passed, detail), and time it."""
+    """Run one check, which returns (name, gate records), and time it."""
     start = time.perf_counter()
-    name, passed, detail = check(quick=quick)
-    return CheckResult(name, bool(passed), detail, time.perf_counter() - start)
+    name, gates = check(quick=quick)
+    passed = all(g.passed for g in gates)
+    return CheckResult(name, passed, tuple(gates), time.perf_counter() - start)
 
 
 def _grid_for(kind: str, n_sites: int = 101) -> Grid:
@@ -77,26 +75,22 @@ def _all_specs() -> list[SpectralProfileSpec]:
     ]
 
 
-def check_sup_pareto_law(quick: bool = False) -> tuple[str, bool, str]:
+def check_sup_pareto_law(quick: bool = False) -> tuple[str, list[Check]]:
     """Supremum law: omega0^-1 sup W is standard Pareto for every built-in
     profile family (one-sample KS below the 1% critical value)."""
     n = 20_000 if quick else 100_000
     crit = ks_critical_value(n, alpha=0.01)
     worst = 0.0
-    for i, spec in enumerate(_all_specs()):
+    for spec in _all_specs():
         grid = _grid_for(spec.kind)
         rng = make_rng(SEED, f"sup_pareto_{spec.kind}")
         _, _, w = sample_simple_pareto_batch(spec, grid, n, rng)
         stat = ks_statistic(w.max(axis=1) / spec.omega0, standard_pareto_cdf)
         worst = max(worst, stat)
-    return (
-        "sup_pareto_law",
-        worst < crit,
-        f"worst KS {worst:.5f} vs critical {crit:.5f} (n={n})",
-    )
+    return "sup_pareto_law", [Check("worst_ks", worst, crit, worst < crit)]
 
 
-def check_pot_stability(quick: bool = False) -> tuple[str, bool, str]:
+def check_pot_stability(quick: bool = False) -> tuple[str, list[Check]]:
     """Angle law above a threshold equals the unconditional angle law:
     rejection-path versus stability-path samples, two-sample KS."""
     n = 2_000 if quick else 10_000
@@ -109,12 +103,7 @@ def check_pot_stability(quick: bool = False) -> tuple[str, bool, str]:
         _, v_rej, _ = pot_conditional_batch(spec, grid, r, n, rng, method="rejection")
         _, v_stab, _ = pot_conditional_batch(spec, grid, r, n, rng, method="stability")
         pvals.append(two_sample_ks_pvalue(v_rej[:, site], v_stab[:, site]))
-    passed = all(p > 0.01 for p in pvals)
-    return (
-        "pot_stability",
-        passed,
-        f"two-sample KS p-values {[f'{p:.3f}' for p in pvals]} (r=2,5; n={n}/arm)",
-    )
+    return "pot_stability", [Check("min_ks_p", min(pvals), 0.01, min(pvals) > 0.01)]
 
 
 # Evaluation points for the two-site closed form; expected values computed
@@ -130,24 +119,19 @@ BIVARIATE_BATTERY = [
 ]
 
 
-def check_bivariate_closed_form(quick: bool = False) -> tuple[str, bool, str]:
+def check_bivariate_closed_form(quick: bool = False) -> tuple[str, list[Check]]:
     """Two-site zero-or-peak vector: Monte Carlo df against the closed form."""
     n_mc = 100_000 if quick else 1_000_000
     tol = 1e-3 * np.sqrt(1_000_000 / n_mc)
     spec = SpectralProfileSpec(BERNOULLI_PAIR)
     worst = 0.0
     for i, ((x, y), expected) in enumerate(BIVARIATE_BATTERY):
-        assert expected == bernoulli_pair_cdf(x, y)
         res = df_findim((x, y), spec, 2, n_mc=n_mc, seed=SEED + i)
         worst = max(worst, abs(res.estimate - expected))
-    return (
-        "bivariate_closed_form",
-        worst <= tol,
-        f"worst |error| {worst:.2e} vs tolerance {tol:.1e} (n_mc={n_mc})",
-    )
+    return "bivariate_closed_form", [Check("worst_abs_error", worst, tol, worst <= tol)]
 
 
-def check_formula_vs_empirical(quick: bool = False) -> tuple[str, bool, str]:
+def check_formula_vs_empirical(quick: bool = False) -> tuple[str, list[Check]]:
     """Distribution formulas versus direct simulated frequencies over the
     five-query battery, every built-in family, many seeds; at least 95% of
     cells must agree within 3 pooled standard errors."""
@@ -163,11 +147,7 @@ def check_formula_vs_empirical(quick: bool = False) -> tuple[str, bool, str]:
             total += len(rows)
             passed += sum(r.passed for r in rows)
     frac = passed / total
-    return (
-        "formula_vs_empirical",
-        frac >= 0.95,
-        f"{passed}/{total} battery cells within 3 pooled SE ({frac:.1%})",
-    )
+    return "formula_vs_empirical", [Check("pass_fraction", frac, 0.95, frac >= 0.95)]
 
 
 def _generalized_configs(grid: Grid) -> list[GpParams]:
@@ -186,7 +166,7 @@ def _generalized_configs(grid: Grid) -> list[GpParams]:
     return [smooth, sign_mixed]
 
 
-def check_generalized_stability(quick: bool = False) -> tuple[str, bool, str]:
+def check_generalized_stability(quick: bool = False) -> tuple[str, list[Check]]:
     """Renormalizing the generalized process by (u(r), s(r)) and conditioning
     on a sup exceedance reproduces the base simple law (two-sample KS)."""
     n = 2_000 if quick else 10_000
@@ -217,16 +197,10 @@ def check_generalized_stability(quick: bool = False) -> tuple[str, bool, str]:
 
             (z_renorm,) = fill_rows(n, lambda need: int(1.3 * need * r) + 1024, renormalized)
             pvals.append(two_sample_ks_pvalue(z_base[:, site], z_renorm[:, site]))
-    passed = all(p > 0.01 for p in pvals)
-    return (
-        "generalized_stability",
-        passed,
-        f"two-sample KS p-values {[f'{p:.3f}' for p in pvals]} "
-        f"(2 configs x r=2,10; n={n}/arm)",
-    )
+    return "generalized_stability", [Check("min_ks_p", min(pvals), 0.01, min(pvals) > 0.01)]
 
 
-def check_max_stable(quick: bool = False) -> tuple[str, bool, str]:
+def check_max_stable(quick: bool = False) -> tuple[str, list[Check]]:
     """Poisson-profile construction: standard Frechet marginals, the
     finite-dimensional df formula, and invariance under scaled m-fold maxima."""
     n = 2_000 if quick else 10_000
@@ -234,31 +208,24 @@ def check_max_stable(quick: bool = False) -> tuple[str, bool, str]:
     grid = _grid_for(spec.kind)
     cfg = PenroseConfig(spec, grid, truncation=1e-4)
     marginal, mmax = construction_checks(cfg, n, SEED)
-    details = [f"marginal KS {marginal['statistic']:.5f} vs {marginal['threshold']:.5f}"]
 
     sites = np.array([grid.n_sites // 4, grid.n_sites // 2, (3 * grid.n_sites) // 4])
     points = [(1.0, 1.0, 1.0), (2.0, 1.5, 1.2), (0.8, 1.5, 1.0)]
     rng = make_rng(SEED, "maxstable_findim")
     n_emp = 2 * n
     eta_fd = sample_max_stable_batch(cfg, n_emp, rng)[:, sites]
-    ok_findim = True
+    worst_z = 0.0
     for x in points:
         est, se = findim_evd(cfg, x, sites, n_mc=20 * n, rng=rng, return_se=True)
         emp = float(np.mean(np.all(eta_fd <= np.asarray(x), axis=1)))
         emp_se = np.sqrt(emp * (1.0 - emp) / n_emp)
         pooled = float(np.hypot(se, emp_se))
-        ok_findim &= abs(est - emp) <= 3.0 * pooled
-    details.append(f"findim within 3 SE at {len(points)} points: {ok_findim}")
-    details.append(f"m-max KS p {mmax['statistic']:.3f}")
-
-    return (
-        "max_stable_validation",
-        marginal["passed"] and ok_findim and mmax["passed"],
-        "; ".join(details),
-    )
+        worst_z = max(worst_z, abs(est - emp) / pooled)
+    findim = Check("findim_worst_z", worst_z, 3.0, worst_z <= 3.0)
+    return "max_stable_validation", [marginal, findim, mmax]
 
 
-def check_lifting_exact(quick: bool = False) -> tuple[str, bool, str]:
+def check_lifting_exact(quick: bool = False) -> tuple[str, list[Check]]:
     """With exact Pareto norming (gamma = 1, a_t = b_t = t) lifting is exact
     multiplication by t0, entrywise to 1 ulp; and the lifted supremum law
     matches the selected supremum law one threshold down."""
@@ -280,7 +247,6 @@ def check_lifting_exact(quick: bool = False) -> tuple[str, bool, str]:
         spacing = np.spacing(np.maximum(np.abs(reference), np.abs(report.lifted)))
         entry_ulp = np.abs(report.lifted - reference) / spacing
         max_ulp = max(max_ulp, float(entry_ulp.max()))
-    ok_exact = max_ulp <= 1.0
 
     # distributional arm: independent batches, sup of lifted fields at the
     # lifted threshold versus sup of selected fields at the base threshold
@@ -292,29 +258,26 @@ def check_lifting_exact(quick: bool = False) -> tuple[str, bool, str]:
     _, _, x1 = sample_simple_pareto_batch(spec, grid, n_fields, rng)
     _, _, x2 = sample_simple_pareto_batch(spec, grid, n_fields, rng)
     report = lift(FieldSample(grid, x1), nf, t0)
-    n_selected = len(report.selected_ids)
+    n_selected = float(len(report.selected_ids))
     sup_lifted = report.lifted.max(axis=1) / (t0 * t)
     sup_base = x2.max(axis=1)
     sup_base = sup_base[sup_base > t] / t
     pval = two_sample_ks_pvalue(sup_lifted, sup_base)
-    ok_dist = pval > 0.01 and n_selected >= 500
-
-    return (
-        "lifting_exactness",
-        ok_exact and ok_dist,
-        f"max entry ulp {max_ulp:.2f}; distributional KS p {pval:.3f} "
-        f"({n_selected} selected)",
-    )
+    return "lifting_exactness", [
+        Check("max_entry_ulp", max_ulp, 1.0, max_ulp <= 1.0),
+        Check("lifted_sup_ks_p", pval, 0.01, pval > 0.01),
+        Check("n_selected", n_selected, 500.0, n_selected >= 500),
+    ]
 
 
-def check_estimator_sanity(quick: bool = False) -> tuple[str, bool, str]:
+def check_estimator_sanity(quick: bool = False) -> tuple[str, list[Check]]:
     """Moment estimator recovers gamma = 1 on standard Pareto samples and
     gamma = -1 on uniform samples (median absolute error over replications)."""
     n, k = 10_000, 500
     reps = 10 if quick else 50
     rng = make_rng(SEED, "estimator_sanity")
     grid = Grid.regular(2)
-    medians = {}
+    gates = []
     for label, target in (("pareto", 1.0), ("uniform", -1.0)):
         errors = []
         for _ in range(reps):
@@ -324,17 +287,12 @@ def check_estimator_sanity(quick: bool = False) -> tuple[str, bool, str]:
                 values = rng.random((n, 2))
             nf = estimate_norming(FieldSample(grid, values), k)
             errors.append(abs(nf.gamma.values[0] - target))
-        medians[label] = float(np.median(errors))
-    passed = all(m < 0.15 for m in medians.values())
-    return (
-        "estimator_sanity",
-        passed,
-        f"median |gamma error| pareto {medians['pareto']:.3f}, "
-        f"uniform {medians['uniform']:.3f} (n={n}, k={k}, {reps} reps)",
-    )
+        median = float(np.median(errors))
+        gates.append(Check(f"median_gamma_error_{label}", median, 0.15, median < 0.15))
+    return "estimator_sanity", gates
 
 
-def check_storm_scenario(quick: bool = False) -> tuple[str, bool, str]:
+def check_storm_scenario(quick: bool = False) -> tuple[str, list[Check]]:
     """End-to-end powered moving-maximum scenario: the pipeline completes,
     selection is nondegenerate on average, and every lifted field clears the
     lifted threshold."""
@@ -342,20 +300,19 @@ def check_storm_scenario(quick: bool = False) -> tuple[str, bool, str]:
     n, k, t0 = 20, 5, 10.0
     rng = make_rng(SEED, "storm_scenario")
     counts = []
-    all_exceed = True
+    lowest = np.inf
     for _ in range(reps):
         report = run_storm_scenario(n, k, t0, rng)
         counts.append(len(report.selected_ids))
         renorm = apply_T_values(report.lifted, report.norming)
-        all_exceed &= bool(np.all(renorm.max(axis=1) > t0))
+        # an empty selection has no lifted field below t0
+        lowest = min(lowest, float(renorm.max(axis=1).min(initial=np.inf)))
     mean_count = float(np.mean(counts))
-    passed = 1.0 < mean_count < 19.0 and all_exceed
-    return (
-        "storm_scenario",
-        passed,
-        f"mean selected {mean_count:.2f} of {n} over {reps} reps; "
-        f"all lifted exceed t0: {all_exceed}",
-    )
+    return "storm_scenario", [
+        Check("mean_selected_above", mean_count, 1.0, mean_count > 1.0),
+        Check("mean_selected_below", mean_count, n - 1.0, mean_count < n - 1.0),
+        Check("min_lifted_sup", lowest, t0, lowest > t0),
+    ]
 
 
 CHECKS = [
@@ -377,4 +334,5 @@ def run_all(quick: bool = False) -> list[CheckResult]:
 
 def format_line(result: CheckResult) -> str:
     status = "PASS" if result.passed else "FAIL"
-    return f"{status}  {result.name:<24s} {result.detail} [{result.seconds:.1f}s]"
+    gates = "; ".join(map(str, result.checks))
+    return f"{status}  {result.name:<24s} {gates} [{result.seconds:.1f}s]"

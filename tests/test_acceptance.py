@@ -11,7 +11,7 @@ from paretoproc import verify
 def _run(check):
     result = verify.run_check(check, quick=False)
     print(verify.format_line(result))
-    assert result.passed, result.detail
+    assert result.passed, verify.format_line(result)
 
 
 def test_criterion_1_sup_pareto_law():

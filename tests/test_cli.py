@@ -9,8 +9,9 @@ import pytest
 import scipy
 
 import paretoproc
-from paretoproc import cli, grid
+from paretoproc import cli, grid, verify
 from paretoproc.cli import main
+from paretoproc.gof import Check
 from paretoproc.grid import Grid
 from paretoproc.lifting import FieldSample, field_sample_to_csv, sample_scenario_fields
 from paretoproc.rng import make_rng
@@ -100,6 +101,22 @@ def test_maxstable_check_command(tmp_path):
     assert {"marginal_frechet_ks", "mmax_self_similarity_p"} <= names
     assert report["doa_pareto"]["input"] == "pareto"
     assert report["doa_maxstable"]["input"] == "maxstable"
+
+
+def test_maxstable_report_without_exceedances_is_valid_json(tmp_path):
+    out = tmp_path / "ms"
+    assert main(["maxstable-check", "--spec", "constant", "--sites", "5", "--n", "50",
+                 "--n-rep", "1", "--n-block", "50", "--seed", "2", "--out", str(out)]) == 0
+
+    def reject(constant):
+        raise ValueError(f"not JSON: {constant}")
+
+    report = json.loads((out / "maxstable_report.json").read_text(), parse_constant=reject)
+    for key in ("doa_pareto", "doa_maxstable"):
+        assert report[key]["n_exceedances"] == 0
+        for gate in report[key]["checks"]:
+            assert gate["statistic"] is None and gate["threshold"] is None
+            assert gate["passed"] is False
 
 
 def test_lift_command(tmp_path):
@@ -309,9 +326,31 @@ def test_verify_all_quick(tmp_path):
     report = json.loads((out / "verify_report.json").read_text())
     assert len(report) == 9
     assert all(entry["passed"] for entry in report)
+    for entry in report:
+        assert set(entry) == {"name", "passed", "checks", "seconds"} and entry["checks"]
+        for gate in entry["checks"]:
+            assert set(gate) == {"name", "statistic", "threshold", "passed"}
+            assert isinstance(gate["name"], str) and isinstance(gate["passed"], bool)
+            assert isinstance(gate["statistic"], float) and isinstance(gate["threshold"], float)
+        assert entry["passed"] == all(gate["passed"] for gate in entry["checks"])
     manifest = json.loads((out / "manifest.json").read_text())
     assert manifest["seed"] == SEED
     assert manifest["versions"]["scipy"] == scipy.__version__
+
+
+def test_verify_all_fails_a_criterion_with_one_failing_gate(tmp_path, capsys, monkeypatch):
+    def three_gates(quick):
+        return "three_gates", [Check("a", 0.5, 1.0, True), Check("b", 2.0, 1.0, False),
+                               Check("c", 0.5, 1.0, True)]
+
+    monkeypatch.setattr(verify, "CHECKS", [three_gates])
+    out = tmp_path / "verify"
+    assert main(["verify-all", "--out", str(out)]) == 1
+    (entry,) = json.loads((out / "verify_report.json").read_text())
+    assert entry["passed"] is False
+    assert [gate["passed"] for gate in entry["checks"]] == [True, False, True]
+    line = capsys.readouterr().out
+    assert line.startswith("FAIL  three_gates") and "b: statistic 2.00000 vs 1.00000 -> FAIL" in line
 
 
 @pytest.mark.parametrize("bandwidth, code", [
@@ -360,6 +399,7 @@ def test_df_battery_without_direct_samples_exits_two(tmp_path, capsys):
 @pytest.mark.parametrize("argv, message", [
     pytest.param(["--n", "0"], "n must be >= 1", id="n"),
     pytest.param(["--n-rep", "0"], "n_block and n_rep must be >= 1", id="n_rep"),
+    pytest.param(["--n-block", "1"], "n_block must be >= 2 for max-stable input", id="n_block"),
 ])
 def test_maxstable_check_empty_sample_exits_two(tmp_path, capsys, argv, message):
     out = tmp_path / "out"

@@ -10,6 +10,7 @@ from paretoproc import maxstable
 from paretoproc.grid import Grid
 from paretoproc.maxstable import (
     PenroseConfig,
+    construction_checks,
     doa_empirical_check,
     findim_evd,
     mmax_self_similarity_pvalue,
@@ -133,24 +134,35 @@ def test_doa_pareto_input(gmm_cfg):
     report = doa_empirical_check(gmm_cfg, n_block=50, n_rep=40_000,
                                  rng=make_rng(10, "doa"), input_kind="pareto")
     assert report["n_exceedances"] > 1_000
-    by_name = {c["name"]: c for c in report["checks"]}
-    assert by_name["sup_ratio_x2"]["passed"]
-    assert by_name["sup_ratio_x5"]["passed"]
-    assert by_name["angle_two_sample_ks"]["passed"]
+    by_name = {c.name: c for c in report["checks"]}
+    assert by_name["sup_ratio_x2"].passed
+    assert by_name["sup_ratio_x5"].passed
+    assert by_name["angle_two_sample_ks"].passed
 
 
 def test_doa_maxstable_input(gmm_cfg):
     report = doa_empirical_check(gmm_cfg, n_block=50, n_rep=40_000,
                                  rng=make_rng(11, "doam"), input_kind="maxstable")
-    by_name = {c["name"]: c for c in report["checks"]}
-    assert by_name["sup_ratio_x2"]["passed"]
-    assert by_name["sup_ratio_x5"]["passed"]
+    by_name = {c.name: c for c in report["checks"]}
+    assert by_name["sup_ratio_x2"].passed
+    assert by_name["sup_ratio_x5"].passed
     assert "angle_two_sample_ks" not in by_name
 
 
 def test_doa_rejects_low_threshold(gmm_cfg):
     with pytest.raises(ValueError):
         doa_empirical_check(gmm_cfg, n_block=2, n_rep=100, rng=make_rng(12, "low"))
+
+
+def test_construction_checks_fail_on_wrong_mean_field():
+    # halving the mean field doubles every rescaled profile, so the fields are
+    # Frechet with scale 2, not standard Frechet
+    cfg = PenroseConfig(SpectralProfileSpec("constant"), Grid.regular(5), truncation=1e-4)
+    cfg.mean_field = cfg.mean_field / 2.0
+    cfg.sup_bound *= 2.0
+    marginal, _ = construction_checks(cfg, 2_000, 13)
+    assert marginal.name == "marginal_frechet_ks" and not marginal.passed
+    assert marginal.statistic > marginal.threshold
 
 
 @pytest.mark.parametrize("spec, grid", [
