@@ -140,13 +140,17 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _typed(key: str, value):
-    """A config-file value typed like its flag: numbers convert, strings and
-    booleans must already be JSON strings and booleans."""
+    """A config-file value typed like its flag: a number converts from its
+    JSON text as the flag's text would (so 2.7, true and 1e300 are no int);
+    strings and booleans must already be JSON strings and booleans."""
     kind = _OPTION_TABLE[key].type
-    if kind not in (str, bool) or isinstance(value, kind):
+    if kind in (str, bool):
+        if isinstance(value, kind):
+            return value
+    else:
         try:
-            return kind(value)
-        except (TypeError, ValueError, OverflowError):
+            return kind(value if isinstance(value, str) else json.dumps(value))
+        except ValueError:
             pass
     raise ConfigError(f"config value {key}={value!r}: expected {kind.__name__}")
 

@@ -23,7 +23,7 @@ from .grid import Field, Grid, write_csv_table
 from .pareto import sample_radii, sample_simple_pareto_batch, vector_grid
 from .rng import make_rng
 from .spectral import SpectralProfileSpec, sample_profiles
-from .transforms import GpParams, inv_power_transform_values
+from .transforms import GpParams, from_generalized
 
 LEQ = "LEQ"
 GT = "GT"
@@ -66,11 +66,6 @@ class DfResult:
         return iter((self.estimate, self.std_error))
 
 
-def _check_query_grid(q: DfQuery, grid: Grid) -> None:
-    if q.w.grid is not grid and not np.array_equal(q.w.grid.sites, grid.sites):
-        raise ValueError("query field and grid disagree")
-
-
 def _mean_result(per_draw: np.ndarray, has_mass: bool = True) -> DfResult:
     if not has_mass:  # no draw fell in the restricted set: 0 by convention
         return DfResult(0.0, 0.0, no_mass=True)
@@ -83,7 +78,8 @@ def _mean_result(per_draw: np.ndarray, has_mass: bool = True) -> DfResult:
 def _formula(q: DfQuery, spec: SpectralProfileSpec, grid: Grid, per_draw) -> DfResult:
     """Mean +- SE of ``per_draw(profiles, w) -> (values, has_mass)`` over the
     query's n_mc profiles, drawn on stream (q.seed, "df_eval")."""
-    _check_query_grid(q, grid)
+    if q.w.grid != grid:
+        raise ValueError("query field and grid disagree")
     profiles = sample_profiles(spec, grid, q.n_mc, make_rng(q.seed, "df_eval"))
     return _mean_result(*per_draw(profiles, q.w.values))
 
@@ -236,15 +232,12 @@ def df_generalized(
 ) -> DfResult:
     """P(W_{mu,sigma,gamma} <= w): back-transform w to the simple scale and
     delegate to the positive-argument formula."""
-    _check_query_grid(q, grid)
-    z = (q.w.values - p.mu.values) / p.sigma.values
-    back, clamped = inv_power_transform_values(z, p.gamma.values)
+    back, clamped = from_generalized(q.w, p, return_clamped=True)
     if clamped.any():
         raise OutOfSupport(
             "1 + gamma*(w - mu)/sigma must be strictly positive at every site"
         )
-    inner = DfQuery(Field(grid, back), LEQ, q.n_mc, q.seed)
-    return df_leq_positive(inner, spec, grid)
+    return df_leq_positive(DfQuery(back, LEQ, q.n_mc, q.seed), spec, grid)
 
 
 def df_findim(

@@ -7,10 +7,11 @@ coordinates themselves are only needed for labeling and export.
 
 Grids and Fields are immutable after construction (backing arrays are marked
 read-only), so they can be shared across workers without synchronization.
+Two grids are the same grid when their sites are equal, in the same order;
+equal grids hash alike, so a grid keys a cache by its sites.
 """
 from __future__ import annotations
 
-import json
 import os
 import warnings
 from collections import deque
@@ -40,7 +41,7 @@ class Grid:
             raise ValueError("site coordinates must be finite")
         if np.unique(sites, axis=0).shape[0] != sites.shape[0]:
             raise ValueError("sites must be pairwise distinct")
-        sites = sites.copy()
+        sites = sites + 0.0  # a copy in which -0.0 is 0.0, so equal sites hash alike
         sites.setflags(write=False)
         object.__setattr__(self, "sites", sites)
 
@@ -61,9 +62,13 @@ class Grid:
         """First-axis coordinates, convenient for one-dimensional grids."""
         return self.sites[:, 0]
 
-    def key(self) -> bytes:
-        """Stable fingerprint used as a cache key."""
-        return self.sites.tobytes()
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, Grid):
+            return NotImplemented
+        return self is other or np.array_equal(self.sites, other.sites)
+
+    def __hash__(self) -> int:
+        return hash(self.sites.tobytes())
 
     def __len__(self) -> int:
         return self.n_sites
@@ -93,10 +98,6 @@ class Field:
 class FieldExtremum(NamedTuple):
     value: float
     site_index: int
-
-
-def same_grid(f: Field, g: Field) -> bool:
-    return f.grid is g.grid or np.array_equal(f.grid.sites, g.grid.sites)
 
 
 def sup_field(f: Field) -> FieldExtremum:
@@ -130,7 +131,7 @@ def combine(f: Field, g: Field, op: str) -> Field:
     """
     if op not in _BINARY_OPS:
         raise ValueError(f"unknown op {op!r}; expected one of {sorted(_BINARY_OPS)}")
-    if not same_grid(f, g):
+    if f.grid != g.grid:
         raise GridMismatch("fields live on different grids")
     a, b = f.values, g.values
     if op == "div" and np.any(b == 0.0):
@@ -147,8 +148,7 @@ def combine(f: Field, g: Field, op: str) -> Field:
 
 
 # ---------------------------------------------------------------------------
-# Serialization. CSV columns: site_index, coord_1..coord_d, value. The JSON
-# mirror holds the raw "sites" and "values" arrays.
+# CSV tables.
 # ---------------------------------------------------------------------------
 
 ROWS_PER_BLOCK = 4096  # rows formatted per write: bounds a table write's memory
@@ -211,11 +211,6 @@ def write_csv_table(path, header: list[str], columns) -> None:
             raise OSError(f"writing {path}: a CSV formatting worker process died") from exc
 
 
-def field_to_csv(f: Field, path) -> None:
-    header = ["site_index"] + [f"coord_{j + 1}" for j in range(f.grid.dim)] + ["value"]
-    write_csv_table(path, header, [np.arange(f.grid.n_sites), *f.grid.sites.T, f.values])
-
-
 def read_csv_table(path) -> tuple[list[str], np.ndarray]:
     """Header and a float ``(rows, columns)`` array of a CSV table, parsed by
     numpy while streaming from the open file. An empty or header-only file
@@ -229,17 +224,3 @@ def read_csv_table(path) -> tuple[list[str], np.ndarray]:
             except ValueError as exc:
                 # keep numpy's first clause; the rest advises a usecols option
                 raise ValueError(f"{path}: {str(exc).split(';')[0]}") from exc
-
-
-def field_from_csv(path) -> Field:
-    _, table = read_csv_table(path)
-    return Field(Grid(table[:, 1:-1]), table[:, -1])
-
-
-def field_to_json(f: Field) -> str:
-    return json.dumps({"sites": f.grid.sites.tolist(), "values": f.values.tolist()})
-
-
-def field_from_json(doc: str) -> Field:
-    data = json.loads(doc)
-    return Field(Grid(np.asarray(data["sites"])), np.asarray(data["values"]))

@@ -161,31 +161,6 @@ def lift(
     return LiftReport(selected, float(t0), nf, lifted, normalized, source=data)
 
 
-def smooth_norming(nf: NormingFunctions, window: int) -> NormingFunctions:
-    """Centered moving-average smoothing of the estimated norming fields
-    across sites (odd window); the underlying functions are continuous in s,
-    the raw estimates are not."""
-    if window < 1 or window % 2 == 0:
-        raise ValueError("window must be a positive odd integer")
-    if window == 1:
-        return nf
-
-    def smooth(values: np.ndarray) -> np.ndarray:
-        half = window // 2
-        padded = np.pad(values, half, mode="edge")
-        kernel = np.full(window, 1.0 / window)
-        return np.convolve(padded, kernel, mode="valid")
-
-    grid = nf.grid
-    return NormingFunctions(
-        Field(grid, smooth(nf.gamma.values)),
-        Field(grid, smooth(nf.a_t.values)),
-        Field(grid, smooth(nf.b_t.values)),
-        nf.t,
-        nf.k,
-    )
-
-
 # ---------------------------------------------------------------------------
 # End-to-end storm scenario: X(s) = Z(s)^gamma(s) on [0, 1] with a Gaussian
 # moving-maximum Z and index function gamma(s) = 1 - s(1-s)^2, run through

@@ -11,6 +11,7 @@ the sampled law unchanged.
 """
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -20,7 +21,6 @@ from .grid import Field, Grid
 from .pareto import sample_radii
 from .rng import fill_rows, make_rng
 from .spectral import (
-    LRUCache,
     SpectralProfileSpec,
     exact_profile_mean,
     gaussian_bump,
@@ -29,8 +29,11 @@ from .spectral import (
 )
 
 MEAN_RESCALE_N = 1_000_000
-# Monte Carlo mean fields keyed by (spec, grid fingerprint)
-_MEAN_CACHE = LRUCache(16)
+
+
+@functools.lru_cache(maxsize=16)
+def _monte_carlo_mean_field(spec: SpectralProfileSpec, grid: Grid) -> tuple[np.ndarray, np.ndarray]:
+    return profile_mean_se(spec, grid, MEAN_RESCALE_N, make_rng(0, "mean_field_rescale"))
 
 
 def _mean_field(spec: SpectralProfileSpec, grid: Grid) -> tuple[np.ndarray, np.ndarray]:
@@ -40,10 +43,7 @@ def _mean_field(spec: SpectralProfileSpec, grid: Grid) -> tuple[np.ndarray, np.n
     exact = exact_profile_mean(spec, grid)
     if exact is not None:
         return exact, np.zeros(grid.n_sites)
-    return _MEAN_CACHE.get_or_set(
-        (spec, grid.key()),
-        lambda: profile_mean_se(spec, grid, MEAN_RESCALE_N, make_rng(0, "mean_field_rescale")),
-    )
+    return _monte_carlo_mean_field(spec, grid)
 
 
 @dataclass

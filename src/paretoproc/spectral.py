@@ -18,7 +18,7 @@ Built-in kinds:
 """
 from __future__ import annotations
 
-from collections import OrderedDict
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -66,8 +66,8 @@ class SpectralProfileSpec:
 
     def __post_init__(self):
         object.__setattr__(self, "kind", _canonical_kind(self.kind))
-        if not self.omega0 > 0:
-            raise ValueError("omega0 must be positive")
+        if not 0.0 < self.omega0 < np.inf:
+            raise ValueError("omega0 must be positive and finite")
         if self.kind == GAUSSIAN_MOVING_MAX and not 0.0 < self.bandwidth * self.bandwidth < np.inf:
             raise ValueError("gaussian_moving_max requires bandwidth > 0 with a finite, nonzero square")
         if self.kind == RESCALED_POSITIVE_FIELD and not 0.0 < self.corr_length * self.corr_length < np.inf:
@@ -119,40 +119,16 @@ def gaussian_bump(sites: np.ndarray, centers: np.ndarray, h: float) -> np.ndarra
     return np.exp(out, out=out)
 
 
-class LRUCache(OrderedDict):
-    """A dict that keeps only its ``maxsize`` most recently used entries."""
-
-    def __init__(self, maxsize: int):
-        super().__init__()
-        self.maxsize = maxsize
-
-    def get_or_set(self, key, compute):
-        """The value stored under ``key``; on a miss, ``compute()`` is stored
-        and the least recently used entry beyond ``maxsize`` dropped."""
-        if key in self:
-            self.move_to_end(key)
-            return self[key]
-        value = self[key] = compute()
-        if len(self) > self.maxsize:
-            self.popitem(last=False)
-        return value
-
-
-# Cholesky factors of the squared-exponential covariance, keyed by
-# (grid fingerprint, corr_length). Grids are immutable so entries never stale;
-# one factor takes 8 MB at 1001 sites, so only a few are kept.
-_CHOL_CACHE = LRUCache(4)
-
-
+# Cholesky factors of the squared-exponential covariance, one per (grid,
+# corr_length). Grids are immutable so entries never stale; one factor takes
+# 8 MB at 1001 sites, so only a few are kept.
+@functools.lru_cache(maxsize=4)
 def _sq_exp_cholesky(grid: Grid, corr_length: float) -> np.ndarray:
-    def factor():
-        diff = grid.sites[:, None, :] - grid.sites[None, :, :]
-        sq_dist = np.sum(diff * diff, axis=-1)
-        cov = np.exp(-0.5 * sq_dist / corr_length**2)
-        cov[np.diag_indices_from(cov)] += 1e-10  # numerical positive definiteness
-        return np.linalg.cholesky(cov)
-
-    return _CHOL_CACHE.get_or_set((grid.key(), float(corr_length)), factor)
+    diff = grid.sites[:, None, :] - grid.sites[None, :, :]
+    sq_dist = np.sum(diff * diff, axis=-1)
+    cov = np.exp(-0.5 * sq_dist / corr_length**2)
+    cov[np.diag_indices_from(cov)] += 1e-10  # numerical positive definiteness
+    return np.linalg.cholesky(cov)
 
 
 def sample_profiles(

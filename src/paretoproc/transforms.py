@@ -25,7 +25,7 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from .errors import DomainError, GridMismatch, OutOfSupportWarning
-from .grid import Field, Grid, same_grid
+from .grid import Field, Grid
 
 GAMMA_ZERO_TOL = 1e-8
 
@@ -40,12 +40,12 @@ class GpParams:
     omega0: float = 1.0
 
     def __post_init__(self):
-        if not (same_grid(self.mu, self.sigma) and same_grid(self.mu, self.gamma)):
+        if not self.mu.grid == self.sigma.grid == self.gamma.grid:
             raise GridMismatch("mu, sigma, gamma must share one grid")
         if not np.all(self.sigma.values > 0):
             raise ValueError("sigma must be positive at every site")
-        if not self.omega0 > 0:
-            raise ValueError("omega0 must be positive")
+        if not 0.0 < self.omega0 < np.inf:
+            raise ValueError("omega0 must be positive and finite")
 
     @property
     def grid(self) -> Grid:
@@ -79,7 +79,7 @@ class NormingFunctions:
     k: int | None = None
 
     def __post_init__(self):
-        if not (same_grid(self.gamma, self.a_t) and same_grid(self.gamma, self.b_t)):
+        if not self.gamma.grid == self.a_t.grid == self.b_t.grid:
             raise GridMismatch("gamma, a_t, b_t must share one grid")
         if not np.all(self.a_t.values > 0):
             raise ValueError("a_t must be positive at every site")
@@ -162,7 +162,7 @@ def _as_field(w) -> Field:
 def to_generalized(w, p: GpParams) -> Field:
     """mu + sigma * (w^gamma - 1)/gamma componentwise."""
     f = _as_field(w)
-    if not same_grid(f, p.mu):
+    if f.grid != p.grid:
         raise GridMismatch("sample and parameters live on different grids")
     out = p.mu.values + p.sigma.values * power_transform_values(f.values, p.gamma.values)
     return Field(f.grid, _require_finite(out, "generalized transform"))
@@ -174,7 +174,7 @@ def from_generalized(g: Field, p: GpParams, return_clamped: bool = False):
     Out-of-support sites are clamped to 0 and reported through
     ``OutOfSupportWarning`` (or returned as a mask with ``return_clamped``).
     """
-    if not same_grid(g, p.mu):
+    if g.grid != p.grid:
         raise GridMismatch("field and parameters live on different grids")
     z = (g.values - p.mu.values) / p.sigma.values
     out, clamped = inv_power_transform_values(z, p.gamma.values)
@@ -206,7 +206,7 @@ def apply_T(x: Field, nf: NormingFunctions) -> Field:
     threshold range (gamma > 0) map to level 0 silently, values beyond a
     negative-gamma upper endpoint to the level ceiling.
     """
-    if not same_grid(x, nf.gamma):
+    if x.grid != nf.grid:
         raise GridMismatch("field and norming functions live on different grids")
     return Field(x.grid, apply_T_values(x.values, nf))
 
@@ -221,7 +221,7 @@ def invert_T_values(y: np.ndarray, nf: NormingFunctions) -> np.ndarray:
 def invert_T(y: Field, nf: NormingFunctions) -> Field:
     """Inverse normalization b_t + a_t * (y^gamma - 1)/gamma; undoes
     :func:`apply_T` wherever the latter did not clamp."""
-    if not same_grid(y, nf.gamma):
+    if y.grid != nf.grid:
         raise GridMismatch("field and norming functions live on different grids")
     return Field(y.grid, invert_T_values(y.values, nf))
 
@@ -245,11 +245,3 @@ def stability_norming(p: GpParams, r: float) -> tuple[Field, Field]:
 def record_to_json(rec: GpParams | NormingFunctions) -> str:
     items = ((f.name, getattr(rec, f.name)) for f in fields(rec))
     return json.dumps({k: v.values.tolist() if isinstance(v, Field) else v for k, v in items})
-
-
-def record_from_json(cls, doc: str, grid: Grid):
-    """Inverse of :func:`record_to_json` for ``cls`` GpParams or
-    NormingFunctions, with the Fields placed on ``grid``."""
-    data = json.loads(doc)
-    return cls(**{k: Field(grid, np.asarray(v)) if isinstance(v, list) else v
-                  for k, v in data.items()})

@@ -61,9 +61,12 @@ def test_bad_site_count_is_config_error(tmp_path):
 
 def test_config_file_with_flag_override(tmp_path):
     cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps({"seed": 3, "kind": "constant", "n": 5, "sites": 4}))
+    cfg.write_text(json.dumps({"seed": 3, "kind": "constant", "n": 5, "sites": "4", "omega0": 1}))
     out1 = tmp_path / "o1"
     assert main(["simulate", "--config", str(cfg), "--out", str(out1)]) == 0
+    # numbers are typed like their flags: "4" is the int 4 and 1 the float 1.0
+    manifest = (out1 / "manifest.json").read_text()
+    assert '"omega0": 1.0' in manifest and '"sites": 4' in manifest
     # flag wins over the config file
     out2 = tmp_path / "o2"
     assert main(["simulate", "--config", str(cfg), "--n", "8", "--out", str(out2)]) == 0
@@ -138,6 +141,12 @@ def test_lift_command(tmp_path):
                  id="spec_grid_mismatch"),
     pytest.param(["lift", "--data", "{tied}", "--sites", "3", "--k", "5"], "DegenerateTail",
                  id="degenerate_tail"),
+    pytest.param(["simulate", "--omega0", "inf", "--sites", "3", "--n", "10"], "ValueError",
+                 id="simulate_omega0_inf"),
+    pytest.param(["df-battery", "--spec", "constant", "--omega0", "inf", "--sites", "3",
+                  "--n-mc", "10", "--n-direct", "10"], "ValueError", id="df_battery_omega0_inf"),
+    pytest.param(["maxstable-check", "--spec", "constant", "--omega0", "inf", "--sites", "3",
+                  "--n", "10", "--n-rep", "10"], "ValueError", id="maxstable_check_omega0_inf"),
 ])
 def test_library_error_exits_two_with_one_line(tmp_path, capsys, argv, error):
     tied = tmp_path / "tied.csv"  # equal values: tied top order statistics at every site
@@ -188,6 +197,10 @@ def test_malformed_lift_data_exits_two_with_one_line(tmp_path, capsys, text):
     pytest.param('{"seed": 1, "k": 5}', "simulate", "'k'", id="unread_key"),
     pytest.param('{"quick": "no"}', "verify-all", "quick", id="quick_string"),
     pytest.param('{"seed": 0}', "verify-all", "'seed'", id="verify_all_seed"),
+    pytest.param('{"seed": 1, "n": 2.7, "sites": 3}', "simulate", "n=2.7", id="fractional_int"),
+    pytest.param('{"seed": true}', "simulate", "seed=True", id="boolean_int"),
+    pytest.param('{"seed": 1, "n": 1e300}', "simulate", "n=1e+300", id="huge_int"),
+    pytest.param('{"seed": 1, "omega0": true}', "simulate", "omega0=True", id="boolean_float"),
 ])
 def test_malformed_config_exits_two_with_one_line(tmp_path, capsys, doc, command, names):
     cfg = tmp_path / "cfg.json"

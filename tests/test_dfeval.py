@@ -17,7 +17,7 @@ from paretoproc.dfeval import (
     run_battery,
     survival_gt,
 )
-from paretoproc.errors import NonPositiveArgument, OutOfSupport, PreconditionFailed
+from paretoproc.errors import GridMismatch, NonPositiveArgument, OutOfSupport, PreconditionFailed
 from paretoproc.grid import Field, Grid
 from paretoproc.rng import make_rng
 from paretoproc.spectral import SpectralProfileSpec
@@ -150,6 +150,13 @@ def test_df_generalized_out_of_support():
     g = Grid.regular(5)
     p = GpParams.constant(g, mu=0.0, sigma=1.0, gamma=-0.5)
     with pytest.raises(OutOfSupport):
+        df_generalized(DfQuery(flat(g, 3.0), "LEQ", 100, 0), p, CONST, g)
+
+
+def test_df_generalized_rejects_parameters_on_another_grid():
+    g = Grid.regular(3)
+    p = GpParams.constant(Grid([0.0, 2.0, 5.0]), mu=0.0, sigma=1.0, gamma=0.5)
+    with pytest.raises(GridMismatch):
         df_generalized(DfQuery(flat(g, 3.0), "LEQ", 100, 0), p, CONST, g)
 
 

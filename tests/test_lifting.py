@@ -1,3 +1,6 @@
+import json
+from dataclasses import fields
+
 import numpy as np
 import pytest
 
@@ -14,7 +17,6 @@ from paretoproc.lifting import (
     sample_scenario_fields,
     scenario_index_field,
     select_exceedances,
-    smooth_norming,
     write_lift_report,
 )
 from paretoproc.pareto import sample_simple_pareto_batch
@@ -170,22 +172,6 @@ def test_lift_preserves_selection_law():
     assert two_sample_ks_pvalue(sup_lifted, sup_selected) > 0.01
 
 
-def test_smooth_norming():
-    grid = Grid.regular(9)
-    nf = NormingFunctions(
-        gamma=scenario_index_field(grid),
-        a_t=scenario_index_field(grid),
-        b_t=scenario_index_field(grid),
-        t=10.0,
-    )
-    smoothed = smooth_norming(nf, window=3)
-    assert smoothed.gamma.values.shape == (9,)
-    assert smoothed.t == nf.t
-    assert np.array_equal(smooth_norming(nf, 1).gamma.values, nf.gamma.values)
-    with pytest.raises(ValueError):
-        smooth_norming(nf, 2)
-
-
 def test_scenario_index_field_values():
     grid = Grid.regular(3)  # sites 0, 0.5, 1
     gamma = scenario_index_field(grid).values
@@ -230,7 +216,9 @@ def test_write_lift_report(tmp_path):
     write_lift_report(report, out, extra_manifest={"seed": 15})
     for name in ("norming.json", "selected.csv", "lifted.csv", "normalized.csv", "manifest.json"):
         assert (out / name).exists()
-    import json
-
     manifest = json.loads((out / "manifest.json").read_text())
     assert manifest["t0"] == 10.0 and manifest["seed"] == 15
+    # one key per NormingFunctions field, in field order; a Field as its site array
+    norming = json.loads((out / "norming.json").read_text())
+    assert list(norming) == [f.name for f in fields(NormingFunctions)]
+    assert norming["a_t"] == [2.0] * 6 and norming["t"] == 2.0 and norming["k"] is None

@@ -179,7 +179,12 @@ def test_mean_field_exact_with_zero_se(spec, grid):
 
 def test_mean_field_monte_carlo_on_scattered_grid():
     spec = SpectralProfileSpec("gaussian_moving_max", bandwidth=0.3)
-    grid = Grid(np.random.default_rng(2).random((6, 2)))
-    cfg = PenroseConfig(spec, grid)
+    sites = np.random.default_rng(2).random((6, 2))
+    cache = maxstable._monte_carlo_mean_field
+    cache.cache_clear()
+    cfg = PenroseConfig(spec, Grid(sites))
     assert np.all(cfg.mean_field_se > 0.0)
-    assert (spec, grid.key()) in maxstable._MEAN_CACHE
+    # a fresh, equal grid finds the estimate by its sites
+    again = PenroseConfig(SpectralProfileSpec("gaussian_moving_max", bandwidth=0.3), Grid(sites))
+    assert cache.cache_info()[:3] == (1, 1, 16)  # one hit, one miss, 16 kept at most
+    assert again.mean_field is cfg.mean_field

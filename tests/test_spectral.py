@@ -93,8 +93,9 @@ def test_sampling_is_reproducible_per_stream():
 
 
 def test_spec_validation():
-    with pytest.raises(ValueError):
-        SpectralProfileSpec("constant", omega0=0.0)
+    for omega0 in (0.0, np.inf, np.nan):
+        with pytest.raises(ValueError, match="omega0"):
+            SpectralProfileSpec("constant", omega0=omega0)
     with pytest.raises(ValueError):
         SpectralProfileSpec("gaussian_moving_max", bandwidth=0.0)
     with pytest.raises(ValueError):
@@ -156,21 +157,26 @@ def test_no_exact_mean_without_closed_form():
 
 
 def test_cholesky_cache_drops_least_recently_used():
-    cache = spectral._CHOL_CACHE
-    grid = Grid.regular(5)
-    lengths = [0.11 + 0.01 * i for i in range(cache.maxsize + 1)]
+    cache = spectral._sq_exp_cholesky
+    maxsize = 4  # the bound: one factor takes 8 MB at 1001 sites
+    lengths = [0.11 + 0.01 * i for i in range(maxsize + 1)]
 
     def draw(corr_length):
+        # a fresh grid object per call: the cache is keyed by the grid's sites
         spec = SpectralProfileSpec("rescaled_positive_field", corr_length=corr_length)
-        sample_profiles(spec, grid, 1, make_rng(0, "chol"))
+        sample_profiles(spec, Grid.regular(5), 1, make_rng(0, "chol"))
 
+    cache.cache_clear()
     for c in lengths[:-1]:
         draw(c)
-    draw(lengths[0])  # the first entry is now the most recently used
-    draw(lengths[-1])
-    assert len(cache) == cache.maxsize
-    assert (grid.key(), lengths[1]) not in cache
-    assert all((grid.key(), c) in cache for c in [lengths[0], *lengths[2:]])
+    draw(lengths[0])  # a hit, and the first entry is now the most recently used
+    draw(lengths[-1])  # a miss that drops lengths[1]
+    assert cache.cache_info()[:] == (1, maxsize + 1, maxsize, maxsize)
+    for c in [lengths[0], *lengths[2:]]:
+        draw(c)
+    assert cache.cache_info().hits == 1 + maxsize
+    draw(lengths[1])
+    assert cache.cache_info().misses == maxsize + 2
 
 
 @pytest.mark.parametrize("dim", [1, 2, 3])

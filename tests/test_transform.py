@@ -1,5 +1,3 @@
-import json
-
 import numpy as np
 import pytest
 
@@ -17,8 +15,6 @@ from paretoproc.transforms import (
     inv_power_transform_values,
     invert_T,
     power_transform_values,
-    record_from_json,
-    record_to_json,
     stability_norming,
     to_generalized,
 )
@@ -127,6 +123,15 @@ def test_grid_mismatch_raised(grid2):
     other = Field(Grid.regular(3), [1.0, 2.0, 3.0])
     with pytest.raises(GridMismatch):
         to_generalized(other, p)
+    # the same number of sites at other coordinates is another grid
+    with pytest.raises(GridMismatch):
+        to_generalized(Field(Grid([0.0, 2.0]), [1.0, 2.0]), p)
+
+
+@pytest.mark.parametrize("omega0", [0.0, np.inf, np.nan])
+def test_gp_params_omega0_must_be_positive_and_finite(grid2, omega0):
+    with pytest.raises(ValueError, match="omega0"):
+        GpParams.constant(grid2, mu=0.0, sigma=1.0, gamma=1.0, omega0=omega0)
 
 
 def test_to_generalized_zero_with_nonpositive_gamma_raises(grid2):
@@ -191,18 +196,3 @@ def test_generalized_homogeneity_of_threshold_events():
         p_ra = (w[:, site] > r * c).mean()
         se_ra = np.sqrt(p_ra * (1 - p_ra) / n)
         assert abs(r * p_ra - p_a) <= 3.0 * np.hypot(r * se_ra, se_a)
-
-
-def test_json_roundtrips(grid2):
-    p = GpParams.constant(grid2, mu=1.0, sigma=2.0, gamma=-0.3, omega0=1.5)
-    back = record_from_json(GpParams, record_to_json(p), grid2)
-    assert np.array_equal(back.mu.values, p.mu.values)
-    assert np.array_equal(back.sigma.values, p.sigma.values)
-    assert np.array_equal(back.gamma.values, p.gamma.values)
-    assert back.omega0 == p.omega0
-    nf = NormingFunctions.constant(grid2, gamma=0.5, a_t=2.0, b_t=1.0, t=40.0)
-    doc = json.loads(record_to_json(nf))
-    assert doc["k"] is None
-    back = record_from_json(NormingFunctions, record_to_json(nf), grid2)
-    assert back.t == 40.0
-    assert np.array_equal(back.gamma.values, nf.gamma.values)
