@@ -1,5 +1,5 @@
 """Behaviour lock: SHA-256 digests of the data outputs of one small config per
-CLI command.
+CLI command, plus a second ``simulate`` config for ``rescaled_positive_field``.
 
 A change that must leave every output as it is keeps these digests. A change
 that alters a random stream or an output format on purpose re-pins the
@@ -19,10 +19,14 @@ SEED = "11"
 SCENARIO = ["--sites", "21", "--k", "40", "--t0", "10", "--seed", SEED]
 REPORT = ("lifted.csv", "normalized.csv", "norming.json", "selected.csv")
 
-# command -> (argv without --out, data outputs)
+# config name -> (argv without --out, data outputs)
 COMMANDS = {
     "simulate": (["simulate", "--spec", "gaussian_moving_max", "--sites", "11",
                   "--n", "300", "--seed", SEED], ("radii.csv", "samples.csv")),
+    # 25 sites x 200 draws = 5,000 rows: samples.csv spans two CSV blocks
+    "simulate-rescaled": (["simulate", "--spec", "rescaled_positive_field", "--dim", "2",
+                           "--sites", "5", "--n", "200", "--seed", SEED],
+                          ("radii.csv", "samples.csv")),
     "scenario43": (["scenario43", "--n", "1000", *SCENARIO], REPORT + ("source.csv",)),
     "lift": (["lift", "--data", "{scenario43}/source.csv", *SCENARIO], REPORT),
     "maxstable-check": (["maxstable-check", "--spec", "gaussian_moving_max", "--sites", "11",
@@ -36,6 +40,10 @@ EXPECTED = {
     "simulate": {
         "radii.csv": "9f0c034e43d5aeb43813c6b8115f935fc4c442ccb7877d97b2dda45ec1b7916a",
         "samples.csv": "ea73a9dcc727018dae6f466573256dc3ed38b532b062a82dde4ef6503699e896",
+    },
+    "simulate-rescaled": {
+        "radii.csv": "d14bc0d5b04e4fde70f17ca54be2999e649960b611c02d4f5509ec4db60c9e38",
+        "samples.csv": "ab98be2d83cc0e61fb01458754eecda8ea2c2160a67dfee4c8a694aad697a1ce",
     },
     "scenario43": {
         "lifted.csv": "81fad46720687400072b7429c0ba46f0ef99705e6c5fd193b914cf55473746b6",
