@@ -79,21 +79,6 @@ _OPTION_TABLE = {
 _GRID = ("sites", "lo", "hi", "dim")
 _SPEC = ("kind", "omega0", "bandwidth", "corr_length")
 
-# command -> (help, the options its runner reads); every command also takes
-# --config and --out
-_COMMAND_TABLE = {
-    "simulate": ("draw simple Pareto samples", ("seed", *_GRID, *_SPEC, "n")),
-    "df-battery": ("formula vs direct-frequency battery",
-                   ("seed", *_GRID, *_SPEC, "queries", "n_mc", "n_direct")),
-    "maxstable-check": ("max-stable construction checks",
-                        ("seed", *_GRID, *_SPEC, "n", "truncation", "n_block", "n_rep")),
-    "lift": ("estimate norming, select and lift observed fields",
-             ("seed", "sites", "dim", "data", "k", "t0", "policy", "sites_list")),
-    "scenario43": ("end-to-end powered moving-maximum lifting scenario on [0, 1]",
-                   ("seed", "sites", "n", "k", "t0")),
-    "verify-all": ("run the verification suite", ("quick",)),
-}
-
 
 @dataclass
 class RunConfig:
@@ -125,7 +110,7 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Simulation and verification of Pareto processes on grids",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for command, (help_text, keys) in _COMMAND_TABLE.items():
+    for command, (_, help_text, keys) in _COMMAND_TABLE.items():
         p = sub.add_parser(command, help=help_text)
         p.add_argument("--config", help="JSON config file; flags override it")
         for key in ("out", *keys):
@@ -156,7 +141,7 @@ def _typed(key: str, value):
 
 
 def _merge_config(args: argparse.Namespace) -> RunConfig:
-    keys = ("out", *_COMMAND_TABLE[args.command][1])
+    keys = ("out", *_COMMAND_TABLE[args.command][2])
     options: dict = {}
     if args.config:
         try:
@@ -299,13 +284,20 @@ def _cmd_verify_all(cfg: RunConfig) -> int:
     return 0 if all(r.passed for r in results) else 1
 
 
-_RUNNERS = {
-    "simulate": _cmd_simulate,
-    "df-battery": _cmd_df_battery,
-    "maxstable-check": _cmd_maxstable_check,
-    "lift": _cmd_lift,
-    "scenario43": _cmd_scenario43,
-    "verify-all": _cmd_verify_all,
+# command -> (runner, help, the options the runner reads); every command also
+# takes --config and --out
+_COMMAND_TABLE = {
+    "simulate": (_cmd_simulate, "draw simple Pareto samples", ("seed", *_GRID, *_SPEC, "n")),
+    "df-battery": (_cmd_df_battery, "formula vs direct-frequency battery",
+                   ("seed", *_GRID, *_SPEC, "queries", "n_mc", "n_direct")),
+    "maxstable-check": (_cmd_maxstable_check, "max-stable construction checks",
+                        ("seed", *_GRID, *_SPEC, "n", "truncation", "n_block", "n_rep")),
+    "lift": (_cmd_lift, "estimate norming, select and lift observed fields",
+             ("seed", "sites", "dim", "data", "k", "t0", "policy", "sites_list")),
+    "scenario43": (_cmd_scenario43,
+                   "end-to-end powered moving-maximum lifting scenario on [0, 1]",
+                   ("seed", "sites", "n", "k", "t0")),
+    "verify-all": (_cmd_verify_all, "run the verification suite", ("quick",)),
 }
 
 
@@ -315,7 +307,7 @@ def run(cfg: RunConfig) -> int:
     cfg.outdir.mkdir(parents=True, exist_ok=True)
     path = cfg.outdir / "manifest.json"
     path.unlink(missing_ok=True)
-    code = _RUNNERS[cfg.command](cfg)
+    code = _COMMAND_TABLE[cfg.command][0](cfg)
     doc = json.loads(path.read_text()) if path.exists() else {}
     doc.update(_manifest(cfg), status="ok" if code == 0 else "failed")
     tmp = path.with_name("manifest.json.tmp")

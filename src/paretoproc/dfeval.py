@@ -29,6 +29,7 @@ LEQ = "LEQ"
 GT = "GT"
 NOT_LEQ = "NOT_LEQ"
 MODES = (LEQ, GT, NOT_LEQ)
+PRETEST_N = 20_000  # profiles of the E inf V > 0 pre-test of conditional_sup_tail
 
 
 @dataclass(frozen=True)
@@ -192,7 +193,6 @@ def conditional_sup_tail(
     x: float,
     n_sim: int = 100_000,
     rng: np.random.Generator | None = None,
-    pretest_n: int = 20_000,
 ) -> float:
     """Empirical P(W > x | W > omega0) by direct simulation.
 
@@ -202,7 +202,7 @@ def conditional_sup_tail(
     """
     if rng is None:
         rng = make_rng(0, "conditional_sup_tail")
-    mean_inf, se_inf = _mean_result(sample_profiles(spec, grid, pretest_n, rng).min(axis=1))
+    mean_inf, se_inf = _mean_result(sample_profiles(spec, grid, PRETEST_N, rng).min(axis=1))
     if not mean_inf - 3.0 * se_inf > 0.0:
         raise PreconditionFailed(
             f"E inf V not significantly positive (estimate {mean_inf:.3g} "
@@ -357,8 +357,9 @@ def default_battery(grid: Grid, n_mc: int = 10_000, seed: int = 0) -> list[DfQue
 
 
 def queries_from_json(path, grid: Grid) -> list[DfQuery]:
-    """Battery file: JSON list of {mode, w (array or scalar), n_mc, seed}.
-    A non-JSON or malformed file raises ``ValueError`` naming the file (and entry)."""
+    """Battery file: JSON list of {mode, w (array or scalar), n_mc, seed};
+    n_mc and seed must be JSON integers. A non-JSON or malformed file raises
+    ``ValueError`` naming the file (and entry)."""
     with open(path) as fh:
         try:
             raw = json.load(fh)
@@ -371,10 +372,11 @@ def queries_from_json(path, grid: Grid) -> list[DfQuery]:
         try:
             w = item["w"]
             values = np.full(grid.n_sites, float(w)) if np.isscalar(w) else np.asarray(w, float)
-            queries.append(
-                DfQuery(Field(grid, values), item["mode"],
-                        int(item.get("n_mc", 10_000)), int(item.get("seed", 0)))
-            )
+            counts = {"n_mc": item.get("n_mc", 10_000), "seed": item.get("seed", 0)}
+            for key, value in counts.items():
+                if type(value) is not int:  # a float or bool would be truncated
+                    raise ValueError(f"{key} must be a JSON integer, not {json.dumps(value)}")
+            queries.append(DfQuery(Field(grid, values), item["mode"], **counts))
         except KeyError as exc:
             raise ValueError(f"{path}: query {i} has no {exc} entry") from exc
         except (TypeError, ValueError) as exc:

@@ -29,6 +29,8 @@ from .spectral import (
 )
 
 MEAN_RESCALE_N = 1_000_000
+MOVING_MAX_MARGIN = 4.0  # kernel widths the storm centers reach beyond the domain
+DOA_SE_FACTOR = 3.0  # standard errors a sup-ratio check may miss 1/x by
 
 
 @functools.lru_cache(maxsize=16)
@@ -188,20 +190,18 @@ def construction_checks(cfg: PenroseConfig, n: int, seed: int) -> list[Check]:
 # ---------------------------------------------------------------------------
 # Moving-maximum process with Gaussian kernel: a classic simple max-stable
 # family on an interval, used as the storm ingredient of the end-to-end
-# lifting scenario. Storm centers extend ``margin`` kernel widths beyond the
-# domain so the marginals are standard Frechet up to a negligible window bias.
+# lifting scenario. Storm centers extend MOVING_MAX_MARGIN kernel widths beyond
+# the domain so the marginals are standard Frechet up to a negligible window bias.
 # ---------------------------------------------------------------------------
 
-def sample_moving_maximum_batch(
-    grid: Grid, n: int, rng: np.random.Generator, margin: float = 4.0
-) -> np.ndarray:
+def sample_moving_maximum_batch(grid: Grid, n: int, rng: np.random.Generator) -> np.ndarray:
     """n fields Z(s) = max_i Z_i * phi(s - C_i), phi the standard normal
     density, with (Z_i, C_i) Poisson of intensity r^-2 dr dc on the widened
-    interval. Marginals are Frechet with scale within Phi(-margin) of one."""
+    interval. Marginals are Frechet with scale within Phi(-MOVING_MAX_MARGIN) of one."""
     if grid.dim != 1:
         raise ValueError("moving-maximum sampler is one-dimensional")
     coords = grid.coords()
-    lo, hi = coords.min() - margin, coords.max() + margin
+    lo, hi = coords.min() - MOVING_MAX_MARGIN, coords.max() + MOVING_MAX_MARGIN
     width = hi - lo
     phi_max = 1.0 / np.sqrt(2.0 * np.pi)
 
@@ -225,7 +225,6 @@ def doa_empirical_check(
     n_rep: int,
     rng: np.random.Generator,
     input_kind: str = "pareto",
-    se_factor: float = 3.0,
 ) -> dict:
     """Finite-sample domain-of-attraction report at threshold level t = n_block.
 
@@ -278,7 +277,7 @@ def doa_empirical_check(
             checks.append(Check(f"sup_ratio_x{x:g}", None, None, False))
             continue
         q_hat = float(np.mean(radius[exceed] > x))
-        bound = se_factor * float(np.sqrt(q_hat * (1.0 - q_hat) / n_exc))
+        bound = DOA_SE_FACTOR * float(np.sqrt(q_hat * (1.0 - q_hat) / n_exc))
         checks.append(Check(f"sup_ratio_x{x:g}", q_hat, bound,
                             abs(q_hat - 1.0 / x) <= max(bound, 1e-12)))
 

@@ -89,14 +89,6 @@ def _check_grid(spec: SpectralProfileSpec, grid: Grid) -> None:
             )
 
 
-def _rescale_to_omega0(raw: np.ndarray, rowmax: np.ndarray, omega0: float) -> np.ndarray:
-    # (x / rowmax) * omega0 in place: the argmax entry becomes exactly omega0
-    # and rounding monotonicity keeps every other entry <= omega0.
-    raw /= rowmax
-    raw *= omega0
-    return raw
-
-
 def _bump_exponent(sites: np.ndarray, centers: np.ndarray, h: float) -> np.ndarray:
     """-|s - c|^2 / 2h^2 for every center c (rows) and site s (columns),
     built in one (n, m) buffer: axis squares are added in axis order, the
@@ -124,9 +116,7 @@ def gaussian_bump(sites: np.ndarray, centers: np.ndarray, h: float) -> np.ndarra
 # 8 MB at 1001 sites, so only a few are kept.
 @functools.lru_cache(maxsize=4)
 def _sq_exp_cholesky(grid: Grid, corr_length: float) -> np.ndarray:
-    diff = grid.sites[:, None, :] - grid.sites[None, :, :]
-    sq_dist = np.sum(diff * diff, axis=-1)
-    cov = np.exp(-0.5 * sq_dist / corr_length**2)
+    cov = gaussian_bump(grid.sites, grid.sites, corr_length)
     cov[np.diag_indices_from(cov)] += 1e-10  # numerical positive definiteness
     return np.linalg.cholesky(cov)
 
@@ -163,15 +153,20 @@ def sample_profiles(
             e = _bump_exponent(grid.sites, centers[low], spec.bandwidth)
             raw[low] = np.exp(e - e.max(axis=1, keepdims=True))
             rowmax[low] = 1.0
-        return _rescale_to_omega0(raw, rowmax, w0)
+        # (x / rowmax) * omega0 in place: the argmax entry becomes exactly
+        # omega0 and rounding monotonicity keeps every other entry <= omega0
+        raw /= rowmax
+        raw *= w0
+        return raw
     # rescaled_positive_field
     chol = _sq_exp_cholesky(grid, spec.corr_length)
     z = rng.standard_normal((n, m)) @ chol.T
-    # subtract the row max before exponentiating so exp never overflows;
-    # the rescale divides it out again
+    # subtract the row max before exponentiating so exp never overflows; every
+    # row then peaks at exp(0) = 1 exactly, so times omega0 its sup is omega0
     z -= z.max(axis=1, keepdims=True)
     np.exp(z, out=z)
-    return _rescale_to_omega0(z, z.max(axis=1, keepdims=True), w0)
+    z *= w0
+    return z
 
 
 def sample_profile(

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dfeval import default_battery, df_findim, run_battery
+from .dfeval import bernoulli_pair_cdf, default_battery, df_findim, run_battery
 from .gof import (
     Check,
     ks_critical_value,
@@ -106,17 +106,8 @@ def check_pot_stability(quick: bool = False) -> tuple[str, list[Check]]:
     return "pot_stability", [Check("min_ks_p", min(pvals), 0.01, min(pvals) > 0.01)]
 
 
-# Evaluation points for the two-site closed form; expected values computed
-# from the piecewise df of (Y*B, Y*(1-B)): each coordinate carries half a
-# univariate Pareto tail, so the df is the sum of the two axis masses.
-BIVARIATE_BATTERY = [
-    ((2.0, 2.0), 0.5),
-    ((2.0, 0.5), 0.25),
-    ((0.5, 2.0), 0.25),
-    ((0.5, 0.5), 0.0),
-    ((4.0, 4.0), 0.75),
-    ((1.0, 1.0), 0.0),
-]
+# Evaluation points (x, y) of the two-site closed form ``bernoulli_pair_cdf``
+BIVARIATE_BATTERY = [(2.0, 2.0), (2.0, 0.5), (0.5, 2.0), (0.5, 0.5), (4.0, 4.0), (1.0, 1.0)]
 
 
 def check_bivariate_closed_form(quick: bool = False) -> tuple[str, list[Check]]:
@@ -125,9 +116,9 @@ def check_bivariate_closed_form(quick: bool = False) -> tuple[str, list[Check]]:
     tol = 1e-3 * np.sqrt(1_000_000 / n_mc)
     spec = SpectralProfileSpec(BERNOULLI_PAIR)
     worst = 0.0
-    for i, ((x, y), expected) in enumerate(BIVARIATE_BATTERY):
+    for i, (x, y) in enumerate(BIVARIATE_BATTERY):
         res = df_findim((x, y), spec, 2, n_mc=n_mc, seed=SEED + i)
-        worst = max(worst, abs(res.estimate - expected))
+        worst = max(worst, abs(res.estimate - bernoulli_pair_cdf(x, y)))
     return "bivariate_closed_form", [Check("worst_abs_error", worst, tol, worst <= tol)]
 
 

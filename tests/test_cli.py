@@ -244,6 +244,12 @@ def test_n_mc_with_query_file_exits_two(tmp_path, capsys):
     pytest.param('{"mode": "LEQ", "w": 2.0}', "list", id="object"),
     pytest.param('[{"mode": "LEQ", "w": 2.0}, {"mode": "GT"}]', "query 1", id="missing_w"),
     pytest.param('[{"mode": "LEQ", "w": 2.0}\n{"mode": "GT"}]', "delimiter", id="not_json"),
+    # counts are JSON integers: a float or bool is not truncated to one
+    pytest.param('[{"mode": "LEQ", "w": 2.0, "n_mc": 2.7, "seed": 1}]', "query 0", id="n_mc_float"),
+    pytest.param('[{"mode": "LEQ", "w": 2.0, "n_mc": 20, "seed": 1.9}]', "query 0", id="seed_float"),
+    pytest.param('[{"mode": "LEQ", "w": 2.0, "n_mc": true}]', "query 0", id="n_mc_bool"),
+    pytest.param('[{"mode": "LEQ", "w": 2.0}, {"mode": "GT", "w": 2.0, "n_mc": 1e300}]',
+                 "query 1", id="n_mc_1e300"),
 ])
 def test_malformed_query_file_exits_two_with_one_line(tmp_path, capsys, doc, entry):
     queries = tmp_path / "q.json"
@@ -285,7 +291,8 @@ def test_lift_report_manifest_keeps_run_keys(tmp_path, command):
 
 
 def test_manifest_status_failed_on_exit_one(tmp_path, monkeypatch):
-    monkeypatch.setitem(cli._RUNNERS, "simulate", lambda cfg: 1)
+    _, help_text, keys = cli._COMMAND_TABLE["simulate"]
+    monkeypatch.setitem(cli._COMMAND_TABLE, "simulate", (lambda cfg: 1, help_text, keys))
     assert main(["simulate", "--seed", "1", "--out", str(tmp_path)]) == 1
     assert json.loads((tmp_path / "manifest.json").read_text())["status"] == "failed"
 

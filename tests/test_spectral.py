@@ -201,3 +201,44 @@ def test_gaussian_bump_profiles_allocate_little_beyond_output():
     finally:
         tracemalloc.stop()
     assert peak <= 1.25 * p.nbytes
+
+
+def _reference_rescaled_profiles(spec, grid, n, rng):
+    # the sampler as first written: covariance from the (m, m, d) difference
+    # array, Cholesky factor, row-max shift and exp, then division by the row
+    # max and multiplication by omega0
+    diff = grid.sites[:, None, :] - grid.sites[None, :, :]
+    cov = np.exp(-0.5 * np.sum(diff**2, axis=-1) / spec.corr_length**2)
+    cov += 1e-10 * np.eye(grid.n_sites)
+    z = rng.standard_normal((n, grid.n_sites)) @ np.linalg.cholesky(cov).T
+    z = np.exp(z - z.max(axis=1, keepdims=True))
+    return z / z.max(axis=1, keepdims=True) * spec.omega0
+
+
+@pytest.mark.parametrize("omega0", [1.0, 2.5])
+@pytest.mark.parametrize("grid", [
+    pytest.param(Grid.regular(101), id="1d_101"),
+    pytest.param(_tensor_grid_2d(), id="2d_tensor"),
+    pytest.param(Grid(np.random.default_rng(2).random((40, 3))), id="3d_scattered"),
+])
+def test_rescaled_field_matches_reference_sampler_bitwise(grid, omega0):
+    spec = SpectralProfileSpec("rescaled_positive_field", omega0=omega0)
+    got = sample_profiles(spec, grid, 300, make_rng(7, "reference"))
+    want = _reference_rescaled_profiles(spec, grid, 300, make_rng(7, "reference"))
+    assert np.array_equal(got, want)
+
+
+def test_sq_exp_cholesky_allocates_little_beyond_its_factor():
+    # the covariance is built in one (m, m) buffer by gaussian_bump: no
+    # (m, m, d) difference array and no (m, m) distance temporaries
+    x, y = np.meshgrid(np.linspace(0.0, 1.0, 21), np.linspace(0.0, 1.0, 21), indexing="ij")
+    grid = Grid(np.column_stack([x.ravel(), y.ravel()]))
+    spectral._sq_exp_cholesky.cache_clear()
+    tracemalloc.start()
+    try:
+        factor = spectral._sq_exp_cholesky(grid, 0.3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+        spectral._sq_exp_cholesky.cache_clear()
+    assert peak <= 2.5 * factor.nbytes
