@@ -11,7 +11,8 @@ byte-identical outputs. Outputs are plot-ready CSV/JSON only, rendering is
 left to external tools.
 
 Exit codes: 0 on success, 1 on any failed verification in verify-all,
-2 on configuration, input or domain errors, reported as one line on stderr.
+2 on configuration, input or domain errors, or an array too large to
+allocate, reported as one line on stderr.
 """
 from __future__ import annotations
 
@@ -319,7 +320,7 @@ def run(cfg: RunConfig) -> int:
 def main(argv=None) -> int:
     try:
         return run(_merge_config(_build_parser().parse_args(argv)))
-    except (ConfigError, ParetoProcError, ValueError, OSError) as exc:
+    except (ConfigError, ParetoProcError, ValueError, OSError, MemoryError) as exc:
         print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
         return 2
 

@@ -48,6 +48,8 @@ class DfQuery:
             raise ValueError("query field must be nonnegative")
         if self.n_mc < 1:
             raise ValueError("n_mc must be >= 1")
+        if self.seed < 0:
+            raise ValueError("seed must be >= 0")
 
 
 @dataclass(frozen=True)

@@ -11,7 +11,13 @@ Built-in kinds:
   nontrivial spatial dependence.
 * ``rescaled_positive_field``: an exponentiated stationary Gaussian field
   (squared-exponential covariance, unit variance), rescaled to sup omega0.
-  A rougher, strictly positive dependence family.
+  A rougher, strictly positive dependence family. The field is a low-rank
+  factor F = U sqrt(lambda) of the covariance applied to standard normals,
+  keeping the eigenvalues above ``EIG_TOL`` (1e-10) times the largest. On a
+  tensor grid the covariance is the Kronecker product of the per-axis
+  covariances, so there is one small factor per axis and no (m, m) array;
+  a scattered grid has one factor over all its sites. Factors are cached
+  per (grid, corr_length), at most four at a time.
 * ``bernoulli_pair``: on a two-site grid, (omega0, 0) or (0, omega0) with
   probability 1/2 each. Deliberately contains exact zeros so the restricted
   distribution-function formulas see profiles vanishing on part of the grid.
@@ -19,6 +25,7 @@ Built-in kinds:
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -34,6 +41,7 @@ BERNOULLI_PAIR = "bernoulli_pair"
 KINDS = (CONSTANT, GAUSSIAN_MOVING_MAX, RESCALED_POSITIVE_FIELD, BERNOULLI_PAIR)
 MEAN_BLOCK = 100_000  # profiles drawn at a time: bounds a mean estimate's memory
 EXACT_BLOCK = 1 << 18  # (site, cell) pairs per block of the exact bump mean
+EIG_TOL = 1e-10  # covariance eigenvalues kept, relative to the largest
 
 _ALIASES = {
     "constantprofile": CONSTANT,
@@ -111,14 +119,30 @@ def gaussian_bump(sites: np.ndarray, centers: np.ndarray, h: float) -> np.ndarra
     return np.exp(out, out=out)
 
 
-# Cholesky factors of the squared-exponential covariance, one per (grid,
-# corr_length). Grids are immutable so entries never stale; one factor takes
-# 8 MB at 1001 sites, so only a few are kept.
+def _tensor_axes(grid: Grid) -> tuple[list[np.ndarray], np.ndarray] | None:
+    """Per-axis sorted unique coordinates and each site's C-order index into
+    their product, or None when the grid is not a tensor grid (some
+    combination of the axis coordinates is not a site)."""
+    axes, index = zip(*(np.unique(x, return_inverse=True) for x in grid.sites.T))
+    shape = [u.size for u in axes]
+    if math.prod(shape) != grid.n_sites:
+        return None
+    return list(axes), np.ravel_multi_index(index, shape)
+
+
+# Low-rank factors F (F F^T ~ covariance) of the squared-exponential
+# covariance, one per (grid, corr_length). Grids are immutable so entries
+# never stale; a scattered grid's factor can be large, so only a few are kept.
 @functools.lru_cache(maxsize=4)
-def _sq_exp_cholesky(grid: Grid, corr_length: float) -> np.ndarray:
-    cov = gaussian_bump(grid.sites, grid.sites, corr_length)
-    cov[np.diag_indices_from(cov)] += 1e-10  # numerical positive definiteness
-    return np.linalg.cholesky(cov)
+def _sq_exp_factor(grid: Grid, corr_length: float) -> np.ndarray:
+    """U sqrt(lambda) over the eigenvalues above EIG_TOL times the largest:
+    at corr_length 0.3 an axis keeps 12 columns whether it has 51 or 1001
+    sites. Read-only, since every caller shares it."""
+    lam, u = np.linalg.eigh(gaussian_bump(grid.sites, grid.sites, corr_length))
+    keep = lam > EIG_TOL * lam[-1]
+    factor = u[:, keep] * np.sqrt(lam[keep])
+    factor.setflags(write=False)
+    return factor
 
 
 def sample_profiles(
@@ -158,9 +182,22 @@ def sample_profiles(
         raw /= rowmax
         raw *= w0
         return raw
-    # rescaled_positive_field
-    chol = _sq_exp_cholesky(grid, spec.corr_length)
-    z = rng.standard_normal((n, m)) @ chol.T
+    # rescaled_positive_field: the covariance is the Kronecker product of the
+    # per-axis covariances on a tensor grid, so one normal per rank-product
+    # cell is mapped to the sites one axis factor at a time
+    tensor = _tensor_axes(grid)
+    if tensor is None:  # scattered sites: one factor over all of them
+        parts, flat = [grid], None
+    else:
+        axes, flat = tensor
+        parts = [Grid(u) for u in axes if u.size > 1]
+    factors = [_sq_exp_factor(g, spec.corr_length) for g in parts]
+    z = rng.standard_normal((n, *(f.shape[1] for f in factors)))
+    for f in factors:  # contract the first rank axis, append its site axis
+        z = np.tensordot(z, f, axes=(1, 1))
+    z = z.reshape(n, m)
+    if flat is not None and np.any(flat != np.arange(m)):
+        z = z[:, flat]
     # subtract the row max before exponentiating so exp never overflows; every
     # row then peaks at exp(0) = 1 exactly, so times omega0 its sup is omega0
     z -= z.max(axis=1, keepdims=True)
@@ -201,17 +238,17 @@ def profile_mean(
     return Field(grid, profile_mean_se(spec, grid, n, rng)[0])
 
 
-def _bump_axis_mean(x: np.ndarray, h: float) -> np.ndarray:
-    """E exp(-((x - c)^2 - (k - c)^2) / 2h^2) at each coordinate of ``x``,
-    for c uniform on [min x, max x] and k the coordinate nearest c.
+def _bump_axis_mean(u: np.ndarray, h: float) -> np.ndarray:
+    """E exp(-((x - c)^2 - (k - c)^2) / 2h^2) at each x of the sorted unique
+    coordinates ``u``, for c uniform on [u[0], u[-1]] and k the coordinate
+    nearest c.
 
     Over the cell of coordinate k the exponent is linear in c with slope
     a = (x - k) / h^2 and at most 0, so each cell integral is
     exp(e_max) * (1 - exp(-|a| * cell length)) / |a|, or the cell length
     when x = k; no positive number is exponentiated."""
-    u, inverse = np.unique(x, return_inverse=True)
     if u.size == 1:
-        return np.ones(x.size)
+        return np.ones(1)
     edges = np.concatenate(([u[0]], (u[:-1] + u[1:]) / 2, [u[-1]]))
     c0, c1, length = edges[:-1], edges[1:], np.diff(edges)
     total = np.empty(u.size)
@@ -226,7 +263,7 @@ def _bump_axis_mean(x: np.ndarray, h: float) -> np.ndarray:
             cell = (np.exp(np.minimum(np.maximum(e0, e1), 0.0))
                     * -np.expm1(-slope * length) / slope)
         total[start:start + rows] = np.where(d == 0.0, length, cell).sum(axis=1)
-    return (total / (u[-1] - u[0]))[inverse]
+    return total / (u[-1] - u[0])
 
 
 def exact_profile_mean(spec: SpectralProfileSpec, grid: Grid) -> np.ndarray | None:
@@ -245,10 +282,11 @@ def exact_profile_mean(spec: SpectralProfileSpec, grid: Grid) -> np.ndarray | No
         return np.full(2, spec.omega0 / 2.0)
     if spec.kind != GAUSSIAN_MOVING_MAX:
         return None
-    axes = grid.sites.T
-    if np.prod([np.unique(x).size for x in axes]) != grid.n_sites:
+    tensor = _tensor_axes(grid)
+    if tensor is None:
         return None
-    mean = np.full(grid.n_sites, spec.omega0)
-    for x in axes:
-        mean *= _bump_axis_mean(x, spec.bandwidth)
-    return mean
+    axes, flat = tensor
+    mean = np.float64(spec.omega0)
+    for u in axes:
+        mean = np.multiply.outer(mean, _bump_axis_mean(u, spec.bandwidth))
+    return mean.ravel()[flat]

@@ -43,7 +43,9 @@ EXPECTED = {
     },
     "simulate-rescaled": {
         "radii.csv": "d14bc0d5b04e4fde70f17ca54be2999e649960b611c02d4f5509ec4db60c9e38",
-        "samples.csv": "ab98be2d83cc0e61fb01458754eecda8ea2c2160a67dfee4c8a694aad697a1ce",
+        # re-pinned when the dense Cholesky factor gave way to low-rank
+        # per-axis factors, which draw fewer normals; radii come first and stay
+        "samples.csv": "aa845e5e2ddf632289aa44151aa0c9de8d58c1b10dc3d8e4ef1b52c2c37f93f2",
     },
     "scenario43": {
         "lifted.csv": "81fad46720687400072b7429c0ba46f0ef99705e6c5fd193b914cf55473746b6",

@@ -9,7 +9,7 @@ import pytest
 import scipy
 
 import paretoproc
-from paretoproc import cli, grid, verify
+from paretoproc import cli, dfeval, grid, pareto, verify
 from paretoproc.cli import main
 from paretoproc.gof import Check
 from paretoproc.grid import Grid
@@ -250,6 +250,8 @@ def test_n_mc_with_query_file_exits_two(tmp_path, capsys):
     pytest.param('[{"mode": "LEQ", "w": 2.0, "n_mc": true}]', "query 0", id="n_mc_bool"),
     pytest.param('[{"mode": "LEQ", "w": 2.0}, {"mode": "GT", "w": 2.0, "n_mc": 1e300}]',
                  "query 1", id="n_mc_1e300"),
+    pytest.param('[{"mode": "LEQ", "w": 2.0, "n_mc": 50, "seed": -1}]',
+                 "query 0: seed must be >= 0", id="seed_negative"),
 ])
 def test_malformed_query_file_exits_two_with_one_line(tmp_path, capsys, doc, entry):
     queries = tmp_path / "q.json"
@@ -295,6 +297,34 @@ def test_manifest_status_failed_on_exit_one(tmp_path, monkeypatch):
     monkeypatch.setitem(cli._COMMAND_TABLE, "simulate", (lambda cfg: 1, help_text, keys))
     assert main(["simulate", "--seed", "1", "--out", str(tmp_path)]) == 1
     assert json.loads((tmp_path / "manifest.json").read_text())["status"] == "failed"
+
+
+def _cannot_allocate(*args, **kwargs):
+    raise MemoryError("Unable to allocate 7.28 TiB for an array with shape (1000000000000,)")
+
+
+@pytest.mark.parametrize("argv, module, name", [
+    pytest.param(["simulate", "--n", "1000000000000"], pareto, "sample_radii", id="simulate"),
+    pytest.param(["df-battery", "--n-mc", "1000000000000"], dfeval, "sample_profiles",
+                 id="df-battery"),
+])
+def test_count_too_large_to_allocate_exits_two_with_one_line(tmp_path, capsys, monkeypatch,
+                                                              argv, module, name):
+    # the sampler is patched: whether a huge allocation fails at once depends
+    # on the machine's memory overcommit
+    monkeypatch.setattr(module, name, _cannot_allocate)
+    assert main(argv + ["--sites", "5", "--seed", "2", "--out", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("MemoryError: Unable to allocate") and err.count("\n") == 1
+
+
+def test_rescaled_field_on_101_by_101_grid(tmp_path):
+    # 10,201 sites: a dense (m, m) covariance would take 0.8 GB
+    argv = ["simulate", "--spec", "rescaled_positive_field", "--dim", "2", "--sites", "101",
+            "--n", "50", "--omega0", "2.5", "--seed", "3", "--out", str(tmp_path)]
+    assert main(argv) == 0
+    v = np.loadtxt(tmp_path / "samples.csv", delimiter=",", skiprows=1, usecols=3)
+    assert np.all(v.reshape(50, 101 * 101).max(axis=1) == 2.5)
 
 
 def test_lift_without_data_is_config_error(tmp_path):

@@ -1,3 +1,4 @@
+import functools
 import tracemalloc
 
 import numpy as np
@@ -5,6 +6,7 @@ import pytest
 
 from paretoproc import spectral
 from paretoproc.errors import SpecGridMismatch
+from paretoproc.gof import two_sample_ks_pvalue
 from paretoproc.grid import Grid
 from paretoproc.rng import make_rng
 from paretoproc.spectral import (
@@ -156,15 +158,15 @@ def test_no_exact_mean_without_closed_form():
     assert exact_profile_mean(spec, Grid.regular(11)) is None
 
 
-def test_cholesky_cache_drops_least_recently_used():
-    cache = spectral._sq_exp_cholesky
-    maxsize = 4  # the bound: one factor takes 8 MB at 1001 sites
+def test_factor_cache_drops_least_recently_used():
+    cache = spectral._sq_exp_factor
+    maxsize = 4  # the bound: a scattered grid's factor can take megabytes
     lengths = [0.11 + 0.01 * i for i in range(maxsize + 1)]
 
     def draw(corr_length):
         # a fresh grid object per call: the cache is keyed by the grid's sites
         spec = SpectralProfileSpec("rescaled_positive_field", corr_length=corr_length)
-        sample_profiles(spec, Grid.regular(5), 1, make_rng(0, "chol"))
+        sample_profiles(spec, Grid.regular(5), 1, make_rng(0, "factor"))
 
     cache.cache_clear()
     for c in lengths[:-1]:
@@ -204,9 +206,9 @@ def test_gaussian_bump_profiles_allocate_little_beyond_output():
 
 
 def _reference_rescaled_profiles(spec, grid, n, rng):
-    # the sampler as first written: covariance from the (m, m, d) difference
-    # array, Cholesky factor, row-max shift and exp, then division by the row
-    # max and multiplication by omega0
+    # the dense sampler, the reference in law for the low-rank one: covariance
+    # from the (m, m, d) difference array, Cholesky factor, row-max shift and
+    # exp, then division by the row max and multiplication by omega0
     diff = grid.sites[:, None, :] - grid.sites[None, :, :]
     cov = np.exp(-0.5 * np.sum(diff**2, axis=-1) / spec.corr_length**2)
     cov += 1e-10 * np.eye(grid.n_sites)
@@ -215,30 +217,77 @@ def _reference_rescaled_profiles(spec, grid, n, rng):
     return z / z.max(axis=1, keepdims=True) * spec.omega0
 
 
-@pytest.mark.parametrize("omega0", [1.0, 2.5])
+def _full_factor(grid, corr_length):
+    # the (m, rank) factor the sampler applies: the Kronecker product of the
+    # per-axis factors in site order on a tensor grid, else the one factor
+    tensor = spectral._tensor_axes(grid)
+    if tensor is None:
+        return spectral._sq_exp_factor(grid, corr_length)
+    axes, flat = tensor
+    factors = [spectral._sq_exp_factor(Grid(u), corr_length) for u in axes if u.size > 1]
+    return functools.reduce(np.kron, factors)[flat]
+
+
+SCATTERED_3D = Grid(np.random.default_rng(2).random((40, 3)))
+
+
+@pytest.mark.parametrize("corr_length", [0.01, 0.3, 1.0])
 @pytest.mark.parametrize("grid", [
     pytest.param(Grid.regular(101), id="1d_101"),
     pytest.param(_tensor_grid_2d(), id="2d_tensor"),
-    pytest.param(Grid(np.random.default_rng(2).random((40, 3))), id="3d_scattered"),
+    pytest.param(SCATTERED_3D, id="3d_scattered"),
 ])
-def test_rescaled_field_matches_reference_sampler_bitwise(grid, omega0):
-    spec = SpectralProfileSpec("rescaled_positive_field", omega0=omega0)
-    got = sample_profiles(spec, grid, 300, make_rng(7, "reference"))
-    want = _reference_rescaled_profiles(spec, grid, 300, make_rng(7, "reference"))
-    assert np.array_equal(got, want)
+def test_low_rank_factor_reproduces_covariance(grid, corr_length):
+    factor = _full_factor(grid, corr_length)
+    cov = np.exp(-0.5 * np.sum((grid.sites[:, None] - grid.sites[None]) ** 2, -1) / corr_length**2)
+    assert np.abs(factor @ factor.T - cov).max() <= 1e-9
 
 
-def test_sq_exp_cholesky_allocates_little_beyond_its_factor():
-    # the covariance is built in one (m, m) buffer by gaussian_bump: no
-    # (m, m, d) difference array and no (m, m) distance temporaries
-    x, y = np.meshgrid(np.linspace(0.0, 1.0, 21), np.linspace(0.0, 1.0, 21), indexing="ij")
+def test_rescaled_field_follows_site_order():
+    # the same draws on a shuffled tensor grid land on the same coordinates
+    x, y = np.meshgrid(np.linspace(0.0, 1.0, 11), np.linspace(-1.0, 2.0, 7), indexing="ij")
+    sites = np.column_stack([x.ravel(), y.ravel()])
+    perm = np.random.default_rng(0).permutation(len(sites))
+    spec = SpectralProfileSpec("rescaled_positive_field", omega0=2.5)
+    natural = sample_profiles(spec, Grid(sites), 200, make_rng(7, "order"))
+    shuffled = sample_profiles(spec, Grid(sites[perm]), 200, make_rng(7, "order"))
+    assert np.array_equal(shuffled, natural[:, perm])
+
+
+def test_tensor_axes_rejects_scattered_grids():
+    assert spectral._tensor_axes(SCATTERED_3D) is None
+    axes, flat = spectral._tensor_axes(_tensor_grid_2d())
+    assert [u.size for u in axes] == [11, 7] and sorted(flat) == list(range(77))
+
+
+@pytest.mark.parametrize("grid", [
+    pytest.param(Grid.regular(51), id="1d_51"),
+    pytest.param(_tensor_grid_2d(), id="2d_tensor"),
+    pytest.param(SCATTERED_3D, id="3d_scattered"),
+])
+def test_rescaled_field_agrees_with_dense_reference_in_law(grid):
+    spec = SpectralProfileSpec("rescaled_positive_field", omega0=2.5)
+    n = 20_000
+    new = sample_profiles(spec, grid, n, make_rng(8, "low_rank"))
+    old = _reference_rescaled_profiles(spec, grid, n, make_rng(8, "dense"))
+    se = np.sqrt((new.var(axis=0) + old.var(axis=0)) / n)
+    assert np.all(np.abs(new.mean(axis=0) - old.mean(axis=0)) <= 4.5 * se)
+    for site in (0, grid.n_sites // 2, grid.n_sites - 1):
+        assert two_sample_ks_pvalue(new[:, site], old[:, site]) > 1e-3
+
+
+def test_rescaled_field_on_tensor_grid_allocates_no_dense_covariance():
+    # a (1681, 1681) covariance or factor would take 22.6 MB; the draw needs
+    # its output, two rank-sized intermediates and the 41 x 12 axis factor
+    x, y = np.meshgrid(np.linspace(0.0, 1.0, 41), np.linspace(0.0, 1.0, 41), indexing="ij")
     grid = Grid(np.column_stack([x.ravel(), y.ravel()]))
-    spectral._sq_exp_cholesky.cache_clear()
+    spec = SpectralProfileSpec("rescaled_positive_field")
+    spectral._sq_exp_factor.cache_clear()
     tracemalloc.start()
     try:
-        factor = spectral._sq_exp_cholesky(grid, 0.3)
+        p = sample_profiles(spec, grid, 50, make_rng(0, "alloc"))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-        spectral._sq_exp_cholesky.cache_clear()
-    assert peak <= 2.5 * factor.nbytes
+    factor = spectral._sq_exp_factor(Grid(x[:, 0]), 0.3)
+    assert peak <= 2.0 * (p.nbytes + factor.nbytes)
