@@ -254,12 +254,6 @@ def test_rescaled_field_follows_site_order():
     assert np.array_equal(shuffled, natural[:, perm])
 
 
-def test_tensor_axes_rejects_scattered_grids():
-    assert spectral._tensor_axes(SCATTERED_3D) is None
-    axes, flat = spectral._tensor_axes(_tensor_grid_2d())
-    assert [u.size for u in axes] == [11, 7] and sorted(flat) == list(range(77))
-
-
 @pytest.mark.parametrize("grid", [
     pytest.param(Grid.regular(51), id="1d_51"),
     pytest.param(_tensor_grid_2d(), id="2d_tensor"),
