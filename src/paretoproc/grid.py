@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import os
 import warnings
-from collections import deque
+from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -148,10 +148,60 @@ def combine(f: Field, g: Field, op: str) -> Field:
 
 
 # ---------------------------------------------------------------------------
-# CSV tables.
+# CSV tables, and the forked worker pool that writes and reads large ones.
 # ---------------------------------------------------------------------------
 
 ROWS_PER_BLOCK = 4096  # rows formatted per write: bounds a table write's memory
+BYTES_PER_PART = 1 << 20  # smallest body share of a reader worker: smaller files parse in-process
+
+
+def _pool_size(parts: int) -> int:
+    """Workers for ``parts`` independent parts: one per CPU this process may
+    run on, at most one per part, and 1 (in-process) without ``fork``."""
+    if parts < 2 or not hasattr(os, "fork"):
+        return 1
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    return min(cpus or 1, parts)
+
+
+@contextmanager
+def _forked(workers: int, task):
+    """Fork ``workers`` processes; yield the read ends of their pipes as binary
+    files, in worker order. Worker ``w`` runs ``task(w, out)``, ``out`` the
+    write end of its own pipe, and leaves by ``os._exit``: one that fails shows
+    as a pipe that ends early. The read ends are closed before the workers are
+    reaped, so a worker blocked on a write fails instead of waiting forever."""
+    reads, pids = [], []
+    try:
+        for w in range(workers):
+            r, wr = os.pipe()
+            reads.append(open(r, "rb"))
+            try:
+                pid = os.fork()
+                if pid == 0:
+                    try:  # keep only this worker's own write end
+                        for f in reads:
+                            os.close(f.fileno())
+                        with open(wr, "wb") as out:
+                            task(w, out)
+                        os._exit(0)
+                    finally:
+                        os._exit(1)
+                pids.append(pid)
+            finally:
+                os.close(wr)
+        yield reads
+    finally:
+        for f in reads:
+            f.close()
+        for pid in pids:
+            os.waitpid(pid, 0)
+
+
+def _recv(pipe, n: int) -> bytes:
+    if len(data := pipe.read(n)) < n:
+        raise EOFError("a worker process ended early")
+    return data
 
 
 def _format_rows(row: str, block) -> str:
@@ -171,54 +221,95 @@ def write_csv_table(path, header: list[str], columns) -> None:
     row per entry in C order: ``(n, 1)`` ids, ``(m,)`` site indices and
     ``(n, m)`` values give the long format with one row per (sample, site).
 
-    A table of more than one block is formatted by one forked worker process
-    per CPU this process may run on, and written in row order with at most
-    two blocks per worker in flight; the bytes are those of in-process
-    formatting, which a one-block table, a one-CPU or daemonic process and a
-    platform without ``fork`` use."""
+    A table of more than one block is formatted by one forked worker per CPU
+    this process may run on: worker ``w`` formats blocks ``w, w + W, ...``
+    from the columns it inherited and sends each through its pipe, and this
+    process writes them in row order. The bytes are those of in-process
+    formatting, which a one-block table, a one-CPU process and a platform
+    without ``fork`` use. A worker that dies is an ``OSError`` naming the file."""
     cols = np.broadcast_arrays(*[np.asarray(c) for c in columns])
     row = ",".join("%d" if c.dtype.kind in "biu" else "%.17g" for c in cols) + "\r\n"
     step = max(1, ROWS_PER_BLOCK // int(np.prod(cols[0].shape[1:])))
     starts = range(0, cols[0].shape[0], step)
-    blocks = ([c[s : s + step] for c in cols] for s in starts)
-    workers = 1
-    if len(starts) > 1 and hasattr(os, "fork"):
-        import multiprocessing
+    workers = _pool_size(len(starts))
 
-        # a daemonic process, such as a multiprocessing.Pool worker, may not have children
-        if not multiprocessing.current_process().daemon:
-            cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
-            workers = min(cpus or 1, len(starts))
-    with open(path, "w", newline="") as fh:
-        fh.write(",".join(header) + "\r\n")
+    def text(s: int) -> bytes:
+        return _format_rows(row, [c[s : s + step] for c in cols]).encode()
+
+    def send(w, out):
+        for s in starts[w::workers]:
+            block = text(s)
+            out.write(len(block).to_bytes(8, "little"))
+            out.write(block)
+
+    with open(path, "wb") as fh:
+        fh.write((",".join(header) + "\r\n").encode())
         if workers < 2:
-            for block in blocks:
-                fh.write(_format_rows(row, block))
+            for s in starts:
+                fh.write(text(s))
             return
-        from concurrent.futures import ProcessPoolExecutor
-        from concurrent.futures.process import BrokenProcessPool
-
         try:
-            with ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork")) as pool:
-                pending = deque()  # futures in row order, at most 2 per worker
-                for block in blocks:
-                    if len(pending) == 2 * workers:
-                        fh.write(pending.popleft().result())
-                    pending.append(pool.submit(_format_rows, row, block))
-                while pending:
-                    fh.write(pending.popleft().result())
-        except BrokenProcessPool as exc:
+            with _forked(workers, send) as pipes:
+                for i in range(len(starts)):
+                    pipe = pipes[i % workers]
+                    fh.write(_recv(pipe, int.from_bytes(_recv(pipe, 8), "little")))
+        except EOFError as exc:
             raise OSError(f"writing {path}: a CSV formatting worker process died") from exc
+
+
+def _line_end(fd: int, pos: int, end: int) -> int:
+    """Offset just past the first ``\\n`` in the 64 KiB from ``pos``, else ``end``."""
+    i = os.pread(fd, 1 << 16, pos).find(b"\n")
+    return end if i < 0 else min(pos + i + 1, end)
+
+
+def _read_parts(fd: int, start: int, end: int):
+    """The table in bytes ``[start, end)`` of ``fd``, cut at line ends into
+    one range per forked worker; ``None`` when the range is too small to
+    share, or when a worker fails or the parts disagree on their columns."""
+    workers = _pool_size((end - start) // BYTES_PER_PART)
+    if workers < 2:
+        return None
+    cuts = [start, *sorted(_line_end(fd, start + (end - start) * w // workers, end)
+                           for w in range(1, workers)), end]
+
+    def parse(w, out):
+        # pread: the file offset is shared with every process forked from this one
+        data = os.pread(fd, cuts[w + 1] - cuts[w], cuts[w])
+        if len(data) != cuts[w + 1] - cuts[w]:
+            raise EOFError
+        part = np.loadtxt(data.decode().split("\n"), delimiter=",", ndmin=2)
+        out.write(np.array(part.shape, np.int64).tobytes())
+        out.write(np.ascontiguousarray(part).data)
+
+    try:
+        with _forked(workers, parse) as pipes:
+            shapes = [np.frombuffer(_recv(pipe, 16), np.int64) for pipe in pipes]
+            widths = {cols for rows, cols in shapes if rows}
+            if len(widths) != 1:
+                return None
+            table = np.empty((sum(rows for rows, _ in shapes), widths.pop()))
+            for pipe, part in zip(pipes, np.split(table, np.cumsum([r for r, _ in shapes])[:-1])):
+                if pipe.readinto(part) != part.nbytes:
+                    return None
+    except EOFError:
+        return None
+    return table
 
 
 def read_csv_table(path) -> tuple[list[str], np.ndarray]:
     """Header and a float ``(rows, columns)`` array of a CSV table, parsed by
-    numpy while streaming from the open file. An empty or header-only file
-    gives a ``(0, 1)`` array; a bad row raises a ``ValueError`` naming the file."""
+    ``np.loadtxt``. An empty or header-only file gives a ``(0, 1)`` array; a
+    bad row raises a ``ValueError`` naming the file. A body of two or more
+    ``BYTES_PER_PART`` is parsed in line-aligned parts by forked workers; if
+    one fails, the file is parsed again in-process, so an error is numpy's own."""
     with open(path) as fh:
         header = fh.readline().rstrip("\n").split(",")
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", UserWarning)  # "input contained no data"
+            table = _read_parts(fh.fileno(), fh.tell(), os.fstat(fh.fileno()).st_size)
+            if table is not None:
+                return header, table
             try:
                 return header, np.loadtxt(fh, delimiter=",", ndmin=2)
             except ValueError as exc:

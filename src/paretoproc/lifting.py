@@ -221,7 +221,9 @@ def field_sample_from_csv(path, grid: Grid) -> FieldSample:
     m = grid.n_sites
     if table.shape[1] != 3 or len(table) % m:
         raise ValueError(f"{path}: expected columns sample_id, site_index, value and {m} rows per sample")
-    table = table[np.lexsort((table[:, 1], table[:, 0]))]
+    step_id, step_site = np.diff(table[:, 0]), np.diff(table[:, 1])
+    if not np.all((step_id > 0) | ((step_id == 0) & (step_site > 0))):  # else sorting moves no row
+        table = table[np.lexsort((table[:, 1], table[:, 0]))]
     ids, sites, values = (table[:, j].reshape(-1, m) for j in range(3))
     if not (np.all(sites == np.arange(m)) and np.all(ids == ids[:, :1])):
         raise ValueError(f"{path}: every sample_id needs site_index 0..{m - 1} exactly once")

@@ -1,4 +1,3 @@
-import concurrent.futures
 import multiprocessing
 import os
 
@@ -13,6 +12,7 @@ from paretoproc.grid import (
     Grid,
     combine,
     inf_field,
+    read_csv_table,
     sup_field,
     write_csv_table,
 )
@@ -162,10 +162,10 @@ def test_writer_bytes_match_per_row_formatting(tmp_path, monkeypatch, name, cpus
 
 
 def test_one_block_table_never_opens_a_pool(tmp_path, monkeypatch):
-    def no_pool(*args, **kwargs):
-        raise AssertionError("a one-block table opened a process pool")
+    def no_fork():
+        raise AssertionError("a one-block table forked a worker")
 
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
+    monkeypatch.setattr(os, "fork", no_fork)
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
     header, columns = _tables()["long"]  # 69 rows: one block of 4096
     write_csv_table(tmp_path / "new.csv", header, columns)
@@ -173,16 +173,144 @@ def test_one_block_table_never_opens_a_pool(tmp_path, monkeypatch):
     assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
 
 
-def _write_long_table(path):
-    write_csv_table(path, *_tables()["long"])
+def _write_long_table_counting_forks(path):
+    fork, forks = os.fork, []
+
+    def counted():
+        forks.append(1)
+        return fork()
+
+    os.fork = counted
+    try:
+        write_csv_table(path, *_tables()["long"])
+    finally:
+        os.fork = fork
+    return len(forks)
 
 
 @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs fork")
-def test_daemonic_process_formats_in_process(tmp_path, monkeypatch):
-    # a multiprocessing.Pool worker may not start processes of its own
+def test_pool_worker_process_writes_through_forked_workers(tmp_path, monkeypatch):
+    # a multiprocessing.Pool worker is daemonic; os.fork, unlike
+    # multiprocessing, lets it start workers of its own
     monkeypatch.setattr(grid, "ROWS_PER_BLOCK", 7)
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
     with multiprocessing.get_context("fork").Pool(1) as pool:
-        pool.apply(_write_long_table, (tmp_path / "new.csv",))
+        forks = pool.apply(_write_long_table_counting_forks, (tmp_path / "new.csv",))
+    assert forks == 2
     _reference_csv(tmp_path / "ref.csv", *_tables()["long"])
     assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
+
+
+def _assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+_PARENT_PID = os.getpid()
+
+
+def _in_workers_only(function):
+    """``function`` in this process; ``os._exit(1)`` in a forked worker."""
+    def wrapper(*args, **kwargs):
+        if os.getpid() != _PARENT_PID:
+            os._exit(1)
+        return function(*args, **kwargs)
+    return wrapper
+
+
+def _pooled_read(monkeypatch, cpus):
+    """Patch the reader to share any body of two or more bytes among ``cpus``
+    workers, and return a list that records whether each read was pooled."""
+    monkeypatch.setattr(grid, "BYTES_PER_PART", 1)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
+    read_parts, pooled = grid._read_parts, []
+
+    def recorded(fd, start, end):
+        table = read_parts(fd, start, end)
+        pooled.append(table is not None)
+        return table
+
+    monkeypatch.setattr(grid, "_read_parts", recorded)
+    return pooled
+
+
+_ROWS = "".join(f"{i},{i / 7!r}\n" for i in range(40))
+_COMMENT = "#" + "x" * 60 + "\n"
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="the reader forks its workers")
+@pytest.mark.parametrize("body, cpus", [
+    pytest.param(_ROWS, 3, id="lf"),
+    pytest.param(_ROWS.replace("\n", "\r\n"), 3, id="crlf"),
+    pytest.param(_ROWS[:-1], 4, id="no_final_newline"),
+    # the middle cut falls in the long last line, so the last range is empty
+    pytest.param("0,1\n1,2\n" + "2," + "3" * 80 + "\n", 2, id="cut_on_last_line"),
+    # the cuts at 1/3 and 2/3 fall in one comment each: the middle range
+    # holds the second comment and no row
+    pytest.param("0,1\n" + _COMMENT + _COMMENT + "1,2\n", 3, id="range_without_rows"),
+    # both cuts fall in one long comment: the middle range has no byte
+    pytest.param("0,1\n" + _COMMENT.replace("x", "xxx") + "1,2", 3, id="empty_range"),
+    pytest.param("0,1\r\n\r\n\n1,2\r\n" * 9, 4, id="blank_lines"),
+    # no line end in the 64 KiB after the first cut: it moves to the end of
+    # the body, behind the second
+    pytest.param("0,1\n#" + "x" * 200_000 + "\n" + _ROWS * 170, 3, id="long_line"),
+])
+def test_pooled_reader_matches_serial_loadtxt(tmp_path, monkeypatch, body, cpus):
+    path = tmp_path / "t.csv"
+    path.write_bytes(("i,x\n" + body).encode())
+    pooled = _pooled_read(monkeypatch, cpus)
+    header, table = read_csv_table(path)
+    assert pooled == [True] and header == ["i", "x"]
+    with open(path) as fh:
+        fh.readline()
+        expected = np.loadtxt(fh, delimiter=",", ndmin=2)
+    assert table.shape == expected.shape and np.array_equal(table, expected)
+    _assert_no_child_left()
+
+
+def _read_error(path):
+    with pytest.raises(ValueError) as info:
+        read_csv_table(path)
+    return str(info.value)
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="the reader forks its workers")
+@pytest.mark.parametrize("bad, where", [
+    pytest.param("3,4,5\n", "at row 41", id="ragged_in_one_part"),
+    pytest.param("3,rain\n", "at row 40, column 2", id="non_numeric"),
+    # every part parses, but the parts disagree on their width
+    pytest.param("3,4,5\n" * 40, "at row 41", id="ragged_between_parts"),
+])
+def test_pooled_reader_error_is_the_serial_one(tmp_path, monkeypatch, bad, where):
+    path = tmp_path / "t.csv"
+    path.write_text("i,x\n" + _ROWS + bad + _ROWS)
+    serial = _read_error(path)
+    pooled = _pooled_read(monkeypatch, 2)
+    assert _read_error(path) == serial and pooled == [False]
+    assert serial.startswith(f"{path}: ") and where in serial
+    _assert_no_child_left()
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="the reader forks its workers")
+def test_dead_reader_worker_still_returns_the_table(tmp_path, monkeypatch):
+    path = tmp_path / "t.csv"
+    write_csv_table(path, *_tables()["long"])
+    expected = read_csv_table(path)[1]
+    pooled = _pooled_read(monkeypatch, 2)
+    monkeypatch.setattr(np, "loadtxt", _in_workers_only(np.loadtxt))
+    assert np.array_equal(read_csv_table(path)[1], expected, equal_nan=True)
+    assert pooled == [False]
+    _assert_no_child_left()
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="the writer forks its workers")
+def test_pooled_writer_leaves_no_child(tmp_path, monkeypatch):
+    monkeypatch.setattr(grid, "ROWS_PER_BLOCK", 7)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    header, columns = _tables()["long"]
+    write_csv_table(tmp_path / "new.csv", header, columns)
+    _assert_no_child_left()
+    monkeypatch.setattr(grid, "_format_rows", _in_workers_only(grid._format_rows))
+    with pytest.raises(OSError, match="new.csv: a CSV formatting worker process died"):
+        write_csv_table(tmp_path / "new.csv", header, columns)
+    _assert_no_child_left()

@@ -206,6 +206,28 @@ def test_field_sample_csv_roundtrip(tmp_path):
         assert np.array_equal(back.values, data.values)
 
 
+def test_rows_in_order_are_not_sorted(tmp_path, monkeypatch):
+    grid = Grid.regular(4)
+    data = sample_scenario_fields(21, make_rng(14, "io"), n_sites=4)
+    path = tmp_path / "fields.csv"
+    field_sample_to_csv(data, path)
+
+    def no_sort(keys):
+        raise AssertionError("rows already in order were sorted")
+
+    monkeypatch.setattr(np, "lexsort", no_sort)
+    assert np.array_equal(field_sample_from_csv(path, grid).values, data.values)
+
+
+def test_sample_id_in_two_runs_of_rows_is_rejected(tmp_path):
+    # samples 0, 1, 0, each with sites 0..2 in order: a sample_id may not repeat
+    path = tmp_path / "fields.csv"
+    path.write_text("sample_id,site_index,value\n"
+                    + "".join(f"{i},{j},{1.0 + j}\n" for i in (0, 1, 0) for j in range(3)))
+    with pytest.raises(ValueError, match="every sample_id needs site_index 0..2 exactly once"):
+        field_sample_from_csv(path, Grid.regular(3))
+
+
 def test_write_lift_report(tmp_path):
     spec = SpectralProfileSpec("gaussian_moving_max")
     grid = Grid.regular(6)

@@ -2,6 +2,8 @@
 
 import dataclasses
 
+import pytest
+
 from paretoproc import dfeval, verify
 
 
@@ -116,3 +118,70 @@ def test_storm_scenario_fails_when_lifting_by_one(monkeypatch):
                         lambda n, k, t0, rng: scenario(n, k, 1.0, rng))
     gate = _failing_gate(verify.check_storm_scenario, "min_lifted_sup")
     assert gate.statistic <= gate.threshold
+
+
+def test_generalized_stability_fails_on_doubled_scale(monkeypatch):
+    # renormalizing by (u(r), 2 s(r)) halves the excesses: the renormalized
+    # arm is no longer the base law
+    norming = verify.stability_norming
+
+    def doubled(p, r):
+        u, s = norming(p, r)
+        return u, verify.Field(s.grid, 2.0 * s.values)
+
+    monkeypatch.setattr(verify, "stability_norming", doubled)
+    gate = _failing_gate(verify.check_generalized_stability, "min_ks_p")
+    assert gate.statistic <= gate.threshold
+
+
+def test_max_stable_construction_fails_on_coarse_truncation(monkeypatch):
+    # dropping every Poisson point below 0.5 leaves a law that is neither
+    # standard Frechet nor max-stable
+    checks = verify.construction_checks
+    monkeypatch.setattr(verify, "construction_checks",
+                        lambda cfg, n, seed: checks(dataclasses.replace(cfg, truncation=0.5), n, seed))
+    result = verify.run_check(verify.check_max_stable, quick=True)
+    assert [g.name for g in result.checks if not g.passed] == [
+        "marginal_frechet_ks", "mmax_self_similarity_p"]
+
+
+def test_lifting_exactness_fails_on_stretched_lift(monkeypatch):
+    # lifted fields 1.5 times too large: their sup law is 1.5 times the base one
+    lift = verify.lift
+
+    def stretched(data, nf, t0):
+        report = lift(data, nf, t0)
+        return dataclasses.replace(report, lifted=1.5 * report.lifted)
+
+    monkeypatch.setattr(verify, "lift", stretched)
+    gate = _failing_gate(verify.check_lifting_exact, "lifted_sup_ks_p")
+    assert gate.statistic <= gate.threshold
+
+
+def test_lifting_exactness_fails_on_halved_fields(monkeypatch):
+    # halved Pareto fields exceed t = 2 with probability 1/4, not 1/2: about
+    # 375 of 1,500 fields are selected, fewer than 500
+    lift = verify.lift
+    monkeypatch.setattr(verify, "lift",
+                        lambda data, nf, t0: lift(verify.FieldSample(data.grid, data.values / 2.0), nf, t0))
+    gate = _failing_gate(verify.check_lifting_exact, "n_selected")
+    assert gate.statistic < gate.threshold
+
+
+@pytest.mark.parametrize("factor, name", [
+    pytest.param(0.01, "mean_selected_above", id="shrunk"),
+    pytest.param(10.0, "mean_selected_below", id="grown"),
+])
+def test_storm_scenario_fails_on_rescaled_fields(monkeypatch, factor, name):
+    # fields rescaled against the norming estimated before: shrunk ones
+    # hardly ever exceed it, grown ones nearly always do
+    scenario = verify.run_storm_scenario
+
+    def rescaled(n, k, t0, rng):
+        report = scenario(n, k, t0, rng)
+        data = report.source
+        return verify.lift(verify.FieldSample(data.grid, factor * data.values), report.norming, t0)
+
+    monkeypatch.setattr(verify, "run_storm_scenario", rescaled)
+    gate = _failing_gate(verify.check_storm_scenario, name)
+    assert not gate.passed
