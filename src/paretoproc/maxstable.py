@@ -1,13 +1,15 @@
 """Simple max-stable process simulation and empirical validation.
 
-A simple max-stable field is the sitewise maximum of Z_i * V_i over the
-points Z_i of a Poisson process on (0, inf] with mean measure r^-2 dr and
-i.i.d. profiles V_i rescaled to mean one at every site. Points are produced
-in decreasing order as reciprocals of cumulative standard-exponential sums
-(same law as drawing a Poisson(1/eps) count and points eps/U_i, which is the
-restriction of the r^-2 dr process to (eps, inf]); generation stops once the
-next point provably cannot raise the running maximum anywhere, which leaves
-the sampled law unchanged.
+A simple max-stable field is the sitewise maximum of Z_i * V_i(s) / E V(s)
+over the points Z_i of a Poisson process on (0, inf] with mean measure r^-2 dr
+and i.i.d. profiles V_i. Points are produced in decreasing order as
+reciprocals of cumulative standard-exponential sums (same law as drawing a
+Poisson(1/eps) count and points eps/U_i, which is the restriction of the
+r^-2 dr process to (eps, inf]). The loop runs on the raw profiles, whose sup
+is omega0 exactly, so the bound is sitewise: generation stops once z * omega0
+cannot beat the running maximum at any site, after which no later point can
+raise a site, and the sampled law is unchanged. The finished maxima are then
+divided by E V(s) once, which commutes with the maximum.
 """
 from __future__ import annotations
 
@@ -88,36 +90,48 @@ def _poisson_max(
     """n sitewise maxima of z_i * draw(k, rng) over the points z_i =
     scale / (cumulative standard-exponential sum) above ``truncation``,
     as an (n, m) matrix; ``bound`` is an upper bound of every drawn profile.
-    ``draw`` must return a fresh array: the loop overwrites it in place."""
-    out = np.zeros((n, m))
+    ``draw`` must return a fresh array: the loop overwrites it in place.
+    The running maxima and exponential sums of the rows still drawing are
+    kept compacted, and a row is written to the result once, when it ends."""
+    out = np.empty((n, m))
+    rows = np.arange(n)  # result row of each live row
+    running = np.zeros((n, m))
     gamma_sum = np.zeros(n)
-    active = np.arange(n)
-    while active.size:
-        gamma_sum[active] += rng.standard_exponential(active.size)
-        z = scale / gamma_sum[active]
+
+    def finish(keep):
+        nonlocal rows, running, gamma_sum
+        if not keep.all():
+            out[rows[~keep]] = running[~keep]
+            rows, running, gamma_sum = rows[keep], running[keep], gamma_sum[keep]
+
+    while rows.size:
+        gamma_sum += rng.standard_exponential(rows.size)
+        z = scale / gamma_sum
         live = z > truncation
-        active = active[live]
-        if not active.size:
+        finish(live)
+        if not rows.size:
             break
         z = z[live]
-        best = draw(active.size, rng)
+        best = draw(rows.size, rng)
         best *= z[:, None]
-        out[active] = np.maximum(out[active], best, out=best)
+        np.maximum(running, best, out=running)
         # points only get smaller; once z * bound cannot beat the current
         # minimum over sites, no later point can change any site
-        undecided = z * bound > best.min(axis=1)
-        active = active[undecided]
+        finish(z * bound > running.min(axis=1))
     return out
 
 
 def sample_max_stable_batch(
     cfg: PenroseConfig, n: int, rng: np.random.Generator
 ) -> np.ndarray:
-    """n independent simple max-stable fields as an (n, n_sites) matrix."""
-    return _poisson_max(
-        n, cfg.grid.n_sites, 1.0, cfg.sup_bound,
-        lambda k, rng: _rescaled_profiles(cfg, k, rng), rng, cfg.truncation,
+    """n independent simple max-stable fields as an (n, n_sites) matrix: the
+    Poisson maximum of raw profiles, bounded by omega0 = sup V, divided by
+    the mean field once at the end."""
+    eta = _poisson_max(
+        n, cfg.grid.n_sites, 1.0, cfg.spec.omega0,
+        lambda k, rng: sample_profiles(cfg.spec, cfg.grid, k, rng), rng, cfg.truncation,
     )
+    return np.divide(eta, cfg.mean_field, out=eta)
 
 
 def sample_max_stable(cfg: PenroseConfig, rng: np.random.Generator) -> Field:
