@@ -152,6 +152,7 @@ def combine(f: Field, g: Field, op: str) -> Field:
 # ---------------------------------------------------------------------------
 
 ROWS_PER_BLOCK = 4096  # rows formatted per write: bounds a table write's memory
+BLOCKS_PER_PART = 4  # smallest share of a writer worker: smaller tables format in-process
 BYTES_PER_PART = 1 << 20  # smallest body share of a reader worker: smaller files parse in-process
 
 
@@ -221,17 +222,18 @@ def write_csv_table(path, header: list[str], columns) -> None:
     row per entry in C order: ``(n, 1)`` ids, ``(m,)`` site indices and
     ``(n, m)`` values give the long format with one row per (sample, site).
 
-    A table of more than one block is formatted by one forked worker per CPU
-    this process may run on: worker ``w`` formats blocks ``w, w + W, ...``
-    from the columns it inherited and sends each through its pipe, and this
-    process writes them in row order. The bytes are those of in-process
-    formatting, which a one-block table, a one-CPU process and a platform
-    without ``fork`` use. A worker that dies is an ``OSError`` naming the file."""
+    A table of two or more ``BLOCKS_PER_PART`` blocks is formatted by one
+    forked worker per CPU this process may run on, each with at least that
+    many blocks: worker ``w`` formats blocks ``w, w + W, ...`` from the
+    columns it inherited and sends each through its pipe, and this process
+    writes them in row order. The bytes are those of in-process formatting,
+    which a smaller table, a one-CPU process and a platform without ``fork``
+    use. A worker that dies is an ``OSError`` naming the file."""
     cols = np.broadcast_arrays(*[np.asarray(c) for c in columns])
     row = ",".join("%d" if c.dtype.kind in "biu" else "%.17g" for c in cols) + "\r\n"
     step = max(1, ROWS_PER_BLOCK // int(np.prod(cols[0].shape[1:])))
     starts = range(0, cols[0].shape[0], step)
-    workers = _pool_size(len(starts))
+    workers = _pool_size(len(starts) // BLOCKS_PER_PART)
 
     def text(s: int) -> bytes:
         return _format_rows(row, [c[s : s + step] for c in cols]).encode()

@@ -152,8 +152,10 @@ def _tables():
 @pytest.mark.parametrize("cpus", [1, 2, 3])
 @pytest.mark.parametrize("name", sorted(_tables()))
 def test_writer_bytes_match_per_row_formatting(tmp_path, monkeypatch, name, cpus):
-    # 7-row blocks make every table span many blocks, and so many workers
+    # 7-row blocks, one block per worker at least, make every table span many
+    # blocks, and so many workers
     monkeypatch.setattr(grid, "ROWS_PER_BLOCK", 7)
+    monkeypatch.setattr(grid, "BLOCKS_PER_PART", 1)
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
     header, columns = _tables()[name]
     write_csv_table(tmp_path / "new.csv", header, columns)
@@ -170,6 +172,31 @@ def test_one_block_table_never_opens_a_pool(tmp_path, monkeypatch):
     header, columns = _tables()["long"]  # 69 rows: one block of 4096
     write_csv_table(tmp_path / "new.csv", header, columns)
     _reference_csv(tmp_path / "ref.csv", header, columns)
+    assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="the writer forks its workers")
+@pytest.mark.parametrize("blocks, forks", [
+    pytest.param(2, 0, id="lift_report"),  # lifted.csv of about 60 fields at 101 sites
+    pytest.param(2 * grid.BLOCKS_PER_PART - 1, 0, id="one_part_short"),
+    pytest.param(2 * grid.BLOCKS_PER_PART, 2, id="two_parts"),
+])
+def test_writer_pools_only_two_parts_or_more(tmp_path, monkeypatch, blocks, forks):
+    m = 101
+    n = blocks * (grid.ROWS_PER_BLOCK // m)
+    columns = [np.arange(n)[:, None], np.arange(m), np.random.default_rng(3).random((n, m))]
+    fork, forked = os.fork, []
+
+    def counted():
+        forked.append(1)
+        return fork()
+
+    monkeypatch.setattr(os, "fork", counted)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    write_csv_table(tmp_path / "new.csv", ["sample_id", "site_index", "value"], columns)
+    assert len(forked) == forks
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+    write_csv_table(tmp_path / "ref.csv", ["sample_id", "site_index", "value"], columns)
     assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
 
 
