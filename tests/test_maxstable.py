@@ -49,10 +49,71 @@ def test_constant_profile_df_at_one(const_cfg):
 
 
 def test_marginal_frechet_ks(gmm_cfg):
+    # the first and last sites see half the middle site's mean field
     n = 10_000
     eta = sample_max_stable_batch(gmm_cfg, n, make_rng(1, "marg"))
-    stat = ks_statistic(eta[:, 25], standard_frechet_cdf)
-    assert stat < ks_critical_value(n, alpha=0.01)
+    for site in (0, 25, 50):
+        stat = ks_statistic(eta[:, site], standard_frechet_cdf)
+        assert stat < ks_critical_value(n, alpha=0.01), site
+
+
+def test_marginal_frechet_ks_with_omega0_above_one():
+    # profiles peak at omega0 = 2.5, so the stopping bound is 2.5, not 1
+    cfg = PenroseConfig(SpectralProfileSpec("gaussian_moving_max", omega0=2.5), Grid.regular(51))
+    n = 10_000
+    eta = sample_max_stable_batch(cfg, n, make_rng(15, "marg_omega0"))
+    for site in (0, 25, 50):
+        stat = ks_statistic(eta[:, site], standard_frechet_cdf)
+        assert stat < ks_critical_value(n, alpha=0.01), site
+
+
+def _uncompacted_poisson_max(n, m, scale, bound, draw, rng, truncation=0.0):
+    """The Poisson-max loop as it was before the live rows were compacted:
+    it gathers and scatters the running maxima of every live row each round."""
+    out = np.zeros((n, m))
+    gamma_sum = np.zeros(n)
+    active = np.arange(n)
+    while active.size:
+        gamma_sum[active] += rng.standard_exponential(active.size)
+        z = scale / gamma_sum[active]
+        live = z > truncation
+        active = active[live]
+        if not active.size:
+            break
+        z = z[live]
+        best = draw(active.size, rng)
+        best *= z[:, None]
+        out[active] = np.maximum(out[active], best, out=best)
+        undecided = z * bound > best.min(axis=1)
+        active = active[undecided]
+    return out
+
+
+def test_compacted_loop_matches_the_uncompacted_one_bitwise(monkeypatch):
+    grid = Grid.regular(41)
+    compacted = sample_moving_maximum_batch(grid, 2_000, make_rng(16, "compact"))
+    monkeypatch.setattr(maxstable, "_poisson_max", _uncompacted_poisson_max)
+    assert np.array_equal(compacted, sample_moving_maximum_batch(grid, 2_000, make_rng(16, "compact")))
+    # a high truncation ends rows at the truncation too, some before any draw
+    args = (500, 7, 1.0, 1.0, lambda k, rng: rng.random((k, 7)))
+    assert np.array_equal(maxstable._poisson_max(*args, make_rng(17, "trunc"), 0.5),
+                          _uncompacted_poisson_max(*args, make_rng(17, "trunc"), 0.5))
+
+
+def test_sitewise_bound_draws_few_profiles_per_field(monkeypatch):
+    # the bound omega0 / min_s E V(s) drew 25.4 profiles per field here; the
+    # sitewise bound omega0 on the raw profiles draws about 16.4
+    cfg = PenroseConfig(SpectralProfileSpec("gaussian_moving_max"), Grid.regular(101))
+    drawn, sample = [], maxstable.sample_profiles
+
+    def counted(spec, grid, k, rng):
+        drawn.append(k)
+        return sample(spec, grid, k, rng)
+
+    monkeypatch.setattr(maxstable, "sample_profiles", counted)
+    n = 2_000
+    sample_max_stable_batch(cfg, n, make_rng(18, "per_field"))
+    assert sum(drawn) / n <= 18.0
 
 
 def test_sample_max_stable_single_field(gmm_cfg):
@@ -155,11 +216,10 @@ def test_doa_rejects_low_threshold(gmm_cfg):
 
 
 def test_construction_checks_fail_on_wrong_mean_field():
-    # halving the mean field doubles every rescaled profile, so the fields are
-    # Frechet with scale 2, not standard Frechet
+    # halving the mean field doubles every field, so the fields are Frechet
+    # with scale 2, not standard Frechet
     cfg = PenroseConfig(SpectralProfileSpec("constant"), Grid.regular(5), truncation=1e-4)
     cfg.mean_field = cfg.mean_field / 2.0
-    cfg.sup_bound *= 2.0
     marginal, _ = construction_checks(cfg, 2_000, 13)
     assert marginal.name == "marginal_frechet_ks" and not marginal.passed
     assert marginal.statistic > marginal.threshold
