@@ -40,6 +40,7 @@ BERNOULLI_PAIR = "bernoulli_pair"
 
 KINDS = (CONSTANT, GAUSSIAN_MOVING_MAX, RESCALED_POSITIVE_FIELD, BERNOULLI_PAIR)
 MEAN_BLOCK = 100_000  # profiles drawn at a time: bounds a mean estimate's memory
+BLOCK_CELLS = 1 << 16  # (profile, site) cells of a blocked draw: 512 KiB of floats
 EXACT_BLOCK = 1 << 18  # (site, cell) pairs per block of the exact bump mean
 EIG_TOL = 1e-10  # covariance eigenvalues kept, relative to the largest
 
@@ -145,6 +146,34 @@ def _sq_exp_factor(grid: Grid, corr_length: float) -> np.ndarray:
     return factor
 
 
+# Per-(spec, grid) set-up of sample_profiles, done once: the grid check, the
+# bump's center box, and the tensor split of rescaled_positive_field. The
+# factors themselves stay in _sq_exp_factor's cache.
+@functools.lru_cache(maxsize=16)
+def _draw_setup(spec: SpectralProfileSpec, grid: Grid):
+    """``(lo, hi - lo)`` of the sites for ``gaussian_moving_max``; for
+    ``rescaled_positive_field`` the grids that carry one factor each (the axes
+    longer than one coordinate, or the whole scattered grid) and the column
+    order from their product to the sites, None when it is the identity."""
+    _check_grid(spec, grid)
+    if spec.kind == GAUSSIAN_MOVING_MAX:
+        lo = grid.sites.min(axis=0)
+        return _read_only(lo), _read_only(grid.sites.max(axis=0) - lo)
+    if spec.kind != RESCALED_POSITIVE_FIELD:
+        return None
+    tensor = _tensor_axes(grid)
+    if tensor is None:  # scattered sites: one factor over all of them
+        return (grid,), None
+    axes, flat = tensor
+    parts = tuple(Grid(u) for u in axes if u.size > 1)
+    return parts, None if np.array_equal(flat, np.arange(grid.n_sites)) else _read_only(flat)
+
+
+def _read_only(a: np.ndarray) -> np.ndarray:
+    a.setflags(write=False)  # cached, so shared by every later call
+    return a
+
+
 def sample_profiles(
     spec: SpectralProfileSpec, grid: Grid, n: int, rng: np.random.Generator
 ) -> np.ndarray:
@@ -153,7 +182,7 @@ def sample_profiles(
     This is the vectorized workhorse behind :func:`sample_profile`; every
     row is nonnegative with maximum exactly ``spec.omega0``.
     """
-    _check_grid(spec, grid)
+    setup = _draw_setup(spec, grid)
     m = grid.n_sites
     w0 = spec.omega0
     if spec.kind == CONSTANT:
@@ -165,9 +194,8 @@ def sample_profiles(
         out[~first, 1] = w0
         return out
     if spec.kind == GAUSSIAN_MOVING_MAX:
-        lo = grid.sites.min(axis=0)
-        hi = grid.sites.max(axis=0)
-        centers = lo + rng.random((n, grid.dim)) * (hi - lo)
+        lo, span = setup
+        centers = lo + rng.random((n, grid.dim)) * span
         raw = gaussian_bump(grid.sites, centers, spec.bandwidth)
         rowmax = raw.max(axis=1, keepdims=True)
         # a bump much narrower than the site spacing can underflow at every
@@ -185,18 +213,13 @@ def sample_profiles(
     # rescaled_positive_field: the covariance is the Kronecker product of the
     # per-axis covariances on a tensor grid, so one normal per rank-product
     # cell is mapped to the sites one axis factor at a time
-    tensor = _tensor_axes(grid)
-    if tensor is None:  # scattered sites: one factor over all of them
-        parts, flat = [grid], None
-    else:
-        axes, flat = tensor
-        parts = [Grid(u) for u in axes if u.size > 1]
+    parts, flat = setup
     factors = [_sq_exp_factor(g, spec.corr_length) for g in parts]
     z = rng.standard_normal((n, *(f.shape[1] for f in factors)))
     for f in factors:  # contract the first rank axis, append its site axis
         z = np.tensordot(z, f, axes=(1, 1))
     z = z.reshape(n, m)
-    if flat is not None and np.any(flat != np.arange(m)):
+    if flat is not None:
         z = z[:, flat]
     # subtract the row max before exponentiating so exp never overflows; every
     # row then peaks at exp(0) = 1 exactly, so times omega0 its sup is omega0
@@ -204,6 +227,29 @@ def sample_profiles(
     np.exp(z, out=z)
     z *= w0
     return z
+
+
+def profile_blocks(
+    spec: SpectralProfileSpec, grid: Grid, n: int, rng: np.random.Generator,
+    rows: int | None = None,
+):
+    """n profiles as ``(start, block)`` pairs: consecutive row blocks of
+    ``sample_profiles`` draws, ``rows`` rows each (by default as many as fit
+    in ``BLOCK_CELLS`` cells, at least two), and each block's first row.
+
+    The blocks draw the stream of the one-shot ``sample_profiles(spec, grid,
+    n, rng)`` and, concatenated, equal it bitwise, except where BLAS rounds
+    ``rescaled_positive_field``'s factor products by the size of the draw
+    (from about 200 sites, where one-shot draws of two sizes disagree too).
+    So a one-row tail joins the block before it: BLAS would map a lone row
+    through its matrix-vector path, which rounds differently."""
+    if rows is None:
+        rows = max(2, BLOCK_CELLS // grid.n_sites)
+    start = 0
+    while start < n:
+        k = n - start if n - start <= rows + 1 else rows
+        yield start, sample_profiles(spec, grid, k, rng)
+        start += k
 
 
 def sample_profile(
@@ -220,8 +266,7 @@ def profile_mean_se(
     error, drawn ``MEAN_BLOCK`` profiles at a time."""
     total = np.zeros(grid.n_sites)
     total_sq = np.zeros(grid.n_sites)
-    for start in range(0, n, MEAN_BLOCK):
-        p = sample_profiles(spec, grid, min(MEAN_BLOCK, n - start), rng)
+    for _, p in profile_blocks(spec, grid, n, rng, MEAN_BLOCK):
         total += p.sum(axis=0)
         total_sq += (p * p).sum(axis=0)
     mean = total / n

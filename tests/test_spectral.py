@@ -285,3 +285,43 @@ def test_rescaled_field_on_tensor_grid_allocates_no_dense_covariance():
         tracemalloc.stop()
     factor = spectral._sq_exp_factor(Grid(x[:, 0]), 0.3)
     assert peak <= 2.0 * (p.nbytes + factor.nbytes)
+
+
+def _blocked_grids():
+    x = np.linspace(0.0, 1.0, 5)
+    return {"1d": Grid.regular(11), "2d_tensor": Grid(np.array([(a, b) for a in x for b in x])),
+            "scattered": Grid(np.random.default_rng(4).random((30, 2))),
+            "two_sites": Grid.regular(2)}
+
+
+@pytest.mark.parametrize("kind, layout", [
+    *((k, layout) for k in ALL_KINDS[:3] for layout in ("1d", "2d_tensor", "scattered")),
+    ("bernoulli_pair", "two_sites"),
+])
+def test_blocked_draws_concatenate_to_the_one_shot_draw(kind, layout):
+    grid = _blocked_grids()[layout]
+    spec = SpectralProfileSpec(kind, omega0=1.5)
+    block = spectral.BLOCK_CELLS // grid.n_sites
+    for n in (1, block - 1, block, block + 1, 3 * block + 7):
+        one, blocked = make_rng(5, "blocks"), make_rng(5, "blocks")
+        expected = sample_profiles(spec, grid, n, one)
+        starts, parts = zip(*spectral.profile_blocks(spec, grid, n, blocked))
+        assert np.array_equal(np.concatenate(parts), expected)
+        assert list(starts) == [block * i for i in range(len(parts))]
+        assert one.random() == blocked.random()  # the stream ends in the same state
+        # at most BLOCK_CELLS cells a block; a one-row tail joins the block before it
+        assert [p.shape[0] for p in parts[:-1]] == [block] * (len(parts) - 1)
+        assert parts[-1].shape[0] <= block + 1 and (n == 1 or parts[-1].shape[0] > 1)
+
+
+def test_draw_setup_is_cached_and_checks_the_grid_every_call():
+    spec = SpectralProfileSpec("gaussian_moving_max")
+    spectral._draw_setup.cache_clear()
+    for _ in range(3):
+        sample_profiles(spec, Grid.regular(5), 1, make_rng(0, "setup"))
+    info = spectral._draw_setup.cache_info()
+    assert (info.hits, info.misses, info.maxsize) == (2, 1, 16)
+    bernoulli = SpectralProfileSpec("bernoulli_pair")
+    for _ in range(2):  # a rejected grid is not cached
+        with pytest.raises(SpecGridMismatch):
+            sample_profiles(bernoulli, Grid.regular(3), 1, make_rng(0, "setup"))
