@@ -10,6 +10,10 @@ conventions: ``W <= w`` and ``W > w`` hold at every site, ``W not<= w``
 ``direct_frequency`` provides the independent cross-validation arm: the same
 event evaluated as an empirical frequency of directly simulated processes.
 ``run_battery`` compares the two routes query by query.
+
+Every route draws its profiles in row blocks (``spectral.profile_blocks``),
+so memory is set by the block size; only one float per draw (its statistic
+or its Pareto radius) is kept for all n draws.
 """
 from __future__ import annotations
 
@@ -19,10 +23,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NonPositiveArgument, OutOfSupport, PreconditionFailed
-from .grid import Field, Grid, write_csv_table
-from .pareto import sample_radii, sample_simple_pareto_batch, vector_grid
+from .grid import Field, Grid, _concurrently, write_csv_table
+from .pareto import sample_radii, vector_grid
 from .rng import make_rng
-from .spectral import SpectralProfileSpec, sample_profiles
+from .spectral import SpectralProfileSpec, profile_blocks
 from .transforms import GpParams, from_generalized
 
 LEQ = "LEQ"
@@ -83,8 +87,30 @@ def _formula(q: DfQuery, spec: SpectralProfileSpec, grid: Grid, per_draw) -> DfR
     query's n_mc profiles, drawn on stream (q.seed, "df_eval")."""
     if q.w.grid != grid:
         raise ValueError("query field and grid disagree")
-    profiles = sample_profiles(spec, grid, q.n_mc, make_rng(q.seed, "df_eval"))
-    return _mean_result(*per_draw(profiles, q.w.values))
+    rng = make_rng(q.seed, "df_eval")
+    return _mean_result(*_per_draw_blocks(spec, grid, q.n_mc, rng,
+                                          lambda v: per_draw(v, q.w.values)))
+
+
+def _per_draw_blocks(spec: SpectralProfileSpec, grid: Grid, n: int,
+                     rng: np.random.Generator, per_draw) -> tuple[np.ndarray, bool]:
+    """``per_draw(profiles) -> (values, has_mass)`` over n profiles drawn in
+    blocks: the values of all n draws, and whether any block had mass."""
+    values = np.empty(n)  # allocated first: a count too large fails before any draw
+    mass = False
+    for start, v in profile_blocks(spec, grid, n, rng):
+        values[start:start + v.shape[0]], has_mass = per_draw(v)
+        mass = mass or has_mass
+    return values, mass
+
+
+def _pareto_blocks(spec: SpectralProfileSpec, grid: Grid, n: int, rng: np.random.Generator):
+    """Row blocks ``(y, v)`` of n direct draws W = y v: all n radii first, then
+    the profiles in blocks, so the stream is that of
+    ``pareto.sample_simple_pareto_batch``."""
+    y = sample_radii(n, rng)
+    for start, v in profile_blocks(spec, grid, n, rng):
+        yield y[start:start + v.shape[0]], v
 
 
 # ---------------------------------------------------------------------------
@@ -181,12 +207,14 @@ def _conditional_tail(spec: SpectralProfileSpec, grid: Grid, x: float, n_sim: in
                       rng: np.random.Generator, reduce, empty: str) -> float:
     """Empirical P(X > x | X > omega0) for X = Y * reduce(V) from n_sim direct
     draws; ``PreconditionFailed(empty)`` when no draw exceeds omega0."""
-    y = sample_radii(n_sim, rng)
-    values = y * reduce(sample_profiles(spec, grid, n_sim, rng))
-    n_cond = int(np.sum(values > spec.omega0))
+    n_cond = n_tail = 0
+    for y, v in _pareto_blocks(spec, grid, n_sim, rng):
+        values = y * reduce(v)
+        n_cond += int(np.count_nonzero(values > spec.omega0))
+        n_tail += int(np.count_nonzero(values > max(x, spec.omega0)))
     if n_cond == 0:
         raise PreconditionFailed(empty)
-    return float(np.sum(values > max(x, spec.omega0)) / n_cond)
+    return n_tail / n_cond
 
 
 def conditional_sup_tail(
@@ -204,7 +232,8 @@ def conditional_sup_tail(
     """
     if rng is None:
         rng = make_rng(0, "conditional_sup_tail")
-    mean_inf, se_inf = _mean_result(sample_profiles(spec, grid, PRETEST_N, rng).min(axis=1))
+    mean_inf, se_inf = _mean_result(*_per_draw_blocks(spec, grid, PRETEST_N, rng,
+                                                      lambda v: (v.min(axis=1), True)))
     if not mean_inf - 3.0 * se_inf > 0.0:
         raise PreconditionFailed(
             f"E inf V not significantly positive (estimate {mean_inf:.3g} "
@@ -256,9 +285,11 @@ def df_findim(
         raise ValueError(f"w_vec must have length d = {d}")
     if np.any(w < 0):
         raise ValueError("w_vec must be nonnegative")
-    grid = vector_grid(d)
-    profiles = sample_profiles(spec, grid, n_mc, make_rng(seed, "df_findim"))
-    return _mean_result(*_leq_general_per_draw(profiles, w))
+    if n_mc < 1:
+        raise ValueError("n_mc must be >= 1")
+    rng = make_rng(seed, "df_findim")
+    return _mean_result(*_per_draw_blocks(spec, vector_grid(d), n_mc, rng,
+                                          lambda v: _leq_general_per_draw(v, w)))
 
 
 def bernoulli_pair_cdf(x: float, y: float, omega0: float = 1.0) -> float:
@@ -285,14 +316,17 @@ def direct_frequency(
     rng: np.random.Generator,
 ) -> tuple[float, float]:
     """Empirical probability of the event from n directly simulated processes."""
-    _, _, sim = sample_simple_pareto_batch(spec, grid, n, rng)
-    if mode == LEQ:
-        hits = np.all(sim <= w, axis=1)
-    elif mode == GT:
-        hits = np.all(sim > w, axis=1)
-    else:
-        hits = np.any(sim > w, axis=1)
-    p = float(hits.mean())
+    hits = 0
+    for y, sim in _pareto_blocks(spec, grid, n, rng):
+        sim *= y[:, None]
+        if mode == LEQ:
+            hit = np.all(sim <= w, axis=1)
+        elif mode == GT:
+            hit = np.all(sim > w, axis=1)
+        else:
+            hit = np.any(sim > w, axis=1)
+        hits += int(np.count_nonzero(hit))
+    p = hits / n
     return p, float(np.sqrt(p * (1.0 - p) / n))
 
 
@@ -321,14 +355,18 @@ def run_battery(
     of the two probability estimates, so that events far below the direct
     arm's 1/n resolution (empirical frequency exactly 0) are compared at the
     formula's scale instead of degenerating to a zero-width interval.
+
+    The two arms of a query draw from their own streams, so they run at the
+    same time (``grid._concurrently``) with the rows of a serial run.
     """
     if n_direct < 1:
         raise ValueError("n_direct must be >= 1")
     rows = []
     for i, q in enumerate(queries):
-        res = evaluate(q, spec, grid)
         rng = make_rng(seed, f"battery_direct_{i}")
-        p, se = direct_frequency(spec, grid, q.w.values, q.mode, n_direct, rng)
+        res, (p, se) = _concurrently(
+            lambda: evaluate(q, spec, grid),
+            lambda: direct_frequency(spec, grid, q.w.values, q.mode, n_direct, rng))
         diff = abs(res.estimate - p)
         q_se = min(max(p, res.estimate, 0.0), 1.0)
         se_binom = float(np.sqrt(q_se * (1.0 - q_se) / n_direct))

@@ -13,6 +13,7 @@ equal grids hash alike, so a grid keys a cache by its sites.
 from __future__ import annotations
 
 import os
+import threading
 import warnings
 from contextlib import contextmanager
 from dataclasses import dataclass
@@ -156,13 +157,47 @@ BLOCKS_PER_PART = 4  # smallest share of a writer worker: smaller tables format 
 BYTES_PER_PART = 1 << 20  # smallest body share of a reader worker: smaller files parse in-process
 
 
+def _cpus() -> int:
+    """CPUs this process may run on."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 def _pool_size(parts: int) -> int:
     """Workers for ``parts`` independent parts: one per CPU this process may
     run on, at most one per part, and 1 (in-process) without ``fork``."""
     if parts < 2 or not hasattr(os, "fork"):
         return 1
-    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
-    return min(cpus or 1, parts)
+    return min(_cpus(), parts)
+
+
+def _concurrently(first, second):
+    """``(first(), second())``, with ``second`` on a short-lived thread when
+    this process may run on two or more CPUs (numpy releases the GIL inside
+    its loops, so the two overlap). The thread is joined before this returns,
+    so a later ``_forked`` never forks a process that still has threads; an
+    exception of either task is raised here, ``first``'s if both fail."""
+    if _cpus() < 2:
+        return first(), second()
+    box = []
+
+    def run():
+        try:
+            box.append((second(), None))
+        except BaseException as exc:  # re-raised in the calling thread
+            box.append((None, exc))
+
+    thread = threading.Thread(target=run, name="paretoproc-arm")
+    thread.start()
+    try:
+        a = first()
+    finally:
+        thread.join()
+    b, exc = box[0]
+    if exc is not None:
+        raise exc
+    return a, b
 
 
 @contextmanager

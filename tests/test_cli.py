@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import threading
 from pathlib import Path
 
 import numpy as np
@@ -161,6 +162,23 @@ def test_library_error_exits_two_with_one_line(tmp_path, capsys, argv, error):
     assert not (out / "manifest.json").exists()
 
 
+def test_failing_thread_side_battery_arm_exits_two_with_one_line(tmp_path, capsys, monkeypatch):
+    # with two CPUs the direct arm runs on its own thread; its error reaches main
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+
+    def fail(*args):
+        assert threading.current_thread() is not threading.main_thread()
+        raise MemoryError("Unable to allocate 7.28 TiB")
+
+    monkeypatch.setattr(dfeval, "direct_frequency", fail)
+    before = threading.active_count()
+    argv = ["df-battery", "--spec", "constant", "--sites", "3", "--n-mc", "10",
+            "--n-direct", "10", "--seed", "1", "--out", str(tmp_path / "out")]
+    assert main(argv) == 2
+    assert capsys.readouterr().err == "MemoryError: Unable to allocate 7.28 TiB\n"
+    assert threading.active_count() == before
+
+
 HEADER = "sample_id,site_index,value\n"
 
 
@@ -305,7 +323,7 @@ def _cannot_allocate(*args, **kwargs):
 
 @pytest.mark.parametrize("argv, module, name", [
     pytest.param(["simulate", "--n", "1000000000000"], pareto, "sample_radii", id="simulate"),
-    pytest.param(["df-battery", "--n-mc", "1000000000000"], dfeval, "sample_profiles",
+    pytest.param(["df-battery", "--n-mc", "1000000000000"], dfeval, "profile_blocks",
                  id="df-battery"),
 ])
 def test_count_too_large_to_allocate_exits_two_with_one_line(tmp_path, capsys, monkeypatch,

@@ -1,6 +1,11 @@
+import os
+import sys
+import threading
+
 import numpy as np
 import pytest
 
+from paretoproc import dfeval, spectral
 from paretoproc.dfeval import (
     DfQuery,
     bernoulli_pair_cdf,
@@ -19,6 +24,7 @@ from paretoproc.dfeval import (
 )
 from paretoproc.errors import GridMismatch, NonPositiveArgument, OutOfSupport, PreconditionFailed
 from paretoproc.grid import Field, Grid
+from paretoproc.pareto import sample_simple_pareto_batch
 from paretoproc.rng import make_rng
 from paretoproc.spectral import SpectralProfileSpec
 from paretoproc.transforms import GpParams
@@ -242,3 +248,58 @@ def test_queries_from_json(tmp_path):
     assert np.array_equal(queries[0].w.values, [2.0, 2.0, 2.0])
     assert queries[0].n_mc == 500 and queries[0].seed == 4
     assert np.array_equal(queries[1].w.values, [1.5, 2.0, 2.5])
+
+
+def test_direct_frequency_counts_the_one_shot_batch_over_blocks():
+    # all n radii first, then the profile blocks: the draws and hit counts of
+    # one sample_simple_pareto_batch call
+    g = Grid.regular(51)
+    n = 3 * (spectral.BLOCK_CELLS // g.n_sites) + 7
+    w = 1.5 + g.coords()
+    _, _, sim = sample_simple_pareto_batch(GMM, g, n, make_rng(3, "one_shot"))
+    for mode, hits in (("LEQ", np.all(sim <= w, axis=1)), ("GT", np.all(sim > w, axis=1)),
+                       ("NOT_LEQ", np.any(sim > w, axis=1))):
+        p, se = direct_frequency(GMM, g, w, mode, n, make_rng(3, "one_shot"))
+        assert (p, se) == (hits.mean(), np.sqrt(hits.mean() * (1.0 - hits.mean()) / n))
+
+
+def test_run_battery_rows_equal_threaded_and_in_process(monkeypatch):
+    g = Grid.regular(21)
+    spec = SpectralProfileSpec("rescaled_positive_field")
+    queries = default_battery(g, n_mc=3_000, seed=4)
+    on_main = set()
+    direct = dfeval.direct_frequency
+
+    def recorded(*args):
+        on_main.add(threading.current_thread() is threading.main_thread())
+        return direct(*args)
+
+    monkeypatch.setattr(dfeval, "direct_frequency", recorded)
+    before = threading.active_count()
+    rows = {}
+    for cpus in (2, 1):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid, c=cpus: set(range(c)),
+                            raising=False)
+        on_main.clear()
+        # both arms fill the shared set-up and factor caches, switching often
+        spectral._draw_setup.cache_clear()
+        spectral._sq_exp_factor.cache_clear()
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            rows[cpus] = run_battery(spec, g, queries, n_direct=6_000, seed=2)
+        finally:
+            sys.setswitchinterval(interval)
+        assert on_main == {cpus == 1}  # the direct arm has its own thread on two CPUs
+        assert threading.active_count() == before
+    assert rows[2] == rows[1]
+
+
+def test_run_battery_raises_the_formula_error_after_joining_the_direct_arm(monkeypatch):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    g = Grid.regular(5)
+    other = Grid.regular(5, hi=2.0)
+    before = threading.active_count()
+    with pytest.raises(ValueError, match="query field and grid disagree"):
+        run_battery(GMM, g, [DfQuery(flat(other, 2.0), "LEQ", 100, 0)], n_direct=100)
+    assert threading.active_count() == before

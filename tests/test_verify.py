@@ -54,15 +54,10 @@ def test_bivariate_closed_form_fails_on_constant_profiles(monkeypatch):
 
 def test_formula_vs_empirical_fails_on_squared_direct_radii(monkeypatch):
     # the direct arm draws W = Y^2 V: P(W <= 2) for flat profiles is
-    # 1 - 1/sqrt(2), not 1/2. The arm is drawn inside dfeval, so its name there
-    # is patched.
-    sample = dfeval.sample_simple_pareto_batch
-
-    def squared_radii(spec, grid, n, rng):
-        y, v, w = sample(spec, grid, n, rng)
-        return y * y, v, w * y[:, None]
-
-    monkeypatch.setattr(dfeval, "sample_simple_pareto_batch", squared_radii)
+    # 1 - 1/sqrt(2), not 1/2. The arm draws its radii inside dfeval, so their
+    # name there is patched.
+    sample = dfeval.sample_radii
+    monkeypatch.setattr(dfeval, "sample_radii", lambda n, rng: sample(n, rng) ** 2)
     gate = _failing_gate(verify.check_formula_vs_empirical, "pass_fraction")
     assert gate.statistic < gate.threshold
 
