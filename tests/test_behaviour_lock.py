@@ -1,5 +1,6 @@
 """Behaviour lock: SHA-256 digests of the data outputs of one small config per
-CLI command, plus a second ``simulate`` config for ``rescaled_positive_field``.
+CLI command, plus a second ``simulate`` config for ``rescaled_positive_field``
+and a third whose samples table goes through the pooled CSV writer.
 
 A change that must leave every output as it is keeps these digests. A change
 that alters a random stream or an output format on purpose re-pins the
@@ -27,6 +28,10 @@ COMMANDS = {
     "simulate-rescaled": (["simulate", "--spec", "rescaled_positive_field", "--dim", "2",
                            "--sites", "5", "--n", "200", "--seed", SEED],
                           ("radii.csv", "samples.csv")),
+    # 3,000 draws at 11 sites: samples.csv is 9 blocks of 372 draws, so with
+    # two CPUs it is formatted by two forked workers (BLOCKS_PER_PART = 4)
+    "simulate-pooled": (["simulate", "--spec", "gaussian_moving_max", "--sites", "11",
+                         "--n", "3000", "--seed", SEED], ("radii.csv", "samples.csv")),
     "scenario43": (["scenario43", "--n", "1000", *SCENARIO], REPORT + ("source.csv",)),
     "lift": (["lift", "--data", "{scenario43}/source.csv", *SCENARIO], REPORT),
     "maxstable-check": (["maxstable-check", "--spec", "gaussian_moving_max", "--sites", "11",
@@ -46,6 +51,10 @@ EXPECTED = {
         # re-pinned when the dense Cholesky factor gave way to low-rank
         # per-axis factors, which draw fewer normals; radii come first and stay
         "samples.csv": "aa845e5e2ddf632289aa44151aa0c9de8d58c1b10dc3d8e4ef1b52c2c37f93f2",
+    },
+    "simulate-pooled": {
+        "radii.csv": "67f0804e584b94a79d2b16a80c0454ca86e2b556117404f797c3517fb5f90523",
+        "samples.csv": "ddd1dbdd5e4b3ea62f7b7c74e65958f8584edbc0e09c386af1b8fa5fa40e1c57",
     },
     "scenario43": {
         "lifted.csv": "81fad46720687400072b7429c0ba46f0ef99705e6c5fd193b914cf55473746b6",
