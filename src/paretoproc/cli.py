@@ -166,6 +166,9 @@ def _merge_config(args: argparse.Namespace) -> RunConfig:
         raise ConfigError("site count must be >= 2")
     if not 1 <= cfg.opt("dim") <= 3:
         raise ConfigError("dim must be 1, 2 or 3")
+    for key in ("lo", "hi"):
+        if not np.isfinite(cfg.opt(key)):
+            raise ConfigError(f"--{key} must be finite, not {cfg.opt(key)}")
     return cfg
 
 

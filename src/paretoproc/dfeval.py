@@ -11,9 +11,9 @@ conventions: ``W <= w`` and ``W > w`` hold at every site, ``W not<= w``
 event evaluated as an empirical frequency of directly simulated processes.
 ``run_battery`` compares the two routes query by query.
 
-Every route draws its profiles in row blocks (``spectral.profile_blocks``),
-so memory is set by the block size; only one float per draw (its statistic
-or its Pareto radius) is kept for all n draws.
+Every route draws its profiles in row blocks (``spectral.profile_blocks`` or
+``per_draw_blocks``), so memory is set by the block size; only one float per
+draw (its statistic or its Pareto radius) is kept for all n draws.
 """
 from __future__ import annotations
 
@@ -26,7 +26,7 @@ from .errors import NonPositiveArgument, OutOfSupport, PreconditionFailed
 from .grid import Field, Grid, _concurrently, write_csv_table
 from .pareto import sample_radii, vector_grid
 from .rng import make_rng
-from .spectral import SpectralProfileSpec, profile_blocks
+from .spectral import SpectralProfileSpec, per_draw_blocks, prepare_draws, profile_blocks
 from .transforms import GpParams, from_generalized
 
 LEQ = "LEQ"
@@ -88,20 +88,8 @@ def _formula(q: DfQuery, spec: SpectralProfileSpec, grid: Grid, per_draw) -> DfR
     if q.w.grid != grid:
         raise ValueError("query field and grid disagree")
     rng = make_rng(q.seed, "df_eval")
-    return _mean_result(*_per_draw_blocks(spec, grid, q.n_mc, rng,
-                                          lambda v: per_draw(v, q.w.values)))
-
-
-def _per_draw_blocks(spec: SpectralProfileSpec, grid: Grid, n: int,
-                     rng: np.random.Generator, per_draw) -> tuple[np.ndarray, bool]:
-    """``per_draw(profiles) -> (values, has_mass)`` over n profiles drawn in
-    blocks: the values of all n draws, and whether any block had mass."""
-    values = np.empty(n)  # allocated first: a count too large fails before any draw
-    mass = False
-    for start, v in profile_blocks(spec, grid, n, rng):
-        values[start:start + v.shape[0]], has_mass = per_draw(v)
-        mass = mass or has_mass
-    return values, mass
+    return _mean_result(*per_draw_blocks(spec, grid, q.n_mc, rng,
+                                         lambda v: per_draw(v, q.w.values)))
 
 
 def _pareto_blocks(spec: SpectralProfileSpec, grid: Grid, n: int, rng: np.random.Generator):
@@ -232,8 +220,8 @@ def conditional_sup_tail(
     """
     if rng is None:
         rng = make_rng(0, "conditional_sup_tail")
-    mean_inf, se_inf = _mean_result(*_per_draw_blocks(spec, grid, PRETEST_N, rng,
-                                                      lambda v: (v.min(axis=1), True)))
+    mean_inf, se_inf = _mean_result(*per_draw_blocks(spec, grid, PRETEST_N, rng,
+                                                     lambda v: (v.min(axis=1), True)))
     if not mean_inf - 3.0 * se_inf > 0.0:
         raise PreconditionFailed(
             f"E inf V not significantly positive (estimate {mean_inf:.3g} "
@@ -288,8 +276,8 @@ def df_findim(
     if n_mc < 1:
         raise ValueError("n_mc must be >= 1")
     rng = make_rng(seed, "df_findim")
-    return _mean_result(*_per_draw_blocks(spec, vector_grid(d), n_mc, rng,
-                                          lambda v: _leq_general_per_draw(v, w)))
+    return _mean_result(*per_draw_blocks(spec, vector_grid(d), n_mc, rng,
+                                         lambda v: _leq_general_per_draw(v, w)))
 
 
 def bernoulli_pair_cdf(x: float, y: float, omega0: float = 1.0) -> float:
@@ -357,10 +345,12 @@ def run_battery(
     formula's scale instead of degenerating to a zero-width interval.
 
     The two arms of a query draw from their own streams, so they run at the
-    same time (``grid._concurrently``) with the rows of a serial run.
+    same time (``grid._concurrently``) with the rows of a serial run. The
+    draws' set-up is made first, so the arms never build it twice.
     """
     if n_direct < 1:
         raise ValueError("n_direct must be >= 1")
+    prepare_draws(spec, grid)
     rows = []
     for i, q in enumerate(queries):
         rng = make_rng(seed, f"battery_direct_{i}")

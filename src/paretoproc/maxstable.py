@@ -24,8 +24,10 @@ from .pareto import sample_radii
 from .rng import fill_rows, make_rng
 from .spectral import (
     SpectralProfileSpec,
+    _read_only,
     exact_profile_mean,
     gaussian_bump,
+    per_draw_blocks,
     profile_mean_se,
     sample_profiles,
 )
@@ -37,16 +39,17 @@ DOA_SE_FACTOR = 3.0  # standard errors a sup-ratio check may miss 1/x by
 
 @functools.lru_cache(maxsize=16)
 def _monte_carlo_mean_field(spec: SpectralProfileSpec, grid: Grid) -> tuple[np.ndarray, np.ndarray]:
-    return profile_mean_se(spec, grid, MEAN_RESCALE_N, make_rng(0, "mean_field_rescale"))
+    mean, se = profile_mean_se(spec, grid, MEAN_RESCALE_N, make_rng(0, "mean_field_rescale"))
+    return _read_only(mean), _read_only(se)
 
 
 def _mean_field(spec: SpectralProfileSpec, grid: Grid) -> tuple[np.ndarray, np.ndarray]:
-    """E V(s) and its standard error: exact with SE 0 where a closed form
-    exists, else a Monte Carlo estimate from MEAN_RESCALE_N profiles, cached
-    per (spec, grid)."""
+    """E V(s) and its standard error, both read-only: exact with SE 0 where a
+    closed form exists, else a Monte Carlo estimate from MEAN_RESCALE_N
+    profiles, cached per (spec, grid)."""
     exact = exact_profile_mean(spec, grid)
     if exact is not None:
-        return exact, np.zeros(grid.n_sites)
+        return _read_only(exact), _read_only(np.zeros(grid.n_sites))
     return _monte_carlo_mean_field(spec, grid)
 
 
@@ -149,7 +152,7 @@ def findim_evd(
     return_se: bool = False,
 ):
     """Finite-dimensional df G(x) = exp(-E max_i V(s_i)/x_i) by Monte Carlo
-    over rescaled profiles. Standard error via the delta method."""
+    over rescaled profiles, drawn in blocks. Standard error via the delta method."""
     x = np.asarray(x, dtype=float)
     sites = np.asarray(sites, dtype=int)
     if x.shape != sites.shape:
@@ -158,8 +161,9 @@ def findim_evd(
         raise ValueError("evaluation points must be positive")
     if rng is None:
         rng = make_rng(0, "findim_evd")
-    profiles = _rescaled_profiles(cfg, n_mc, rng)[:, sites]
-    exponent = (profiles / x).max(axis=1)
+    mean_field = cfg.mean_field[sites]
+    exponent, _ = per_draw_blocks(cfg.spec, cfg.grid, n_mc, rng,
+                                  lambda v: ((v[:, sites] / mean_field / x).max(axis=1), True))
     mean = exponent.mean()
     est = float(np.exp(-mean))
     if not return_se:

@@ -39,10 +39,10 @@ RESCALED_POSITIVE_FIELD = "rescaled_positive_field"
 BERNOULLI_PAIR = "bernoulli_pair"
 
 KINDS = (CONSTANT, GAUSSIAN_MOVING_MAX, RESCALED_POSITIVE_FIELD, BERNOULLI_PAIR)
-MEAN_BLOCK = 100_000  # profiles drawn at a time: bounds a mean estimate's memory
-BLOCK_CELLS = 1 << 16  # (profile, site) cells of a blocked draw: 512 KiB of floats
-EXACT_BLOCK = 1 << 18  # (site, cell) pairs per block of the exact bump mean
+BLOCK_CELLS = 1 << 16  # array cells of a blocked profile draw or exact-mean block: 512 KiB
 EIG_TOL = 1e-10  # covariance eigenvalues kept, relative to the largest
+# a Pareto radius is at most 2^53, so W = Y V stays finite up to this sup V
+OMEGA0_MAX = np.finfo(float).max / 2**53
 
 _ALIASES = {
     "constantprofile": CONSTANT,
@@ -75,8 +75,8 @@ class SpectralProfileSpec:
 
     def __post_init__(self):
         object.__setattr__(self, "kind", _canonical_kind(self.kind))
-        if not 0.0 < self.omega0 < np.inf:
-            raise ValueError("omega0 must be positive and finite")
+        if not 0.0 < self.omega0 <= OMEGA0_MAX:
+            raise ValueError(f"omega0 must be positive and at most {OMEGA0_MAX:.4g}")
         if self.kind == GAUSSIAN_MOVING_MAX and not 0.0 < self.bandwidth * self.bandwidth < np.inf:
             raise ValueError("gaussian_moving_max requires bandwidth > 0 with a finite, nonzero square")
         if self.kind == RESCALED_POSITIVE_FIELD and not 0.0 < self.corr_length * self.corr_length < np.inf:
@@ -174,6 +174,17 @@ def _read_only(a: np.ndarray) -> np.ndarray:
     return a
 
 
+def prepare_draws(spec: SpectralProfileSpec, grid: Grid):
+    """The set-up of ``sample_profiles`` for (spec, grid), the factors of
+    ``rescaled_positive_field`` in place of their grids. A call fills both
+    caches, so draws that run concurrently afterwards only read them."""
+    setup = _draw_setup(spec, grid)
+    if spec.kind != RESCALED_POSITIVE_FIELD:
+        return setup
+    parts, flat = setup
+    return [_sq_exp_factor(g, spec.corr_length) for g in parts], flat
+
+
 def sample_profiles(
     spec: SpectralProfileSpec, grid: Grid, n: int, rng: np.random.Generator
 ) -> np.ndarray:
@@ -182,7 +193,7 @@ def sample_profiles(
     This is the vectorized workhorse behind :func:`sample_profile`; every
     row is nonnegative with maximum exactly ``spec.omega0``.
     """
-    setup = _draw_setup(spec, grid)
+    setup = prepare_draws(spec, grid)
     m = grid.n_sites
     w0 = spec.omega0
     if spec.kind == CONSTANT:
@@ -213,8 +224,7 @@ def sample_profiles(
     # rescaled_positive_field: the covariance is the Kronecker product of the
     # per-axis covariances on a tensor grid, so one normal per rank-product
     # cell is mapped to the sites one axis factor at a time
-    parts, flat = setup
-    factors = [_sq_exp_factor(g, spec.corr_length) for g in parts]
+    factors, flat = setup
     z = rng.standard_normal((n, *(f.shape[1] for f in factors)))
     for f in factors:  # contract the first rank axis, append its site axis
         z = np.tensordot(z, f, axes=(1, 1))
@@ -229,13 +239,10 @@ def sample_profiles(
     return z
 
 
-def profile_blocks(
-    spec: SpectralProfileSpec, grid: Grid, n: int, rng: np.random.Generator,
-    rows: int | None = None,
-):
+def profile_blocks(spec: SpectralProfileSpec, grid: Grid, n: int, rng: np.random.Generator):
     """n profiles as ``(start, block)`` pairs: consecutive row blocks of
-    ``sample_profiles`` draws, ``rows`` rows each (by default as many as fit
-    in ``BLOCK_CELLS`` cells, at least two), and each block's first row.
+    ``sample_profiles`` draws, as many rows as fit in ``BLOCK_CELLS`` cells
+    (at least two), and each block's first row.
 
     The blocks draw the stream of the one-shot ``sample_profiles(spec, grid,
     n, rng)`` and, concatenated, equal it bitwise, except where BLAS rounds
@@ -243,13 +250,24 @@ def profile_blocks(
     (from about 200 sites, where one-shot draws of two sizes disagree too).
     So a one-row tail joins the block before it: BLAS would map a lone row
     through its matrix-vector path, which rounds differently."""
-    if rows is None:
-        rows = max(2, BLOCK_CELLS // grid.n_sites)
+    rows = max(2, BLOCK_CELLS // grid.n_sites)
     start = 0
     while start < n:
         k = n - start if n - start <= rows + 1 else rows
         yield start, sample_profiles(spec, grid, k, rng)
         start += k
+
+
+def per_draw_blocks(spec: SpectralProfileSpec, grid: Grid, n: int,
+                    rng: np.random.Generator, per_draw) -> tuple[np.ndarray, bool]:
+    """``per_draw(profiles) -> (values, has_mass)`` over n profiles drawn in
+    ``profile_blocks``: the values of all n draws, and whether any block had mass."""
+    values = np.empty(n)  # allocated first: a count too large fails before any draw
+    mass = False
+    for start, v in profile_blocks(spec, grid, n, rng):
+        values[start:start + v.shape[0]], has_mass = per_draw(v)
+        mass = mass or has_mass
+    return values, mass
 
 
 def sample_profile(
@@ -263,15 +281,17 @@ def profile_mean_se(
     spec: SpectralProfileSpec, grid: Grid, n: int, rng: np.random.Generator
 ) -> tuple[np.ndarray, np.ndarray]:
     """Per-site Monte Carlo mean of n independent profiles and its standard
-    error, drawn ``MEAN_BLOCK`` profiles at a time."""
+    error, drawn in ``profile_blocks``. The moments are summed for V / omega0,
+    whose square cannot overflow, and scaled back."""
     total = np.zeros(grid.n_sites)
     total_sq = np.zeros(grid.n_sites)
-    for _, p in profile_blocks(spec, grid, n, rng, MEAN_BLOCK):
+    for _, p in profile_blocks(spec, grid, n, rng):
+        p /= spec.omega0
         total += p.sum(axis=0)
         total_sq += (p * p).sum(axis=0)
     mean = total / n
     var = total_sq / n - mean * mean
-    return mean, np.sqrt(np.maximum(var, 0.0) / n)
+    return mean * spec.omega0, np.sqrt(np.maximum(var, 0.0) / n) * spec.omega0
 
 
 def profile_mean(
@@ -297,7 +317,7 @@ def _bump_axis_mean(u: np.ndarray, h: float) -> np.ndarray:
     edges = np.concatenate(([u[0]], (u[:-1] + u[1:]) / 2, [u[-1]]))
     c0, c1, length = edges[:-1], edges[1:], np.diff(edges)
     total = np.empty(u.size)
-    rows = max(1, EXACT_BLOCK // u.size)
+    rows = max(1, BLOCK_CELLS // u.size)
     for start in range(0, u.size, rows):
         s = u[start:start + rows, None]
         d = s - u

@@ -10,7 +10,7 @@ import pytest
 import scipy
 
 import paretoproc
-from paretoproc import cli, dfeval, grid, pareto, verify
+from paretoproc import cli, dfeval, grid, pareto, spectral, verify
 from paretoproc.cli import main
 from paretoproc.gof import Check
 from paretoproc.grid import Grid
@@ -148,7 +148,17 @@ def test_lift_command(tmp_path):
                   "--n-mc", "10", "--n-direct", "10"], "ValueError", id="df_battery_omega0_inf"),
     pytest.param(["maxstable-check", "--spec", "constant", "--omega0", "inf", "--sites", "3",
                   "--n", "10", "--n-rep", "10"], "ValueError", id="maxstable_check_omega0_inf"),
+    # a radius can reach 2^53, so W = Y V would overflow at this omega0
+    pytest.param(["simulate", "--spec", "gaussian_moving_max", "--omega0", "1e308", "--sites",
+                  "5", "--n", "20"], "ValueError", id="simulate_omega0_overflows"),
+    pytest.param(["df-battery", "--spec", "gaussian_moving_max", "--omega0", "1e308", "--sites",
+                  "5", "--n-mc", "10", "--n-direct", "10"], "ValueError",
+                 id="df_battery_omega0_overflows"),
+    pytest.param(["maxstable-check", "--spec", "gaussian_moving_max", "--omega0", "1e308",
+                  "--sites", "5", "--n", "10", "--n-rep", "10"], "ValueError",
+                 id="maxstable_check_omega0_overflows"),
 ])
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_library_error_exits_two_with_one_line(tmp_path, capsys, argv, error):
     tied = tmp_path / "tied.csv"  # equal values: tied top order statistics at every site
     field_sample_to_csv(FieldSample(Grid.regular(3), np.ones((30, 3))), tied)
@@ -238,7 +248,11 @@ def test_malformed_config_exits_two_with_one_line(tmp_path, capsys, doc, command
     pytest.param(["verify-all"], "--seed", id="verify_all_seed"),
     pytest.param(["simulate", "--n", "many"], "--n", id="bad_type"),
     pytest.param(["lift", "--k"], "--k", id="missing_value"),
+    pytest.param(["simulate", "--lo", "inf"], "--lo", id="lo_inf"),
+    pytest.param(["df-battery", "--hi=-inf"], "--hi", id="hi_minus_inf"),
+    pytest.param(["maxstable-check", "--lo", "nan"], "--lo", id="lo_nan"),
 ])
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_flag_error_exits_two_with_one_line(tmp_path, capsys, argv, flag):
     assert main(argv + ["--seed", "1", "--out", str(tmp_path / "out")]) == 2
     err = capsys.readouterr().err
@@ -321,16 +335,18 @@ def _cannot_allocate(*args, **kwargs):
     raise MemoryError("Unable to allocate 7.28 TiB for an array with shape (1000000000000,)")
 
 
-@pytest.mark.parametrize("argv, module, name", [
-    pytest.param(["simulate", "--n", "1000000000000"], pareto, "sample_radii", id="simulate"),
-    pytest.param(["df-battery", "--n-mc", "1000000000000"], dfeval, "profile_blocks",
-                 id="df-battery"),
+@pytest.mark.parametrize("argv, targets", [
+    pytest.param(["simulate", "--n", "1000000000000"], [(pareto, "sample_radii")], id="simulate"),
+    # the formula arm draws through spectral's name, the direct arm through dfeval's
+    pytest.param(["df-battery", "--n-mc", "1000000000000"],
+                 [(dfeval, "profile_blocks"), (spectral, "profile_blocks")], id="df-battery"),
 ])
 def test_count_too_large_to_allocate_exits_two_with_one_line(tmp_path, capsys, monkeypatch,
-                                                              argv, module, name):
+                                                              argv, targets):
     # the sampler is patched: whether a huge allocation fails at once depends
     # on the machine's memory overcommit
-    monkeypatch.setattr(module, name, _cannot_allocate)
+    for module, name in targets:
+        monkeypatch.setattr(module, name, _cannot_allocate)
     assert main(argv + ["--sites", "5", "--seed", "2", "--out", str(tmp_path)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("MemoryError: Unable to allocate") and err.count("\n") == 1

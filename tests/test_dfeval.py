@@ -1,11 +1,12 @@
 import os
 import sys
 import threading
+import time
 
 import numpy as np
 import pytest
 
-from paretoproc import dfeval, spectral
+from paretoproc import dfeval, grid, spectral
 from paretoproc.dfeval import (
     DfQuery,
     bernoulli_pair_cdf,
@@ -281,7 +282,7 @@ def test_run_battery_rows_equal_threaded_and_in_process(monkeypatch):
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid, c=cpus: set(range(c)),
                             raising=False)
         on_main.clear()
-        # both arms fill the shared set-up and factor caches, switching often
+        # the shared set-up and factor caches start empty; the threads switch often
         spectral._draw_setup.cache_clear()
         spectral._sq_exp_factor.cache_clear()
         interval = sys.getswitchinterval()
@@ -292,6 +293,31 @@ def test_run_battery_rows_equal_threaded_and_in_process(monkeypatch):
             sys.setswitchinterval(interval)
         assert on_main == {cpus == 1}  # the direct arm has its own thread on two CPUs
         assert threading.active_count() == before
+    assert rows[2] == rows[1]
+
+
+def test_run_battery_builds_each_factor_once_with_two_arms(monkeypatch):
+    # a slow eigh keeps both arms inside the factor cache's miss unless the
+    # set-up is made before they start
+    g = Grid(np.random.default_rng(8).random((300, 2)))
+    spec = SpectralProfileSpec("rescaled_positive_field")
+    queries = [DfQuery(flat(g, 3.0), "NOT_LEQ", 200, 1)]
+    eigh, calls = np.linalg.eigh, []
+
+    def slow_eigh(a):
+        calls.append(1)
+        time.sleep(0.05)
+        return eigh(a)
+
+    monkeypatch.setattr(np.linalg, "eigh", slow_eigh)
+    rows = {}
+    for cpus in (2, 1):
+        monkeypatch.setattr(grid, "_cpus", lambda c=cpus: c)
+        spectral._draw_setup.cache_clear()
+        spectral._sq_exp_factor.cache_clear()
+        calls.clear()
+        rows[cpus] = run_battery(spec, g, queries, n_direct=200, seed=5)
+        assert len(calls) == 1
     assert rows[2] == rows[1]
 
 

@@ -1,9 +1,13 @@
+import contextlib
 import multiprocessing
 import os
+import tempfile
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra import numpy as hnp
 
 from paretoproc import grid
 from paretoproc.errors import DomainError, GridMismatch
@@ -340,4 +344,38 @@ def test_pooled_writer_leaves_no_child(tmp_path, monkeypatch):
     monkeypatch.setattr(grid, "_format_rows", _in_workers_only(grid._format_rows))
     with pytest.raises(OSError, match="new.csv: a CSV formatting worker process died"):
         write_csv_table(tmp_path / "new.csv", header, columns)
+    _assert_no_child_left()
+
+
+_FINITE = st.floats(allow_nan=False, allow_infinity=False) | st.sampled_from(
+    [-0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1.7e308, -1.7e308])
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="the pooled path forks its workers")
+@settings(derandomize=True, max_examples=30, deadline=None)
+@given(hnp.arrays(np.float64, st.tuples(st.integers(1, 40), st.integers(1, 4)),
+                  elements=_FINITE))
+def test_csv_round_trip_is_bitwise_in_process_and_pooled(table):
+    # patched inside each example: function-scoped fixtures are not reset
+    # between the examples of one test
+    header = [f"c{j}" for j in range(table.shape[1])]
+    read_parts, pooled = grid._read_parts, []
+
+    def recorded(*args):
+        parts = read_parts(*args)
+        pooled.append(parts is not None)
+        return parts
+
+    pool = mock.patch.multiple(grid, ROWS_PER_BLOCK=7, BLOCKS_PER_PART=1, BYTES_PER_PART=1,
+                               _read_parts=recorded)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "t.csv")
+        for cpus, patch in (({0}, contextlib.nullcontext()), ({0, 1}, pool)):
+            with patch, mock.patch.object(os, "sched_getaffinity", lambda pid, c=cpus: c,
+                                          create=True):
+                write_csv_table(path, header, list(table.T))
+                read_header, read = read_csv_table(path)
+            assert read_header == header
+            assert read.shape == table.shape and read.tobytes() == table.tobytes()
+    assert pooled == [True]
     _assert_no_child_left()

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -6,7 +8,7 @@ from paretoproc.gof import (
     ks_statistic,
     standard_frechet_cdf,
 )
-from paretoproc import maxstable
+from paretoproc import maxstable, spectral
 from paretoproc.grid import Grid
 from paretoproc.maxstable import (
     PenroseConfig,
@@ -19,7 +21,7 @@ from paretoproc.maxstable import (
     sample_moving_maximum_batch,
 )
 from paretoproc.rng import make_rng
-from paretoproc.spectral import SpectralProfileSpec, exact_profile_mean
+from paretoproc.spectral import SpectralProfileSpec, exact_profile_mean, sample_profiles
 
 
 @pytest.fixture(scope="module")
@@ -248,3 +250,46 @@ def test_mean_field_monte_carlo_on_scattered_grid():
     again = PenroseConfig(SpectralProfileSpec("gaussian_moving_max", bandwidth=0.3), Grid(sites))
     assert cache.cache_info()[:3] == (1, 1, 16)  # one hit, one miss, 16 kept at most
     assert again.mean_field is cfg.mean_field
+
+
+@pytest.mark.parametrize("spec, sites", [
+    pytest.param(SpectralProfileSpec("gaussian_moving_max", bandwidth=0.3),
+                 np.random.default_rng(2).random((6, 2)), id="monte_carlo"),
+    pytest.param(SpectralProfileSpec("gaussian_moving_max"), np.linspace(0.0, 1.0, 11),
+                 id="exact"),
+])
+def test_mean_field_is_read_only(spec, sites):
+    # the Monte Carlo mean is cached and shared by every config on an equal grid
+    cfg = PenroseConfig(spec, Grid(sites))
+    mean, sup_bound = cfg.mean_field.copy(), cfg.sup_bound
+    with pytest.raises(ValueError, match="read-only"):
+        cfg.mean_field *= 2.0
+    with pytest.raises(ValueError, match="read-only"):
+        cfg.mean_field_se[0] = 1.0
+    fresh = PenroseConfig(spec, Grid(sites.copy()))
+    assert np.array_equal(fresh.mean_field, mean) and fresh.sup_bound == sup_bound
+
+
+def test_findim_evd_equals_the_one_shot_draw_bitwise():
+    # the blocked reduction keeps the one-shot draw's stream and its two divisions
+    cfg = PenroseConfig(SpectralProfileSpec("gaussian_moving_max"), Grid.regular(101))
+    sites, x = np.array([3, 50, 97]), np.array([0.7, 1.0, 2.5])
+    n = 3 * (spectral.BLOCK_CELLS // cfg.grid.n_sites) + 7
+    est, se = findim_evd(cfg, x, sites, n_mc=n, rng=make_rng(4, "fd"), return_se=True)
+    v = sample_profiles(cfg.spec, cfg.grid, n, make_rng(4, "fd"))
+    exponent = ((v / cfg.mean_field)[:, sites] / x).max(axis=1)
+    assert est == np.exp(-exponent.mean())
+    assert se == est * exponent.std(ddof=1) / np.sqrt(n)
+
+
+def test_findim_evd_peak_memory_is_set_by_the_block():
+    # 200,000 draws at 101 sites would take 162 MB in one array
+    cfg = PenroseConfig(SpectralProfileSpec("gaussian_moving_max"), Grid.regular(101))
+    findim_evd(cfg, [1.0], [50], n_mc=10)  # the cached set-up is not counted
+    tracemalloc.start()
+    try:
+        findim_evd(cfg, [1.0, 2.0, 1.5], [0, 50, 100], n_mc=200_000, rng=make_rng(0, "peak"))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 8 << 20

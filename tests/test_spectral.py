@@ -95,9 +95,11 @@ def test_sampling_is_reproducible_per_stream():
 
 
 def test_spec_validation():
-    for omega0 in (0.0, np.inf, np.nan):
+    # above OMEGA0_MAX, W = Y V overflows for the largest radius, 2^53
+    for omega0 in (0.0, np.inf, np.nan, 1e308):
         with pytest.raises(ValueError, match="omega0"):
             SpectralProfileSpec("constant", omega0=omega0)
+    assert np.isfinite(2.0**53 * SpectralProfileSpec("constant", spectral.OMEGA0_MAX).omega0)
     with pytest.raises(ValueError):
         SpectralProfileSpec("gaussian_moving_max", bandwidth=0.0)
     with pytest.raises(ValueError):
@@ -140,6 +142,44 @@ def test_exact_bump_mean_agrees_with_monte_carlo(grid, spec):
     mean, se = profile_mean_se(spec, grid, 100_000, make_rng(6, "exact_mean"))
     assert np.all(se > 0.0)
     assert np.all(np.abs(mean - exact) <= 4.5 * se)
+
+
+@pytest.mark.parametrize("cells", [1, 1 << 10])
+def test_exact_bump_mean_does_not_depend_on_the_block(monkeypatch, cells):
+    # each block holds whole rows of (site, cell) pairs, and a row's sum is
+    # the same in any block
+    grids = (Grid.regular(1001), _tensor_grid_2d())
+    specs = [SpectralProfileSpec("gaussian_moving_max", bandwidth=h) for h in (1e-3, 0.03, 2.0)]
+    expected = [exact_profile_mean(spec, g) for spec in specs for g in grids]
+    monkeypatch.setattr(spectral, "BLOCK_CELLS", cells)
+    blocked = [exact_profile_mean(spec, g) for spec in specs for g in grids]
+    assert all(np.array_equal(a, b) for a, b in zip(blocked, expected))
+
+
+def test_profile_mean_peak_memory_is_set_by_the_block():
+    # 200,000 draws at 101 sites would take 162 MB in one array
+    spec = SpectralProfileSpec("gaussian_moving_max")
+    grid = Grid.regular(101)
+    sample_profiles(spec, grid, 1, make_rng(0, "warm"))  # the cached set-up is not counted
+    tracemalloc.start()
+    try:
+        profile_mean_se(spec, grid, 200_000, make_rng(0, "mean_peak"))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 8 << 20
+
+
+def test_profile_mean_of_the_largest_omega0_is_finite():
+    # V * V overflows from omega0 of about 1.3e154; the moments are of V / omega0
+    grid = Grid.regular(11)
+    top = SpectralProfileSpec("rescaled_positive_field", omega0=spectral.OMEGA0_MAX)
+    with np.errstate(all="raise"):
+        mean, se = profile_mean_se(top, grid, 2_000, make_rng(3, "top"))
+    unit_mean, unit_se = profile_mean_se(SpectralProfileSpec("rescaled_positive_field"), grid,
+                                         2_000, make_rng(3, "top"))
+    assert np.allclose(mean / top.omega0, unit_mean, rtol=1e-12, atol=0.0)
+    assert np.allclose(se / top.omega0, unit_se, rtol=1e-9, atol=0.0)
 
 
 def test_exact_mean_constant_and_bernoulli():
