@@ -139,10 +139,9 @@ def _gt_per_draw(profiles: np.ndarray, w: np.ndarray) -> tuple[np.ndarray, bool]
     out = np.zeros(n)
     if positive.any():
         sub = profiles[positive]
-        with np.errstate(divide="ignore"):
-            below = (w / sub).max(axis=1) > 1.0  # w(s) > V(s) for some s
-            vals = np.where(below, (sub / w).min(axis=1), 0.0)
-        out[positive] = vals
+        below = np.any(sub < w, axis=1)  # w(s) > V(s) for some s
+        with np.errstate(divide="ignore"):  # w may have zero entries
+            out[positive] = np.where(below, (sub / w).min(axis=1), 0.0)
     return out, bool(np.any(out > 0))
 
 

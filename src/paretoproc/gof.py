@@ -1,6 +1,7 @@
 """Goodness-of-fit helpers shared by tests, reports and the verification suite."""
 from __future__ import annotations
 
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -55,6 +56,12 @@ def ks_critical_value(n: int, alpha: float = 0.01) -> float:
 
 
 def two_sample_ks_pvalue(a: np.ndarray, b: np.ndarray) -> float:
+    """Two-sample KS p-value. On tied samples scipy may fall back from the
+    exact to the asymptotic p-value; its notice is dropped by a process-wide
+    filter, so KS tests run on the main thread only."""
     from scipy import stats
 
-    return float(stats.ks_2samp(a, b).pvalue)
+    with warnings.catch_warnings():
+        warnings.filterwarnings("ignore", "ks_2samp: Exact calculation unsuccessful",
+                                RuntimeWarning)
+        return float(stats.ks_2samp(a, b).pvalue)

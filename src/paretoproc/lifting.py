@@ -155,7 +155,8 @@ def lift(
         raise ValueError("t0 must be >= 1")
     selected = select_exceedances(data, nf, policy, sites)
     normalized = apply_T_values(data.values[selected], nf)
-    lifted = invert_T_values(t0 * normalized, nf)
+    with np.errstate(over="ignore"):  # invert_T_values rejects an overflow
+        lifted = invert_T_values(t0 * normalized, nf)
     normalized.setflags(write=False)
     lifted.setflags(write=False)
     return LiftReport(selected, float(t0), nf, lifted, normalized, source=data)

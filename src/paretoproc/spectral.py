@@ -43,6 +43,7 @@ BLOCK_CELLS = 1 << 16  # array cells of a blocked profile draw or exact-mean blo
 EIG_TOL = 1e-10  # covariance eigenvalues kept, relative to the largest
 # a Pareto radius is at most 2^53, so W = Y V stays finite up to this sup V
 OMEGA0_MAX = np.finfo(float).max / 2**53
+OMEGA0_MIN = np.finfo(float).tiny  # a subnormal sup V loses precision, and 1 / V overflows
 
 _ALIASES = {
     "constantprofile": CONSTANT,
@@ -75,8 +76,8 @@ class SpectralProfileSpec:
 
     def __post_init__(self):
         object.__setattr__(self, "kind", _canonical_kind(self.kind))
-        if not 0.0 < self.omega0 <= OMEGA0_MAX:
-            raise ValueError(f"omega0 must be positive and at most {OMEGA0_MAX:.4g}")
+        if not OMEGA0_MIN <= self.omega0 <= OMEGA0_MAX:
+            raise ValueError(f"omega0 must be at least {OMEGA0_MIN:.4g} and at most {OMEGA0_MAX:.4g}")
         if self.kind == GAUSSIAN_MOVING_MAX and not 0.0 < self.bandwidth * self.bandwidth < np.inf:
             raise ValueError("gaussian_moving_max requires bandwidth > 0 with a finite, nonzero square")
         if self.kind == RESCALED_POSITIVE_FIELD and not 0.0 < self.corr_length * self.corr_length < np.inf:

