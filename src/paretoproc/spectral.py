@@ -1,8 +1,8 @@
 """Spectral profile families.
 
 Each family generates nonnegative random profiles V on a grid with
-sup_s V(s) equal to the threshold parameter omega0 exactly (a final exact
-rescale by the sampled supremum enforces this) and E V(s) > 0 at every site.
+sup_s V(s) = omega0 exactly (the exponential families shift the log-profile
+by its row max, then exponentiate) and E V(s) > 0 at every site.
 Built-in kinds:
 
 * ``constant``: V identically omega0 (complete dependence).
@@ -208,32 +208,20 @@ def sample_profiles(
     if spec.kind == GAUSSIAN_MOVING_MAX:
         lo, span = setup
         centers = lo + rng.random((n, grid.dim)) * span
-        raw = gaussian_bump(grid.sites, centers, spec.bandwidth)
-        rowmax = raw.max(axis=1, keepdims=True)
-        # a bump much narrower than the site spacing can underflow at every
-        # site; those rows alone are shifted by their largest exponent
-        low = rowmax[:, 0] < np.finfo(float).tiny
-        if low.any():
-            e = _bump_exponent(grid.sites, centers[low], spec.bandwidth)
-            raw[low] = np.exp(e - e.max(axis=1, keepdims=True))
-            rowmax[low] = 1.0
-        # (x / rowmax) * omega0 in place: the argmax entry becomes exactly
-        # omega0 and rounding monotonicity keeps every other entry <= omega0
-        raw /= rowmax
-        raw *= w0
-        return raw
-    # rescaled_positive_field: the covariance is the Kronecker product of the
-    # per-axis covariances on a tensor grid, so one normal per rank-product
-    # cell is mapped to the sites one axis factor at a time
-    factors, flat = setup
-    z = rng.standard_normal((n, *(f.shape[1] for f in factors)))
-    for f in factors:  # contract the first rank axis, append its site axis
-        z = np.tensordot(z, f, axes=(1, 1))
-    z = z.reshape(n, m)
-    if flat is not None:
-        z = z[:, flat]
-    # subtract the row max before exponentiating so exp never overflows; every
-    # row then peaks at exp(0) = 1 exactly, so times omega0 its sup is omega0
+        z = _bump_exponent(grid.sites, centers, spec.bandwidth)
+    else:
+        # rescaled_positive_field: the covariance is the Kronecker product of
+        # the per-axis covariances on a tensor grid, so one normal per
+        # rank-product cell is mapped to the sites one axis factor at a time
+        factors, flat = setup
+        z = rng.standard_normal((n, *(f.shape[1] for f in factors)))
+        for f in factors:  # contract the first rank axis, append its site axis
+            z = np.tensordot(z, f, axes=(1, 1))
+        z = z.reshape(n, m)
+        if flat is not None:
+            z = z[:, flat]
+    # z is the log-profile, finite (_check_grid bounds the bump's exponent):
+    # shifted by its row max, every row peaks at exp(0) = 1 exactly
     z -= z.max(axis=1, keepdims=True)
     np.exp(z, out=z)
     z *= w0
