@@ -44,7 +44,10 @@ COMMANDS = {
 EXPECTED = {
     "simulate": {
         "radii.csv": "9f0c034e43d5aeb43813c6b8115f935fc4c442ccb7877d97b2dda45ec1b7916a",
-        "samples.csv": "ea73a9dcc727018dae6f466573256dc3ed38b532b062a82dde4ef6503699e896",
+        # re-pinned when the moving-maximum bump was shifted by its largest
+        # exponent before exp instead of divided by its sampled maximum: one
+        # rounding in place of three moves last bits; the draws are the same
+        "samples.csv": "3227bdf4726809263ad1cc5f201bc8e5880fb59b5f2f2684e0775b48f04747d1",
     },
     "simulate-rescaled": {
         "radii.csv": "d14bc0d5b04e4fde70f17ca54be2999e649960b611c02d4f5509ec4db60c9e38",
@@ -54,7 +57,8 @@ EXPECTED = {
     },
     "simulate-pooled": {
         "radii.csv": "67f0804e584b94a79d2b16a80c0454ca86e2b556117404f797c3517fb5f90523",
-        "samples.csv": "ddd1dbdd5e4b3ea62f7b7c74e65958f8584edbc0e09c386af1b8fa5fa40e1c57",
+        # re-pinned with simulate's samples.csv, for the same reason
+        "samples.csv": "127abe48720377cca5550b50c971afd00b0a6fd2f154bc6c28c15f55b016577c",
     },
     "scenario43": {
         "lifted.csv": "81fad46720687400072b7429c0ba46f0ef99705e6c5fd193b914cf55473746b6",
