@@ -9,7 +9,9 @@ r^-2 dr process to (eps, inf]). The loop runs on the raw profiles, whose sup
 is omega0 exactly, so the bound is sitewise: generation stops once z * omega0
 cannot beat the running maximum at any site, after which no later point can
 raise a site, and the sampled law is unchanged. The finished maxima are then
-divided by E V(s) once, which commutes with the maximum.
+divided by E V(s) once, which commutes with the maximum. The maxima live in
+the result rows, and each round draws in ``spectral.row_blocks``, keeping the
+stream of a one-shot draw, so memory beyond the result is one block.
 """
 from __future__ import annotations
 
@@ -29,6 +31,7 @@ from .spectral import (
     gaussian_bump,
     per_draw_blocks,
     profile_mean_se,
+    row_blocks,
     sample_profiles,
 )
 
@@ -94,33 +97,27 @@ def _poisson_max(
     scale / (cumulative standard-exponential sum) above ``truncation``,
     as an (n, m) matrix; ``bound`` is an upper bound of every drawn profile.
     ``draw`` must return a fresh array: the loop overwrites it in place.
-    The running maxima and exponential sums of the rows still drawing are
-    kept compacted, and a row is written to the result once, when it ends."""
-    out = np.empty((n, m))
-    rows = np.arange(n)  # result row of each live row
-    running = np.zeros((n, m))
+    The maxima are updated in place in the result rows; each round draws the
+    live rows in ``row_blocks``, one block at a time."""
+    out = np.zeros((n, m))
+    live = np.arange(n)  # result row of each row still drawing
     gamma_sum = np.zeros(n)
-
-    def finish(keep):
-        nonlocal rows, running, gamma_sum
-        if not keep.all():
-            out[rows[~keep]] = running[~keep]
-            rows, running, gamma_sum = rows[keep], running[keep], gamma_sum[keep]
-
-    while rows.size:
-        gamma_sum += rng.standard_exponential(rows.size)
+    while live.size:
+        gamma_sum += rng.standard_exponential(live.size)
         z = scale / gamma_sum
-        live = z > truncation
-        finish(live)
-        if not rows.size:
-            break
-        z = z[live]
-        best = draw(rows.size, rng)
-        best *= z[:, None]
-        np.maximum(running, best, out=running)
-        # points only get smaller; once z * bound cannot beat the current
-        # minimum over sites, no later point can change any site
-        finish(z * bound > running.min(axis=1))
+        keep = z > truncation
+        live, gamma_sum, z = live[keep], gamma_sum[keep], z[keep]
+        undecided = np.empty(live.size, dtype=bool)
+        for start, k in row_blocks(live.size, m):
+            idx, zk = live[start:start + k], z[start:start + k]
+            best = draw(k, rng)
+            best *= zk[:, None]
+            np.maximum(best, out[idx], out=best)
+            out[idx] = best
+            # points only get smaller; once z * bound cannot beat the current
+            # minimum over sites, no later point can change any site
+            undecided[start:start + k] = zk * bound > best.min(axis=1)
+        live, gamma_sum = live[undecided], gamma_sum[undecided]
     return out
 
 
@@ -277,14 +274,17 @@ def doa_empirical_check(
                 "norming is above the sup-sphere at every site"
             )
         y = sample_radii(n_rep, rng)
-        scaled = _rescaled_profiles(cfg, n_rep, rng)  # V / E V
-        normalized = y[:, None] * scaled / t  # equals T_t X for gamma = 1
+        normalized = _rescaled_profiles(cfg, n_rep, rng)  # V / E V
+        normalized *= y[:, None]
+        normalized /= t  # equals T_t X for gamma = 1
     else:
-        eta = sample_max_stable_batch(cfg, n_rep, rng)
+        normalized = sample_max_stable_batch(cfg, n_rep, rng)
         b_t = -1.0 / np.log1p(-1.0 / t)
         b_2t = -1.0 / np.log1p(-1.0 / (2.0 * t))
-        a_t = b_2t - b_t
-        normalized = np.maximum(1.0 + (eta - b_t) / a_t, 0.0)
+        normalized -= b_t  # 1 + (eta - b_t) / a_t, floored at 0
+        normalized /= b_2t - b_t
+        normalized += 1.0
+        np.maximum(normalized, 0.0, out=normalized)
 
     radius = normalized.max(axis=1)
     exceed = radius > 1.0

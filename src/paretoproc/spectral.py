@@ -78,10 +78,10 @@ class SpectralProfileSpec:
         object.__setattr__(self, "kind", _canonical_kind(self.kind))
         if not OMEGA0_MIN <= self.omega0 <= OMEGA0_MAX:
             raise ValueError(f"omega0 must be at least {OMEGA0_MIN:.4g} and at most {OMEGA0_MAX:.4g}")
-        if self.kind == GAUSSIAN_MOVING_MAX and not 0.0 < self.bandwidth * self.bandwidth < np.inf:
-            raise ValueError("gaussian_moving_max requires bandwidth > 0 with a finite, nonzero square")
-        if self.kind == RESCALED_POSITIVE_FIELD and not 0.0 < self.corr_length * self.corr_length < np.inf:
-            raise ValueError("rescaled_positive_field requires corr_length > 0 with a finite, nonzero square")
+        for kind, key in ((GAUSSIAN_MOVING_MAX, "bandwidth"), (RESCALED_POSITIVE_FIELD, "corr_length")):
+            h = getattr(self, key)
+            if self.kind == kind and not (0.0 < h and 0.0 < h * h < np.inf):
+                raise ValueError(f"{kind} requires {key} > 0 with a finite, nonzero square")
 
 
 def _check_grid(spec: SpectralProfileSpec, grid: Grid) -> None:
@@ -228,23 +228,29 @@ def sample_profiles(
     return z
 
 
+def row_blocks(n: int, m: int):
+    """``(start, rows)`` of consecutive blocks of n draws on m sites, as many
+    rows as fit in ``BLOCK_CELLS`` cells (at least two). A one-row tail joins
+    the block before it: BLAS would map a lone row through its matrix-vector
+    path, which rounds differently."""
+    rows = max(2, BLOCK_CELLS // m)
+    start = 0
+    while start < n:
+        k = n - start if n - start <= rows + 1 else rows
+        yield start, k
+        start += k
+
+
 def profile_blocks(spec: SpectralProfileSpec, grid: Grid, n: int, rng: np.random.Generator):
-    """n profiles as ``(start, block)`` pairs: consecutive row blocks of
-    ``sample_profiles`` draws, as many rows as fit in ``BLOCK_CELLS`` cells
-    (at least two), and each block's first row.
+    """n profiles as ``(start, block)`` pairs: ``sample_profiles`` draws in
+    the ``row_blocks`` of n, and each block's first row.
 
     The blocks draw the stream of the one-shot ``sample_profiles(spec, grid,
     n, rng)`` and, concatenated, equal it bitwise, except where BLAS rounds
     ``rescaled_positive_field``'s factor products by the size of the draw
-    (from about 200 sites, where one-shot draws of two sizes disagree too).
-    So a one-row tail joins the block before it: BLAS would map a lone row
-    through its matrix-vector path, which rounds differently."""
-    rows = max(2, BLOCK_CELLS // grid.n_sites)
-    start = 0
-    while start < n:
-        k = n - start if n - start <= rows + 1 else rows
+    (from about 200 sites, where one-shot draws of two sizes disagree too)."""
+    for start, k in row_blocks(n, grid.n_sites):
         yield start, sample_profiles(spec, grid, k, rng)
-        start += k
 
 
 def per_draw_blocks(spec: SpectralProfileSpec, grid: Grid, n: int,

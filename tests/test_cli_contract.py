@@ -39,6 +39,17 @@ EXTRA_RUNS = {
                         "--n-mc", "2000", "--n-direct", "2000"],
 }
 
+# negative length scales ran with the draws of their absolute value
+NEGATIVE_SCALES = {
+    "simulate_bandwidth": ["simulate", "--spec", "gaussian_moving_max", "--sites", "5",
+                           "--n", "20", "--bandwidth=-1"],
+    "df_battery_corr_length": ["df-battery", "--spec", "rescaled_positive_field", "--sites", "5",
+                               "--n-mc", "50", "--n-direct", "50", "--corr-length=-0.3"],
+    "maxstable_check_corr_length": ["maxstable-check", "--spec", "rescaled_positive_field",
+                                    "--sites", "5", "--n", "20", "--n-rep", "20", "--n-block", "10",
+                                    "--corr-length=-1"],
+}
+
 
 def _assert_contract(argv: list[str], out: Path, capsys) -> tuple[int, str]:
     """The exit code and stderr of one run, checked against the contract."""
@@ -80,3 +91,10 @@ def test_every_family_keeps_the_contract(tmp_path, capsys, command):
 @pytest.mark.parametrize("argv", EXTRA_RUNS.values(), ids=EXTRA_RUNS.keys())
 def test_runs_that_warned_keep_the_contract(tmp_path, capsys, argv):
     assert _assert_contract(argv, tmp_path, capsys) == (0, "")
+
+
+@pytest.mark.parametrize("argv", NEGATIVE_SCALES.values(), ids=NEGATIVE_SCALES.keys())
+def test_negative_length_scale_exits_two(tmp_path, capsys, argv):
+    code, err = _assert_contract(argv, tmp_path, capsys)
+    assert code == 2 and err.startswith("ValueError: ") and "> 0" in err
+    assert not (tmp_path / "manifest.json").exists()

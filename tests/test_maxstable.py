@@ -2,6 +2,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from paretoproc.gof import (
     ks_critical_value,
@@ -101,6 +102,40 @@ def test_compacted_loop_matches_the_uncompacted_one_bitwise(monkeypatch):
     args = (500, 7, 1.0, 1.0, lambda k, rng: rng.random((k, 7)))
     assert np.array_equal(maxstable._poisson_max(*args, make_rng(17, "trunc"), 0.5),
                           _uncompacted_poisson_max(*args, make_rng(17, "trunc"), 0.5))
+
+
+@settings(derandomize=True, max_examples=30, deadline=None)
+@given(m=st.integers(2, 150), truncation=st.sampled_from([0.0, 0.5]), moving_max=st.booleans(),
+       data=st.data())
+def test_blocked_loop_matches_the_uncompacted_one_bitwise(m, truncation, moving_max, data):
+    # one to three row blocks, some ending in a one-row tail that joins the block before it
+    rows = max(2, spectral.BLOCK_CELLS // m)
+    n = data.draw(st.integers(1, 3 * rows) | st.sampled_from([rows + 1, 2 * rows + 1]), label="n")
+    if moving_max:
+        spec, grid = SpectralProfileSpec("gaussian_moving_max"), Grid.regular(m)
+        draw = lambda k, rng: sample_profiles(spec, grid, k, rng)  # noqa: E731
+    else:
+        draw = lambda k, rng: rng.random((k, m))  # noqa: E731
+    blocked, one_shot = make_rng(m, "any_blocks"), make_rng(m, "any_blocks")
+    expected = _uncompacted_poisson_max(n, m, 1.0, 1.0, draw, one_shot, truncation)
+    assert np.array_equal(maxstable._poisson_max(n, m, 1.0, 1.0, draw, blocked, truncation),
+                          expected)
+    assert blocked.random() == one_shot.random()
+
+
+def test_poisson_max_peak_memory_is_the_result_and_one_block():
+    # the compacted loop held the running maxima, their compaction copies and
+    # the round's draw beside the result: 62.5 MB here
+    cfg = PenroseConfig(SpectralProfileSpec("gaussian_moving_max"), Grid.regular(101))
+    sample_max_stable_batch(cfg, 10, make_rng(0, "warm"))  # the cached set-up is not counted
+    n = 20_000
+    tracemalloc.start()
+    try:
+        sample_max_stable_batch(cfg, n, make_rng(0, "peak"))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= n * cfg.grid.n_sites * 8 + (4 << 20)
 
 
 def test_sitewise_bound_draws_few_profiles_per_field(monkeypatch):

@@ -103,11 +103,12 @@ def test_spec_validation():
         with pytest.raises(ValueError, match="omega0"):
             SpectralProfileSpec("constant", omega0=omega0)
     assert np.isfinite(2.0**53 * SpectralProfileSpec("constant", spectral.OMEGA0_MAX).omega0)
-    with pytest.raises(ValueError):
-        SpectralProfileSpec("gaussian_moving_max", bandwidth=0.0)
+    for bandwidth in (0.0, -1.0, -0.3, -1e-3):
+        with pytest.raises(ValueError, match="bandwidth"):
+            SpectralProfileSpec("gaussian_moving_max", bandwidth=bandwidth)
     with pytest.raises(ValueError):
         SpectralProfileSpec("no_such_kind")
-    for corr_length in (0.0, 1e-170, 1e200):
+    for corr_length in (0.0, 1e-170, 1e200, -0.3, -1.0):
         with pytest.raises(ValueError, match="corr_length"):
             SpectralProfileSpec("rescaled_positive_field", corr_length=corr_length)
 
