@@ -44,7 +44,7 @@ from .lifting import (
 from .maxstable import PenroseConfig, construction_checks, doa_empirical_check
 from .pareto import export_batch_csv, sample_simple_pareto_batch
 from .rng import make_rng
-from .spectral import SpectralProfileSpec, prepare_draws
+from .spectral import SpectralProfileSpec
 from .verify import SEED, format_line, run_all
 
 
@@ -238,8 +238,7 @@ def _cmd_df_battery(cfg: RunConfig) -> int:
 def _cmd_maxstable_check(cfg: RunConfig) -> int:
     grid = _build_grid(cfg)
     spec = _build_spec(cfg)
-    pcfg = PenroseConfig(spec, grid, truncation=cfg.opt("truncation"))
-    prepare_draws(spec, grid)  # the two tasks below only read the set-up
+    pcfg = PenroseConfig(spec, grid, truncation=cfg.opt("truncation"))  # makes the draws' set-up
     doa = functools.partial(doa_empirical_check, pcfg, cfg.opt("n_block"), cfg.opt("n_rep"))
     # every KS test runs on this thread (gof); the max-stable DOA runs none
     (checks, doa_pareto), doa_maxstable = _concurrently(

@@ -11,9 +11,9 @@ conventions: ``W <= w`` and ``W > w`` hold at every site, ``W not<= w``
 event evaluated as an empirical frequency of directly simulated processes.
 ``run_battery`` compares the two routes query by query.
 
-Every route draws its profiles in row blocks (``spectral.profile_blocks`` or
-``per_draw_blocks``), so memory is set by the block size; only one float per
-draw (its statistic or its Pareto radius) is kept for all n draws.
+Every route draws in row blocks, the formulas through ``spectral.per_draw_blocks``
+and the direct arms through ``pareto.per_field_blocks``, so memory is set by the
+block size; one float or two per draw are kept for all n draws.
 """
 from __future__ import annotations
 
@@ -24,9 +24,9 @@ import numpy as np
 
 from .errors import NonPositiveArgument, OutOfSupport, PreconditionFailed
 from .grid import Field, Grid, _concurrently, write_csv_table
-from .pareto import sample_radii, vector_grid
+from .pareto import per_field_blocks, vector_grid
 from .rng import make_rng
-from .spectral import SpectralProfileSpec, per_draw_blocks, prepare_draws, profile_blocks
+from .spectral import SpectralProfileSpec, per_draw_blocks, prepare_draws
 from .transforms import GpParams, from_generalized
 
 LEQ = "LEQ"
@@ -90,15 +90,6 @@ def _formula(q: DfQuery, spec: SpectralProfileSpec, grid: Grid, per_draw) -> DfR
     rng = make_rng(q.seed, "df_eval")
     return _mean_result(*per_draw_blocks(spec, grid, q.n_mc, rng,
                                          lambda v: per_draw(v, q.w.values)))
-
-
-def _pareto_blocks(spec: SpectralProfileSpec, grid: Grid, n: int, rng: np.random.Generator):
-    """Row blocks ``(y, v)`` of n direct draws W = y v: all n radii first, then
-    the profiles in blocks, so the stream is that of
-    ``pareto.sample_simple_pareto_batch``."""
-    y = sample_radii(n, rng)
-    for start, v in profile_blocks(spec, grid, n, rng):
-        yield y[start:start + v.shape[0]], v
 
 
 # ---------------------------------------------------------------------------
@@ -192,16 +183,13 @@ def evaluate(q: DfQuery, spec: SpectralProfileSpec, grid: Grid) -> DfResult:
 
 def _conditional_tail(spec: SpectralProfileSpec, grid: Grid, x: float, n_sim: int,
                       rng: np.random.Generator, reduce, empty: str) -> float:
-    """Empirical P(X > x | X > omega0) for X = Y * reduce(V) from n_sim direct
+    """Empirical P(X > x | X > omega0) for X = reduce(W) from n_sim direct
     draws; ``PreconditionFailed(empty)`` when no draw exceeds omega0."""
-    n_cond = n_tail = 0
-    for y, v in _pareto_blocks(spec, grid, n_sim, rng):
-        values = y * reduce(v)
-        n_cond += int(np.count_nonzero(values > spec.omega0))
-        n_tail += int(np.count_nonzero(values > max(x, spec.omega0)))
+    values = per_field_blocks(spec, grid, n_sim, rng, reduce)
+    n_cond = int(np.count_nonzero(values > spec.omega0))
     if n_cond == 0:
         raise PreconditionFailed(empty)
-    return n_tail / n_cond
+    return int(np.count_nonzero(values > max(x, spec.omega0))) / n_cond
 
 
 def conditional_sup_tail(
@@ -226,7 +214,7 @@ def conditional_sup_tail(
             f"E inf V not significantly positive (estimate {mean_inf:.3g} "
             f"+/- {se_inf:.3g}); the conditional tail is undefined"
         )
-    return _conditional_tail(spec, grid, x, n_sim, rng, lambda v: v.min(axis=1),
+    return _conditional_tail(spec, grid, x, n_sim, rng, lambda w: w.min(axis=1),
                              "no conditioning events in the simulation")
 
 
@@ -241,7 +229,7 @@ def marginal_conditional_tail(
     """Empirical P(W(s) > x | W(s) > omega0); contract value min(1, omega0/x)."""
     if rng is None:
         rng = make_rng(0, "marginal_conditional_tail")
-    return _conditional_tail(spec, grid, x, n_sim, rng, lambda v: v[:, site],
+    return _conditional_tail(spec, grid, x, n_sim, rng, lambda w: w[:, site],
                              f"no exceedances of omega0 at site {site}")
 
 
@@ -302,18 +290,12 @@ def direct_frequency(
     n: int,
     rng: np.random.Generator,
 ) -> tuple[float, float]:
-    """Empirical probability of the event from n directly simulated processes."""
-    hits = 0
-    for y, sim in _pareto_blocks(spec, grid, n, rng):
-        sim *= y[:, None]
-        if mode == LEQ:
-            hit = np.all(sim <= w, axis=1)
-        elif mode == GT:
-            hit = np.all(sim > w, axis=1)
-        else:
-            hit = np.any(sim > w, axis=1)
-        hits += int(np.count_nonzero(hit))
-    p = hits / n
+    """Empirical probability of the event from n directly simulated processes:
+    the mean of 0/1 hits, which is hits / n exactly."""
+    compare = np.less_equal if mode == LEQ else np.greater
+    over = np.all if mode in (LEQ, GT) else np.any
+    hits = per_field_blocks(spec, grid, n, rng, lambda sim: over(compare(sim, w), axis=1))
+    p = float(hits.mean())
     return p, float(np.sqrt(p * (1.0 - p) / n))
 
 
@@ -386,9 +368,9 @@ def default_battery(grid: Grid, n_mc: int = 10_000, seed: int = 0) -> list[DfQue
 
 
 def queries_from_json(path, grid: Grid) -> list[DfQuery]:
-    """Battery file: JSON list of {mode, w (array or scalar), n_mc, seed};
-    n_mc and seed must be JSON integers. A non-JSON or malformed file raises
-    ``ValueError`` naming the file (and entry)."""
+    """Battery file: JSON list of {mode, w (array or scalar), n_mc, seed}; w
+    must be a JSON number or a list of them, n_mc and seed JSON integers. A
+    non-JSON or malformed file raises ``ValueError`` naming the file (and entry)."""
     with open(path) as fh:
         try:
             raw = json.load(fh)
@@ -400,7 +382,9 @@ def queries_from_json(path, grid: Grid) -> list[DfQuery]:
     for i, item in enumerate(raw):
         try:
             w = item["w"]
-            values = np.full(grid.n_sites, float(w)) if np.isscalar(w) else np.asarray(w, float)
+            if not all(type(x) in (int, float) for x in (w if isinstance(w, list) else [w])):
+                raise ValueError(f"w must be a JSON number or a list of them, not {json.dumps(w)}")
+            values = np.asarray(w, float) if isinstance(w, list) else np.full(grid.n_sites, float(w))
             counts = {"n_mc": item.get("n_mc", 10_000), "seed": item.get("seed", 0)}
             for key, value in counts.items():
                 if type(value) is not int:  # a float or bool would be truncated
@@ -408,7 +392,7 @@ def queries_from_json(path, grid: Grid) -> list[DfQuery]:
             queries.append(DfQuery(Field(grid, values), item["mode"], **counts))
         except KeyError as exc:
             raise ValueError(f"{path}: query {i} has no {exc} entry") from exc
-        except (TypeError, ValueError) as exc:
+        except (TypeError, ValueError, OverflowError) as exc:
             raise ValueError(f"{path}: query {i}: {exc}") from exc
     return queries
 

@@ -13,7 +13,6 @@ equal grids hash alike, so a grid keys a cache by its sites.
 from __future__ import annotations
 
 import os
-import threading
 import warnings
 from contextlib import contextmanager
 from dataclasses import dataclass
@@ -173,31 +172,18 @@ def _pool_size(parts: int) -> int:
 
 
 def _concurrently(first, second):
-    """``(first(), second())``, with ``second`` on a short-lived thread when
+    """``(first(), second())``, with ``second`` on a one-thread executor when
     this process may run on two or more CPUs (numpy releases the GIL inside
-    its loops, so the two overlap). The thread is joined before this returns,
-    so a later ``_forked`` never forks a process that still has threads; an
+    its loops, so the two overlap). Leaving the executor joins its thread, so
+    a later ``_forked`` never forks a process that still has threads; an
     exception of either task is raised here, ``first``'s if both fail."""
     if _cpus() < 2:
         return first(), second()
-    box = []
+    from concurrent.futures import ThreadPoolExecutor  # about 4 ms, so not at package import
 
-    def run():
-        try:
-            box.append((second(), None))
-        except BaseException as exc:  # re-raised in the calling thread
-            box.append((None, exc))
-
-    thread = threading.Thread(target=run, name="paretoproc-arm")
-    thread.start()
-    try:
-        a = first()
-    finally:
-        thread.join()
-    b, exc = box[0]
-    if exc is not None:
-        raise exc
-    return a, b
+    with ThreadPoolExecutor(1, thread_name_prefix="paretoproc-arm") as pool:
+        later = pool.submit(second)
+        return first(), later.result()
 
 
 @contextmanager

@@ -11,7 +11,9 @@ cannot beat the running maximum at any site, after which no later point can
 raise a site, and the sampled law is unchanged. The finished maxima are then
 divided by E V(s) once, which commutes with the maximum. The maxima live in
 the result rows, and each round draws in ``spectral.row_blocks``, keeping the
-stream of a one-shot draw, so memory beyond the result is one block.
+stream of a one-shot draw, so memory beyond the result is one block. A
+``PenroseConfig`` takes E V(s) from one cache, exact or Monte Carlo, and makes
+the set-up of its profile draws, so concurrent draws only read it.
 """
 from __future__ import annotations
 
@@ -30,6 +32,7 @@ from .spectral import (
     exact_profile_mean,
     gaussian_bump,
     per_draw_blocks,
+    prepare_draws,
     profile_mean_se,
     row_blocks,
     sample_profiles,
@@ -41,19 +44,15 @@ DOA_SE_FACTOR = 3.0  # standard errors a sup-ratio check may miss 1/x by
 
 
 @functools.lru_cache(maxsize=16)
-def _monte_carlo_mean_field(spec: SpectralProfileSpec, grid: Grid) -> tuple[np.ndarray, np.ndarray]:
-    mean, se = profile_mean_se(spec, grid, MEAN_RESCALE_N, make_rng(0, "mean_field_rescale"))
-    return _read_only(mean), _read_only(se)
-
-
 def _mean_field(spec: SpectralProfileSpec, grid: Grid) -> tuple[np.ndarray, np.ndarray]:
-    """E V(s) and its standard error, both read-only: exact with SE 0 where a
-    closed form exists, else a Monte Carlo estimate from MEAN_RESCALE_N
-    profiles, cached per (spec, grid)."""
+    """E V(s) and its standard error, both read-only and cached per (spec,
+    grid): exact with SE 0 where a closed form exists, else a Monte Carlo
+    estimate from MEAN_RESCALE_N profiles."""
     exact = exact_profile_mean(spec, grid)
     if exact is not None:
         return _read_only(exact), _read_only(np.zeros(grid.n_sites))
-    return _monte_carlo_mean_field(spec, grid)
+    mean, se = profile_mean_se(spec, grid, MEAN_RESCALE_N, make_rng(0, "mean_field_rescale"))
+    return _read_only(mean), _read_only(se)
 
 
 @dataclass
@@ -80,6 +79,7 @@ class PenroseConfig:
         if not 0.0 < self.truncation < 1.0:
             raise ValueError("truncation must be in (0, 1)")
         self.mean_field, self.mean_field_se = _mean_field(self.spec, self.grid)
+        prepare_draws(self.spec, self.grid)
         # after rescale, sup_s V(s)/mean(s) <= omega0 / min_s mean(s)
         self.sup_bound = float(self.spec.omega0 / self.mean_field.min())
 

@@ -13,7 +13,7 @@ import numpy as np
 from .errors import SpecGridMismatch, ZeroField
 from .grid import Field, Grid, sup_field, write_csv_table
 from .rng import fill_rows
-from .spectral import BERNOULLI_PAIR, SpectralProfileSpec, sample_profiles
+from .spectral import BERNOULLI_PAIR, SpectralProfileSpec, profile_blocks, sample_profiles
 
 STABILITY = "stability"
 REJECTION = "rejection"
@@ -45,6 +45,19 @@ def sample_simple_pareto_batch(
     y = sample_radii(n, rng)
     v = sample_profiles(spec, grid, n, rng)
     return y, v, y[:, None] * v
+
+
+def per_field_blocks(spec: SpectralProfileSpec, grid: Grid, n: int,
+                     rng: np.random.Generator, per_field) -> np.ndarray:
+    """``per_field(w)``, one float per row, of n draws W = Y V: all n radii
+    first, then the profiles in ``spectral.profile_blocks``, each block scaled
+    in place by its radii, so the stream is that of ``sample_simple_pareto_batch``."""
+    y = sample_radii(n, rng)
+    out = np.empty(n)
+    for start, v in profile_blocks(spec, grid, n, rng):
+        v *= y[start:start + v.shape[0], None]
+        out[start:start + v.shape[0]] = per_field(v)
+    return out
 
 
 def sample_simple_pareto(

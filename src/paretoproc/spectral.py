@@ -312,8 +312,7 @@ def _bump_axis_mean(u: np.ndarray, h: float) -> np.ndarray:
     edges = np.concatenate(([u[0]], (u[:-1] + u[1:]) / 2, [u[-1]]))
     c0, c1, length = edges[:-1], edges[1:], np.diff(edges)
     total = np.empty(u.size)
-    rows = max(1, BLOCK_CELLS // u.size)
-    for start in range(0, u.size, rows):
+    for start, rows in row_blocks(u.size, u.size):
         s = u[start:start + rows, None]
         d = s - u
         e0 = -d * (s + u - 2.0 * c0) / (2.0 * h * h)

@@ -25,7 +25,7 @@ from .gof import (
 from .grid import Field, Grid
 from .lifting import FieldSample, estimate_norming, lift, run_storm_scenario
 from .maxstable import PenroseConfig, construction_checks, findim_evd, sample_max_stable_batch
-from .pareto import pot_conditional_batch, sample_simple_pareto_batch
+from .pareto import per_field_blocks, pot_conditional_batch, sample_radii, sample_simple_pareto_batch
 from .rng import fill_rows, make_rng
 from .spectral import (
     BERNOULLI_PAIR,
@@ -84,8 +84,8 @@ def check_sup_pareto_law(quick: bool = False) -> tuple[str, list[Check]]:
     for spec in _all_specs():
         grid = _grid_for(spec.kind)
         rng = make_rng(SEED, f"sup_pareto_{spec.kind}")
-        _, _, w = sample_simple_pareto_batch(spec, grid, n, rng)
-        stat = ks_statistic(w.max(axis=1) / spec.omega0, standard_pareto_cdf)
+        sup = per_field_blocks(spec, grid, n, rng, lambda w: w.max(axis=1))
+        stat = ks_statistic(sup / spec.omega0, standard_pareto_cdf)
         worst = max(worst, stat)
     return "sup_pareto_law", [Check("worst_ks", worst, crit, worst < crit)]
 
@@ -170,24 +170,27 @@ def check_generalized_stability(quick: bool = False) -> tuple[str, list[Check]]:
         for r in (2.0, 10.0):
             rng = make_rng(SEED, f"gen_stability_c{ci}_r{r:g}")
 
-            def simple_level(size, u, s):
+            def simple_level(size, u, s, keep):
                 # draw W, map it to the generalized process, renormalize by
-                # (u, s) and return to the simple scale
-                _, _, w = sample_simple_pareto_batch(spec, grid, size, rng)
-                g = p.mu.values + p.sigma.values * power_transform_values(w, gamma)
-                return inv_power_transform_values((g - u) / s, gamma)[0]
+                # (u, s), return to the simple scale and keep one float a row
+                def level(w):
+                    g = p.mu.values + p.sigma.values * power_transform_values(w, gamma)
+                    return keep(inv_power_transform_values((g - u) / s, gamma)[0])
+                return per_field_blocks(spec, grid, size, rng, level)
 
-            # base arm: W recovered from the generalized process
-            z_base = simple_level(n, p.mu.values, p.sigma.values)
-            # renormalized arm: rescale by (u(r), s(r)), keep sup exceedances
+            # base arm: the middle-site level of W recovered from the generalized process
+            z_base = simple_level(n, p.mu.values, p.sigma.values, lambda z: z[:, site])
+            # renormalized arm: rescale by (u(r), s(r)), keep sup exceedances;
+            # levels are >= 0, so -1 marks a row without one
             u_r, s_r = stability_norming(p, r)
 
             def renormalized(size):
-                z = simple_level(size, u_r.values, s_r.values)
-                return (z[z.max(axis=1) > p.omega0],)
+                z = simple_level(size, u_r.values, s_r.values,
+                                 lambda z: np.where(z.max(axis=1) > p.omega0, z[:, site], -1.0))
+                return (z[z >= 0.0],)
 
             (z_renorm,) = fill_rows(n, lambda need: int(1.3 * need * r) + 1024, renormalized)
-            pvals.append(two_sample_ks_pvalue(z_base[:, site], z_renorm[:, site]))
+            pvals.append(two_sample_ks_pvalue(z_base, z_renorm))
     return "generalized_stability", [Check("min_ks_p", min(pvals), 0.01, min(pvals) > 0.01)]
 
 
@@ -273,7 +276,7 @@ def check_estimator_sanity(quick: bool = False) -> tuple[str, list[Check]]:
         errors = []
         for _ in range(reps):
             if label == "pareto":
-                values = 1.0 / (1.0 - rng.random((n, 2)))
+                values = sample_radii(2 * n, rng).reshape(n, 2)
             else:
                 values = rng.random((n, 2))
             nf = estimate_norming(FieldSample(grid, values), k)

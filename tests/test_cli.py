@@ -335,6 +335,13 @@ def test_n_mc_with_query_file_exits_two(tmp_path, capsys):
                  "query 1", id="n_mc_1e300"),
     pytest.param('[{"mode": "LEQ", "w": 2.0, "n_mc": 50, "seed": -1}]',
                  "query 0: seed must be >= 0", id="seed_negative"),
+    # w is a JSON number or a list of them: a bool or a string is not read as one
+    pytest.param('[{"mode": "LEQ", "w": true}]', "query 0: w must be a JSON number", id="w_bool"),
+    pytest.param('[{"mode": "LEQ", "w": 2.0}, {"mode": "GT", "w": "2.0"}]', "query 1", id="w_string"),
+    pytest.param('[{"mode": "LEQ", "w": [true, false, true, true, true]}]', "query 0",
+                 id="w_bool_entry"),
+    # an integer too large for a float is no level either
+    pytest.param('[{"mode": "LEQ", "w": 1%s}]' % ("0" * 400), "query 0", id="w_int_overflow"),
 ])
 def test_malformed_query_file_exits_two_with_one_line(tmp_path, capsys, doc, entry):
     queries = tmp_path / "q.json"
@@ -388,9 +395,9 @@ def _cannot_allocate(*args, **kwargs):
 
 @pytest.mark.parametrize("argv, targets", [
     pytest.param(["simulate", "--n", "1000000000000"], [(pareto, "sample_radii")], id="simulate"),
-    # the formula arm draws through spectral's name, the direct arm through dfeval's
+    # the formula arm draws through spectral's name, the direct arm through pareto's
     pytest.param(["df-battery", "--n-mc", "1000000000000"],
-                 [(dfeval, "profile_blocks"), (spectral, "profile_blocks")], id="df-battery"),
+                 [(pareto, "profile_blocks"), (spectral, "profile_blocks")], id="df-battery"),
 ])
 def test_count_too_large_to_allocate_exits_two_with_one_line(tmp_path, capsys, monkeypatch,
                                                               argv, targets):

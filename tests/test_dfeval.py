@@ -71,6 +71,16 @@ def test_leq_general_bernoulli_zero_row():
         assert abs(res.estimate - expected) <= max(3.0 * res.std_error, 1e-3)
 
 
+def test_evaluate_sends_a_leq_query_with_a_zero_entry_to_the_general_formula():
+    # bernoulli_pair mass on the first axis only: P(W <= (2, 0)) = 1/4
+    g = Grid.regular(2)
+    q = DfQuery(Field(g, [2.0, 0.0]), "LEQ", 20_000, 3)
+    res = df_leq_general(q, BP, g)
+    assert evaluate(q, BP, g) == res
+    (row,) = run_battery(BP, g, [q], n_direct=20_000, seed=1)
+    assert row.passed and (row.estimate, row.std_error) == tuple(res)
+
+
 def test_leq_general_below_sphere_has_no_mass():
     g = Grid.regular(2)
     res = df_leq_general(DfQuery(Field(g, [0.5, 0.5]), "LEQ", 10_000, 0), BP, g)

@@ -287,7 +287,7 @@ def test_mean_field_exact_with_zero_se(spec, grid):
 def test_mean_field_monte_carlo_on_scattered_grid():
     spec = SpectralProfileSpec("gaussian_moving_max", bandwidth=0.3)
     sites = np.random.default_rng(2).random((6, 2))
-    cache = maxstable._monte_carlo_mean_field
+    cache = maxstable._mean_field
     cache.cache_clear()
     cfg = PenroseConfig(spec, Grid(sites))
     assert np.all(cfg.mean_field_se > 0.0)

@@ -1,11 +1,15 @@
+import tracemalloc
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from paretoproc.errors import ZeroField
 from paretoproc.gof import ks_critical_value, ks_statistic, standard_pareto_cdf, two_sample_ks_pvalue
 from paretoproc.grid import Field, Grid, sup_field
 from paretoproc.pareto import (
     decompose,
+    per_field_blocks,
     pot_conditional_batch,
     pot_conditional_sample,
     recombine,
@@ -15,7 +19,7 @@ from paretoproc.pareto import (
     vector_grid,
 )
 from paretoproc.rng import make_rng
-from paretoproc.spectral import SpectralProfileSpec
+from paretoproc.spectral import BLOCK_CELLS, KINDS, SpectralProfileSpec
 
 
 def test_sup_is_standard_pareto_constant_profile():
@@ -105,6 +109,17 @@ def test_vector_single_coordinate_is_plain_pareto():
     assert stat < ks_critical_value(n, alpha=0.01)
 
 
+@pytest.mark.parametrize("kind, d", [
+    ("constant", 4), ("gaussian_moving_max", 7), ("rescaled_positive_field", 3), ("bernoulli_pair", 2),
+])
+def test_vector_of_several_coordinates_is_one_batch_row(kind, d):
+    spec = SpectralProfileSpec(kind, omega0=1.5)
+    w = sample_simple_pareto_vector(spec, d, make_rng(d, "vector"))
+    assert w.shape == (d,) and w.max() / spec.omega0 >= 1.0
+    _, _, batch = sample_simple_pareto_batch(spec, vector_grid(d), 1, make_rng(d, "vector"))
+    assert np.array_equal(w, batch[0])
+
+
 def test_vector_bernoulli_max_is_standard_pareto():
     spec = SpectralProfileSpec("bernoulli_pair", omega0=1.0)
     grid = vector_grid(2)
@@ -161,3 +176,36 @@ def test_no_joint_exceedance_for_disjoint_profiles():
     assert np.sum((w[:, 0] > c) & (w[:, 1] > c)) == 0
     assert (w[:, 0] > c).mean() > 0
     assert (w[:, 1] > c).mean() > 0
+
+
+@settings(derandomize=True, max_examples=40, deadline=None)
+@given(kind=st.sampled_from(KINDS), sites=st.integers(2, 199), scattered=st.booleans(),
+       data=st.data())
+def test_per_field_blocks_reduce_the_one_shot_batch_bitwise(kind, sites, scattered, data):
+    # one to three row blocks, some ending in a one-row tail that joins the block before it
+    if kind == "bernoulli_pair":
+        sites = 2
+    grid = (Grid(np.random.default_rng(sites).random((sites, 2))) if scattered
+            else Grid.regular(sites))
+    rows = max(2, BLOCK_CELLS // sites)
+    n = data.draw(st.integers(1, 3 * rows) | st.sampled_from([rows + 1, 2 * rows + 1]), label="n")
+    spec = SpectralProfileSpec(kind, omega0=1.5)
+    blocked, one_shot = make_rng(n, "per_field"), make_rng(n, "per_field")
+    sup = per_field_blocks(spec, grid, n, blocked, lambda w: w.max(axis=1))
+    _, _, w = sample_simple_pareto_batch(spec, grid, n, one_shot)
+    assert np.array_equal(sup, w.max(axis=1))
+    assert blocked.random() == one_shot.random()
+
+
+def test_per_field_blocks_peak_memory_is_two_floats_a_draw_and_one_block():
+    # 200,000 fields at 101 sites would take 162 MB in one array
+    spec, grid = SpectralProfileSpec("gaussian_moving_max"), Grid.regular(101)
+    per_field_blocks(spec, grid, 10, make_rng(0, "warm"), lambda w: w.max(axis=1))  # cached set-up
+    n = 200_000
+    tracemalloc.start()
+    try:
+        per_field_blocks(spec, grid, n, make_rng(0, "peak"), lambda w: w.max(axis=1))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2 * 8 * n + (4 << 20)

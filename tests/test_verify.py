@@ -4,18 +4,13 @@ import dataclasses
 
 import pytest
 
-from paretoproc import dfeval, verify
+from paretoproc import pareto, verify
 
 
 def test_sup_pareto_law_fails_on_squared_radii(monkeypatch):
     # sup W / omega0 becomes Y^2, whose tail 1/sqrt(x) is not standard Pareto
-    sample = verify.sample_simple_pareto_batch
-
-    def squared_radii(spec, grid, n, rng):
-        y, v, w = sample(spec, grid, n, rng)
-        return y * y, v, w * y[:, None]
-
-    monkeypatch.setattr(verify, "sample_simple_pareto_batch", squared_radii)
+    sample = pareto.sample_radii
+    monkeypatch.setattr(pareto, "sample_radii", lambda n, rng: sample(n, rng) ** 2)
     result = verify.run_check(verify.check_sup_pareto_law, quick=True)
     assert not result.passed
     (gate,) = result.checks
@@ -54,10 +49,10 @@ def test_bivariate_closed_form_fails_on_constant_profiles(monkeypatch):
 
 def test_formula_vs_empirical_fails_on_squared_direct_radii(monkeypatch):
     # the direct arm draws W = Y^2 V: P(W <= 2) for flat profiles is
-    # 1 - 1/sqrt(2), not 1/2. The arm draws its radii inside dfeval, so their
-    # name there is patched.
-    sample = dfeval.sample_radii
-    monkeypatch.setattr(dfeval, "sample_radii", lambda n, rng: sample(n, rng) ** 2)
+    # 1 - 1/sqrt(2), not 1/2. The arm draws its radii in pareto.per_field_blocks,
+    # so their name there is patched; the formula arm draws no radii.
+    sample = pareto.sample_radii
+    monkeypatch.setattr(pareto, "sample_radii", lambda n, rng: sample(n, rng) ** 2)
     gate = _failing_gate(verify.check_formula_vs_empirical, "pass_fraction")
     assert gate.statistic < gate.threshold
 
