@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -462,10 +463,19 @@ def test_help_exits_zero(capsys):
     assert "--t0" in capsys.readouterr().out
 
 
+# SHA-256 of the --quick report without its "seconds" fields (json.dumps,
+# sort_keys): every statistic, threshold and verdict, the same with one or two
+# BLAS threads. A change that moves any statistic by one bit shows here.
+QUICK_STATISTICS_SHA256 = "95187daa36fe740feb5cb5e2a2adf955032e0f77b7c6d07db7cb54330700a08f"
+
+
 def test_verify_all_quick(tmp_path):
     out = tmp_path / "verify"
     assert main(["verify-all", "--quick", "--out", str(out)]) == 0
     report = json.loads((out / "verify_report.json").read_text())
+    statistics = [{k: v for k, v in entry.items() if k != "seconds"} for entry in report]
+    digest = hashlib.sha256(json.dumps(statistics, sort_keys=True).encode()).hexdigest()
+    assert digest == QUICK_STATISTICS_SHA256
     assert len(report) == 9
     assert all(entry["passed"] for entry in report)
     for entry in report:
