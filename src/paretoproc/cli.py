@@ -258,6 +258,8 @@ def _cmd_lift(cfg: RunConfig) -> int:
     data_path = cfg.opt("data")
     if not data_path:
         raise ConfigError("lift requires --data pointing at a FieldSample CSV")
+    if "sites_list" in cfg.options and cfg.opt("policy") != "sites":
+        raise ConfigError("--sites-list applies only with --policy sites")
     data = field_sample_from_csv(data_path, grid)
     nf = estimate_norming(data, cfg.opt("k"))
     sites_list = cfg.opt("sites_list")

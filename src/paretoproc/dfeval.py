@@ -183,13 +183,12 @@ def evaluate(q: DfQuery, spec: SpectralProfileSpec, grid: Grid) -> DfResult:
 
 def _conditional_tail(spec: SpectralProfileSpec, grid: Grid, x: float, n_sim: int,
                       rng: np.random.Generator, reduce, empty: str) -> float:
-    """Empirical P(X > x | X > omega0) for X = reduce(W) from n_sim direct
-    draws; ``PreconditionFailed(empty)`` when no draw exceeds omega0."""
-    values = per_field_blocks(spec, grid, n_sim, rng, reduce)
-    n_cond = int(np.count_nonzero(values > spec.omega0))
-    if n_cond == 0:
+    """Empirical P(X > x | X > omega0) for X = reduce(W), from the values above
+    omega0 of n_sim direct draws; ``PreconditionFailed(empty)`` when there are none."""
+    kept = per_field_blocks(spec, grid, n_sim, rng, lambda w: (xs := reduce(w))[xs > spec.omega0])
+    if kept.size == 0:
         raise PreconditionFailed(empty)
-    return int(np.count_nonzero(values > max(x, spec.omega0))) / n_cond
+    return int(np.count_nonzero(kept > x)) / kept.size
 
 
 def conditional_sup_tail(

@@ -5,10 +5,10 @@ domain; a ``Field`` carries one finite real value per site. Site order is
 frozen at construction and is the identity used by every other module; the
 coordinates themselves are only needed for labeling and export.
 
-Grids and Fields are immutable after construction (backing arrays are marked
-read-only), so they can be shared across workers without synchronization.
-Two grids are the same grid when their sites are equal, in the same order;
-equal grids hash alike, so a grid keys a cache by its sites.
+Grids and Fields are immutable after construction (``_read_only`` marks every
+shared array of the package read-only), so they can be shared across workers
+without synchronization. Two grids are the same grid when their sites are equal,
+in the same order; equal grids hash alike, so a grid keys a cache by its sites.
 """
 from __future__ import annotations
 
@@ -21,6 +21,11 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import DomainError, GridMismatch
+
+
+def _read_only(a: np.ndarray) -> np.ndarray:
+    a.setflags(write=False)  # shared: cached, or held by an immutable object
+    return a
 
 
 @dataclass(frozen=True, eq=False)
@@ -41,9 +46,9 @@ class Grid:
             raise ValueError("site coordinates must be finite")
         if np.unique(sites, axis=0).shape[0] != sites.shape[0]:
             raise ValueError("sites must be pairwise distinct")
-        sites = sites + 0.0  # a copy in which -0.0 is 0.0, so equal sites hash alike
-        sites.setflags(write=False)
+        sites = _read_only(sites + 0.0)  # a copy with 0.0 for -0.0, so equal sites hash alike
         object.__setattr__(self, "sites", sites)
+        object.__setattr__(self, "_hash", hash(sites.tobytes()))  # once: caches look a grid up often
 
     @classmethod
     def regular(cls, n_sites: int, lo: float = 0.0, hi: float = 1.0) -> "Grid":
@@ -68,7 +73,10 @@ class Grid:
         return self is other or np.array_equal(self.sites, other.sites)
 
     def __hash__(self) -> int:
-        return hash(self.sites.tobytes())
+        return self._hash
+
+    def __reduce__(self):  # unpickled through __post_init__, so hashed by its own process
+        return Grid, (self.sites,)
 
     def __len__(self) -> int:
         return self.n_sites
@@ -90,9 +98,7 @@ class Field:
             )
         if not np.all(np.isfinite(values)):
             raise ValueError("field values must be finite")
-        values = values.copy()
-        values.setflags(write=False)
-        object.__setattr__(self, "values", values)
+        object.__setattr__(self, "values", _read_only(values.copy()))
 
 
 class FieldExtremum(NamedTuple):

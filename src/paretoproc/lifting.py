@@ -18,7 +18,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import DegenerateTail, InsufficientData
-from .grid import Field, Grid, read_csv_table, write_csv_table
+from .grid import Field, Grid, _read_only, read_csv_table, write_csv_table
 from .maxstable import sample_moving_maximum_batch
 from .rng import make_rng
 from .transforms import (
@@ -48,9 +48,7 @@ class FieldSample:
             raise ValueError("need at least 2 fields")
         if not np.all(np.isfinite(values)):
             raise ValueError("field values must be finite")
-        values = values.copy()
-        values.setflags(write=False)
-        object.__setattr__(self, "values", values)
+        object.__setattr__(self, "values", _read_only(values.copy()))
 
     @property
     def n(self) -> int:
@@ -154,11 +152,9 @@ def lift(
     if not t0 >= 1.0:
         raise ValueError("t0 must be >= 1")
     selected = select_exceedances(data, nf, policy, sites)
-    normalized = apply_T_values(data.values[selected], nf)
+    normalized = _read_only(apply_T_values(data.values[selected], nf))
     with np.errstate(over="ignore"):  # invert_T_values rejects an overflow
-        lifted = invert_T_values(t0 * normalized, nf)
-    normalized.setflags(write=False)
-    lifted.setflags(write=False)
+        lifted = _read_only(invert_T_values(t0 * normalized, nf))
     return LiftReport(selected, float(t0), nf, lifted, normalized, source=data)
 
 
@@ -216,8 +212,8 @@ def field_sample_to_csv(data: FieldSample, path) -> None:
 
 
 def field_sample_from_csv(path, grid: Grid) -> FieldSample:
-    """Read the long CSV. Rows may come in any order; every sample_id must
-    carry site_index 0..n_sites-1 exactly once, else ``ValueError``."""
+    """Read the long CSV. Rows may come in any order; the n sample_ids must be
+    0..n-1, each with site_index 0..n_sites-1 exactly once, else ``ValueError``."""
     _, table = read_csv_table(path)
     m = grid.n_sites
     if table.shape[1] != 3 or len(table) % m:
@@ -226,8 +222,9 @@ def field_sample_from_csv(path, grid: Grid) -> FieldSample:
     if not np.all((step_id > 0) | ((step_id == 0) & (step_site > 0))):  # else sorting moves no row
         table = table[np.lexsort((table[:, 1], table[:, 0]))]
     ids, sites, values = (table[:, j].reshape(-1, m) for j in range(3))
-    if not (np.all(sites == np.arange(m)) and np.all(ids == ids[:, :1])):
-        raise ValueError(f"{path}: every sample_id needs site_index 0..{m - 1} exactly once")
+    if not (np.all(sites == np.arange(m)) and np.all(ids == np.arange(len(ids))[:, None])):
+        raise ValueError(f"{path}: sample_id must run 0..{len(ids) - 1}, and every "
+                         f"sample_id needs site_index 0..{m - 1} exactly once")
     return FieldSample(grid, values)
 
 

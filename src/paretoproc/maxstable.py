@@ -23,12 +23,11 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .gof import Check, ks_critical_value, ks_statistic, standard_frechet_cdf, two_sample_ks_pvalue
-from .grid import Field, Grid
+from .grid import Field, Grid, _read_only
 from .pareto import sample_radii
 from .rng import fill_rows, make_rng
 from .spectral import (
     SpectralProfileSpec,
-    _read_only,
     exact_profile_mean,
     gaussian_bump,
     per_draw_blocks,
@@ -301,7 +300,7 @@ def doa_empirical_check(
 
     if input_kind == "pareto" and n_exc:
         angle = normalized[exceed, site] / radius[exceed]
-        reference = _sup_weighted_angle_sample(cfg, n_exc, rng)[:, site]
+        reference = _sup_weighted_angle_sample(cfg, n_exc, site, rng)
         pvalue = two_sample_ks_pvalue(angle, reference)
         checks.append(Check("angle_two_sample_ks", pvalue, 0.01, pvalue > 0.01))
 
@@ -315,16 +314,15 @@ def doa_empirical_check(
     }
 
 
-def _sup_weighted_angle_sample(
-    cfg: PenroseConfig, n: int, rng: np.random.Generator
-) -> np.ndarray:
-    """Draws from the spectral angle measure: mean-rescaled profiles
+def _sup_weighted_angle_sample(cfg: PenroseConfig, n: int, site: int,
+                               rng: np.random.Generator) -> np.ndarray:
+    """n draws at ``site`` of the spectral angle measure: mean-rescaled profiles
     normalized to sup one, size-biased by their supremum (rejection step)."""
 
     def draw(size):
         scaled = _rescaled_profiles(cfg, size, rng)
         sup = scaled.max(axis=1)
         accept = rng.random(size) < sup / cfg.sup_bound
-        return (scaled[accept] / sup[accept, None],)
+        return (scaled[accept, site] / sup[accept],)
 
     return fill_rows(n, lambda remaining: max(2048, 2 * remaining), draw)[0]

@@ -49,15 +49,18 @@ def sample_simple_pareto_batch(
 
 def per_field_blocks(spec: SpectralProfileSpec, grid: Grid, n: int,
                      rng: np.random.Generator, per_field) -> np.ndarray:
-    """``per_field(w)``, one float per row, of n draws W = Y V: all n radii
-    first, then the profiles in ``spectral.profile_blocks``, each block scaled
-    in place by its radii, so the stream is that of ``sample_simple_pareto_batch``."""
+    """The floats ``per_field(w)`` keeps of n draws W = Y V (one a row, or
+    fewer), in row order: all n radii, then the profiles in ``profile_blocks``,
+    each block scaled in place by its radii, on ``sample_simple_pareto_batch``'s stream."""
     y = sample_radii(n, rng)
     out = np.empty(n)
+    filled = 0
     for start, v in profile_blocks(spec, grid, n, rng):
         v *= y[start:start + v.shape[0], None]
-        out[start:start + v.shape[0]] = per_field(v)
-    return out
+        kept = per_field(v)
+        out[filled:filled + kept.size] = kept
+        filled += kept.size
+    return out[:filled]
 
 
 def sample_simple_pareto(
@@ -94,8 +97,8 @@ def pot_conditional_batch(
 
     ``stability`` multiplies unconditional radii by r (peaks-over-threshold
     invariance makes this exact); ``rejection`` samples unconditionally and
-    keeps exceedances. Both are exposed so the equality of the two conditional
-    laws can be tested rather than assumed.
+    keeps the exceedances of each profile block. Both are exposed so the
+    equality of the two conditional laws can be tested rather than assumed.
     """
     if not r > 1:
         raise ValueError("r must be > 1")
@@ -106,9 +109,9 @@ def pot_conditional_batch(
 
         def draw(size):
             y = sample_radii(size, rng)
-            v = sample_profiles(spec, grid, size, rng)
             keep = y > r
-            return y[keep], v[keep]
+            blocks = profile_blocks(spec, grid, size, rng)
+            return y[keep], np.concatenate([v[keep[s:s + v.shape[0]]] for s, v in blocks])
 
         # r is the acceptance odds; oversample to keep the loop short
         y, v = fill_rows(n, lambda remaining: max(1024, int(1.2 * remaining * r)), draw)

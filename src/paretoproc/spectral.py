@@ -31,7 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import SpecGridMismatch
-from .grid import Field, Grid
+from .grid import Field, Grid, _read_only
 
 CONSTANT = "constant"
 GAUSSIAN_MOVING_MAX = "gaussian_moving_max"
@@ -142,9 +142,7 @@ def _sq_exp_factor(grid: Grid, corr_length: float) -> np.ndarray:
     sites. Read-only, since every caller shares it."""
     lam, u = np.linalg.eigh(gaussian_bump(grid.sites, grid.sites, corr_length))
     keep = lam > EIG_TOL * lam[-1]
-    factor = u[:, keep] * np.sqrt(lam[keep])
-    factor.setflags(write=False)
-    return factor
+    return _read_only(u[:, keep] * np.sqrt(lam[keep]))
 
 
 # Per-(spec, grid) set-up of sample_profiles, done once: the grid check, the
@@ -168,11 +166,6 @@ def _draw_setup(spec: SpectralProfileSpec, grid: Grid):
     axes, flat = tensor
     parts = tuple(Grid(u) for u in axes if u.size > 1)
     return parts, None if np.array_equal(flat, np.arange(grid.n_sites)) else _read_only(flat)
-
-
-def _read_only(a: np.ndarray) -> np.ndarray:
-    a.setflags(write=False)  # cached, so shared by every later call
-    return a
 
 
 def prepare_draws(spec: SpectralProfileSpec, grid: Grid):

@@ -30,6 +30,11 @@ from .grid import Field, Grid
 GAMMA_ZERO_TOL = 1e-8
 
 
+def _constant_fields(grid: Grid, *values: float) -> list[Field]:
+    """One constant field on ``grid`` per value, in order."""
+    return [Field(grid, np.full(grid.n_sites, float(v))) for v in values]
+
+
 @dataclass(frozen=True)
 class GpParams:
     """Location, scale and shape fields (mu, sigma, gamma) plus threshold omega0."""
@@ -55,13 +60,7 @@ class GpParams:
     def constant(
         cls, grid: Grid, mu: float, sigma: float, gamma: float, omega0: float = 1.0
     ) -> "GpParams":
-        m = grid.n_sites
-        return cls(
-            Field(grid, np.full(m, float(mu))),
-            Field(grid, np.full(m, float(sigma))),
-            Field(grid, np.full(m, float(gamma))),
-            omega0,
-        )
+        return cls(*_constant_fields(grid, mu, sigma, gamma), omega0)
 
 
 @dataclass(frozen=True)
@@ -94,13 +93,7 @@ class NormingFunctions:
     def constant(
         cls, grid: Grid, gamma: float, a_t: float, b_t: float, t: float
     ) -> "NormingFunctions":
-        m = grid.n_sites
-        return cls(
-            Field(grid, np.full(m, float(gamma))),
-            Field(grid, np.full(m, float(a_t))),
-            Field(grid, np.full(m, float(b_t))),
-            t,
-        )
+        return cls(*_constant_fields(grid, gamma, a_t, b_t), t)
 
 
 # ---------------------------------------------------------------------------

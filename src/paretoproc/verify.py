@@ -180,14 +180,12 @@ def check_generalized_stability(quick: bool = False) -> tuple[str, list[Check]]:
 
             # base arm: the middle-site level of W recovered from the generalized process
             z_base = simple_level(n, p.mu.values, p.sigma.values, lambda z: z[:, site])
-            # renormalized arm: rescale by (u(r), s(r)), keep sup exceedances;
-            # levels are >= 0, so -1 marks a row without one
+            # renormalized arm: rescale by (u(r), s(r)), keep the sup exceedances
             u_r, s_r = stability_norming(p, r)
 
             def renormalized(size):
-                z = simple_level(size, u_r.values, s_r.values,
-                                 lambda z: np.where(z.max(axis=1) > p.omega0, z[:, site], -1.0))
-                return (z[z >= 0.0],)
+                return (simple_level(size, u_r.values, s_r.values,
+                                     lambda z: z[z.max(axis=1) > p.omega0, site]),)
 
             (z_renorm,) = fill_rows(n, lambda need: int(1.3 * need * r) + 1024, renormalized)
             pvals.append(two_sample_ks_pvalue(z_base, z_renorm))
@@ -250,12 +248,12 @@ def check_lifting_exact(quick: bool = False) -> tuple[str, list[Check]]:
     rng = make_rng(SEED, "lift_distributional")
     n_fields = 1_500 if quick else 3_000  # about half get selected at t = 2
     _, _, x1 = sample_simple_pareto_batch(spec, grid, n_fields, rng)
-    _, _, x2 = sample_simple_pareto_batch(spec, grid, n_fields, rng)
+    # the base batch is read only through its sups above t
+    sup_base = per_field_blocks(spec, grid, n_fields, rng,
+                                lambda w: (sup := w.max(axis=1))[sup > t]) / t
     report = lift(FieldSample(grid, x1), nf, t0)
     n_selected = float(len(report.selected_ids))
     sup_lifted = report.lifted.max(axis=1) / (t0 * t)
-    sup_base = x2.max(axis=1)
-    sup_base = sup_base[sup_base > t] / t
     pval = two_sample_ks_pvalue(sup_lifted, sup_base)
     return "lifting_exactness", [
         Check("max_entry_ulp", max_ulp, 1.0, max_ulp <= 1.0),

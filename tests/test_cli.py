@@ -245,10 +245,10 @@ def test_failing_thread_side_doa_exits_two_with_one_line(tmp_path, capsys, monke
 HEADER = "sample_id,site_index,value\n"
 
 
-def _long_rows(site_offset=0):
-    """30 samples on 3 sites, site indices starting at ``site_offset``."""
+def _long_rows(site_offset=0, ids=range(30)):
+    """Samples ``ids`` (30 by default) on 3 sites, site indices starting at ``site_offset``."""
     return "".join(f"{i},{j + site_offset},{1.0 + i + j / 10}\n"
-                   for i in range(30) for j in range(3))
+                   for i in ids for j in range(3))
 
 
 @pytest.mark.filterwarnings("error")
@@ -259,6 +259,9 @@ def _long_rows(site_offset=0):
     pytest.param(HEADER + _long_rows() + "0,1,9.0\n", id="duplicate_row"),
     pytest.param(HEADER + _long_rows() + "30,0\n", id="ragged"),
     pytest.param(HEADER + "0,0,rain\n" + _long_rows(), id="non_numeric"),
+    # lift writes sample ids, so they must be the row positions 0..n-1
+    pytest.param(HEADER + _long_rows(ids=range(100, 500, 10)), id="ids_from_100"),
+    pytest.param(HEADER + _long_rows(ids=[*range(15), *range(16, 31)]), id="id_gap"),
 ])
 def test_malformed_lift_data_exits_two_with_one_line(tmp_path, capsys, text):
     data = tmp_path / "fields.csv"
@@ -365,6 +368,19 @@ def test_sites_list_out_of_range_exits_two(tmp_path, capsys, sites_list):
     assert main(argv) == 2
     err = capsys.readouterr().err
     assert err.startswith("ValueError: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("policy", [[], ["--policy", "sup_anywhere"]], ids=["default", "flag"])
+def test_sites_list_without_sites_policy_exits_two(tmp_path, capsys, policy):
+    # only the sites policy reads a site list; any other would run as if it were unset
+    data = sample_scenario_fields(30, make_rng(4, "cli_lift"), n_sites=11)
+    field_sample_to_csv(data, tmp_path / "fields.csv")
+    argv = ["lift", "--data", str(tmp_path / "fields.csv"), "--sites", "11", "--k", "5",
+            "--sites-list", "0,1", *policy, "--seed", "5", "--out", str(tmp_path / "out")]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.err == "ConfigError: --sites-list applies only with --policy sites\n"
+    assert captured.out == "" and not (tmp_path / "out" / "manifest.json").exists()
 
 
 @pytest.mark.parametrize("command", ["scenario43", "lift"])

@@ -1,6 +1,9 @@
 import contextlib
 import multiprocessing
 import os
+import pickle
+import subprocess
+import sys
 import tempfile
 from unittest import mock
 
@@ -117,6 +120,29 @@ def test_grids_are_equal_by_their_sites():
     assert Grid(np.array([0.0, 1.0])) == Grid(np.array([[0.0], [1.0]]))
     assert Grid(np.arange(4.0)) != Grid(np.arange(4.0).reshape(2, 2))
     assert a != [0.0, 0.5, 1.0] and a != "grid" and a.__eq__(a.sites) is NotImplemented
+
+
+def test_grid_hash_does_not_read_the_sites():
+    # every cache lookup hashes the grid; the sites are hashed once, at construction
+    g = Grid.regular(101)
+    h = hash(g)
+    object.__setattr__(g, "sites", None)
+    assert hash(g) == h
+
+
+def test_unpickled_grid_hashes_like_one_built_here():
+    # bytes hash differently under another PYTHONHASHSEED, so an unpickled grid
+    # hashes its sites again instead of keeping the hash it was pickled with
+    src = os.path.dirname(os.path.dirname(grid.__file__))
+    env = {**os.environ, "PYTHONHASHSEED": "1",
+           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    code = ("import pickle, sys; from paretoproc.grid import Grid; "
+            "sys.stdout.buffer.write(pickle.dumps(Grid.regular(7)))")
+    result = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                            check=True, timeout=120)
+    g = pickle.loads(result.stdout)
+    assert g == Grid.regular(7) and hash(g) == hash(Grid.regular(7))
+    assert not g.sites.flags.writeable
 
 
 def _reference_csv(path, header, columns):

@@ -22,7 +22,7 @@ from paretoproc.maxstable import (
     sample_max_stable_batch,
     sample_moving_maximum_batch,
 )
-from paretoproc.rng import make_rng
+from paretoproc.rng import fill_rows, make_rng
 from paretoproc.spectral import SpectralProfileSpec, exact_profile_mean, sample_profiles
 
 
@@ -237,6 +237,24 @@ def test_doa_pareto_input(gmm_cfg):
     assert by_name["sup_ratio_x2"].passed
     assert by_name["sup_ratio_x5"].passed
     assert by_name["angle_two_sample_ks"].passed
+
+
+@pytest.mark.parametrize("site", [0, 25])
+def test_sup_weighted_angle_sample_is_the_site_column_of_the_full_rows(gmm_cfg, site):
+    def full_rows(cfg, n, rng):
+        # the sampler as it kept every accepted row whole
+        def draw(size):
+            scaled = maxstable._rescaled_profiles(cfg, size, rng)
+            sup = scaled.max(axis=1)
+            accept = rng.random(size) < sup / cfg.sup_bound
+            return (scaled[accept] / sup[accept, None],)
+
+        return fill_rows(n, lambda remaining: max(2048, 2 * remaining), draw)[0]
+
+    column, rows = make_rng(7, "angle"), make_rng(7, "angle")
+    got = maxstable._sup_weighted_angle_sample(gmm_cfg, 3_000, site, column)
+    assert np.array_equal(got, full_rows(gmm_cfg, 3_000, rows)[:, site])
+    assert column.random() == rows.random()
 
 
 def test_doa_maxstable_input(gmm_cfg):

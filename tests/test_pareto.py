@@ -13,13 +13,14 @@ from paretoproc.pareto import (
     pot_conditional_batch,
     pot_conditional_sample,
     recombine,
+    sample_radii,
     sample_simple_pareto,
     sample_simple_pareto_batch,
     sample_simple_pareto_vector,
     vector_grid,
 )
-from paretoproc.rng import make_rng
-from paretoproc.spectral import BLOCK_CELLS, KINDS, SpectralProfileSpec
+from paretoproc.rng import fill_rows, make_rng
+from paretoproc.spectral import BLOCK_CELLS, KINDS, SpectralProfileSpec, sample_profiles
 
 
 def test_sup_is_standard_pareto_constant_profile():
@@ -180,8 +181,8 @@ def test_no_joint_exceedance_for_disjoint_profiles():
 
 @settings(derandomize=True, max_examples=40, deadline=None)
 @given(kind=st.sampled_from(KINDS), sites=st.integers(2, 199), scattered=st.booleans(),
-       data=st.data())
-def test_per_field_blocks_reduce_the_one_shot_batch_bitwise(kind, sites, scattered, data):
+       cut=st.sampled_from([None, 2.0, 6.0]), data=st.data())
+def test_per_field_blocks_reduce_the_one_shot_batch_bitwise(kind, sites, scattered, cut, data):
     # one to three row blocks, some ending in a one-row tail that joins the block before it
     if kind == "bernoulli_pair":
         sites = 2
@@ -195,6 +196,12 @@ def test_per_field_blocks_reduce_the_one_shot_batch_bitwise(kind, sites, scatter
     _, _, w = sample_simple_pareto_batch(spec, grid, n, one_shot)
     assert np.array_equal(sup, w.max(axis=1))
     assert blocked.random() == one_shot.random()
+    if cut is not None:  # a reducer that keeps only some rows: their floats, in row order
+        blocked, one_shot = make_rng(n, "per_field"), make_rng(n, "per_field")
+        kept = per_field_blocks(spec, grid, n, blocked, lambda w: (s := w.max(axis=1))[s > cut])
+        s = sample_simple_pareto_batch(spec, grid, n, one_shot)[2].max(axis=1)
+        assert np.array_equal(kept, s[s > cut])
+        assert blocked.random() == one_shot.random()
 
 
 def test_per_field_blocks_peak_memory_is_two_floats_a_draw_and_one_block():
@@ -209,3 +216,49 @@ def test_per_field_blocks_peak_memory_is_two_floats_a_draw_and_one_block():
     finally:
         tracemalloc.stop()
     assert peak <= 2 * 8 * n + (4 << 20)
+
+
+def _whole_batch_rejection(spec, grid, r, n, rng, rounds):
+    """The rejection arm as it drew whole candidate batches: a round's radii,
+    then one ``sample_profiles`` call for all its candidates."""
+
+    def draw(size):
+        rounds.append(size)
+        y = sample_radii(size, rng)
+        v = sample_profiles(spec, grid, size, rng)
+        keep = y > r
+        return y[keep], v[keep]
+
+    y, v = fill_rows(n, lambda remaining: max(1024, int(1.2 * remaining * r)), draw)
+    return y, v, y[:, None] * v
+
+
+@pytest.mark.parametrize("kind, sites, r, n, seed, n_rounds", [
+    ("gaussian_moving_max", 101, 5.0, 3_000, 0, 1),  # 18,000 candidates in 28 blocks
+    ("gaussian_moving_max", 101, 5.0, 170, 433, 2),  # two rounds of 1,024 in two blocks each
+    ("rescaled_positive_field", 51, 2.0, 2_500, 0, 1),
+    ("constant", 7, 1.5, 5_000, 0, 1),
+    ("bernoulli_pair", 2, 3.0, 400, 0, 1),
+])
+def test_rejection_arm_matches_the_whole_batch_draw_bitwise(kind, sites, r, n, seed, n_rounds):
+    spec, grid = SpectralProfileSpec(kind, omega0=1.5), Grid.regular(sites)
+    blocked, whole, rounds = make_rng(seed, "pot_rej"), make_rng(seed, "pot_rej"), []
+    got = pot_conditional_batch(spec, grid, r, n, blocked, "rejection")
+    for a, b in zip(got, _whole_batch_rejection(spec, grid, r, n, whole, rounds)):
+        assert np.array_equal(a, b)
+    assert blocked.random() == whole.random()
+    assert len(rounds) == n_rounds
+
+
+def test_rejection_arm_peak_memory_is_under_three_results():
+    # the whole-batch draw peaked at 7.27 n m 8 bytes here: 60,000 candidate rows
+    spec, grid = SpectralProfileSpec("gaussian_moving_max"), Grid.regular(101)
+    pot_conditional_batch(spec, grid, 5.0, 10, make_rng(0, "warm"), "rejection")  # cached set-up
+    n, m = 10_000, grid.n_sites
+    tracemalloc.start()
+    try:
+        pot_conditional_batch(spec, grid, 5.0, n, make_rng(0, "peak"), "rejection")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 3 * n * m * 8 + (1 << 20)
