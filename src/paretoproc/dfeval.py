@@ -1,11 +1,18 @@
 """Closed-form distribution formulas evaluated by Monte Carlo over profiles.
 
-Every probability here is an expectation over the spectral profile V alone
-(the Pareto radius integrates out analytically), so each operation reduces to
-a single pass over n_mc profile draws: the estimate is the mean of a per-draw
-statistic and the standard error its sample deviation / sqrt(n_mc). Event
-conventions: ``W <= w`` and ``W > w`` hold at every site, ``W not<= w``
-(NOT_LEQ) at some site, so NOT_LEQ is the complement of LEQ but GT is not.
+Every probability here is an expectation over the spectral profile V alone:
+the Pareto radius Y integrates out through P(Y > a) = min(1, 1/a), so each
+event reduces to the one ratio r = V/w (a site with V = w = 0 counts as
+r = 0). With ``W <= w`` and ``W > w`` holding at every site and
+``W not<= w`` (NOT_LEQ) at some site,
+
+    P(W not<= w) = E min(1, sup r),  P(W <= w) = 1 - P(W not<= w),
+    P(W > w) = E min(1, inf r),
+
+exact for every w >= 0. NOT_LEQ is the complement of LEQ, but GT is not.
+Each operation is a single pass over n_mc profile draws: the estimate is the
+mean of the per-draw statistic and the standard error its sample deviation /
+sqrt(n_mc).
 
 ``direct_frequency`` provides the independent cross-validation arm: the same
 event evaluated as an empirical frequency of directly simulated processes.
@@ -13,7 +20,7 @@ event evaluated as an empirical frequency of directly simulated processes.
 
 Every route draws in row blocks, the formulas through ``spectral.per_draw_blocks``
 and the direct arms through ``pareto.per_field_blocks``, so memory is set by the
-block size; one float or two per draw are kept for all n draws.
+block size; one float per draw is kept for all n draws.
 """
 from __future__ import annotations
 
@@ -60,9 +67,9 @@ class DfQuery:
 class DfResult:
     """Monte Carlo estimate with standard error.
 
-    ``no_mass`` marks the branch where no sampled profile fell in the
-    restricted event set (estimated spectral mass zero), in which case the
-    formula value is 0 by convention rather than a failure.
+    ``no_mass`` marks that every draw's statistic was 0: no sampled profile
+    gave the event any probability, so the estimate and its standard error
+    are both 0, in every mode alike.
     """
 
     estimate: float
@@ -73,75 +80,35 @@ class DfResult:
         return iter((self.estimate, self.std_error))
 
 
-def _mean_result(per_draw: np.ndarray, has_mass: bool = True) -> DfResult:
-    if not has_mass:  # no draw fell in the restricted set: 0 by convention
-        return DfResult(0.0, 0.0, no_mass=True)
+def _mean_result(per_draw: np.ndarray) -> DfResult:
     n = per_draw.size
     est = float(per_draw.mean())
     se = float(per_draw.std(ddof=1) / np.sqrt(n)) if n > 1 else 0.0
-    return DfResult(est, se)
+    return DfResult(est, se, no_mass=not per_draw.any())
 
 
-def _formula(q: DfQuery, spec: SpectralProfileSpec, grid: Grid, per_draw) -> DfResult:
-    """Mean +- SE of ``per_draw(profiles, w) -> (values, has_mass)`` over the
-    query's n_mc profiles, drawn on stream (q.seed, "df_eval")."""
+def _per_draw(profiles: np.ndarray, w: np.ndarray, mode: str) -> np.ndarray:
+    """The event's probability given each profile row: with r = V / w (0/0
+    counted as 0, so a site with V = w = 0 neither exceeds nor stays above),
+    1 - min(1, sup r) for LEQ, min(1, sup r) for NOT_LEQ and min(1, inf r) for
+    GT. Divides the fresh block in place."""
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        r = np.divide(profiles, w, out=profiles)
+    np.nan_to_num(r, copy=False)
+    if mode == GT:
+        return np.minimum(1.0, r.min(axis=1))
+    sup = np.minimum(1.0, r.max(axis=1))
+    return 1.0 - sup if mode == LEQ else sup
+
+
+def _formula(q: DfQuery, spec: SpectralProfileSpec, grid: Grid, mode: str) -> DfResult:
+    """Mean +- SE of ``_per_draw(profiles, w, mode)`` over the query's n_mc
+    profiles, drawn on stream (q.seed, "df_eval")."""
     if q.w.grid != grid:
         raise ValueError("query field and grid disagree")
     rng = make_rng(q.seed, "df_eval")
-    return _mean_result(*per_draw_blocks(spec, grid, q.n_mc, rng,
-                                         lambda v: per_draw(v, q.w.values)))
-
-
-# ---------------------------------------------------------------------------
-# Per-draw statistics. profiles: (n, m), w: (m,).
-# ---------------------------------------------------------------------------
-
-def _leq_positive_per_draw(
-    profiles: np.ndarray, w: np.ndarray, omega0: float
-) -> tuple[np.ndarray, bool]:
-    # P(W <= w) = E sup V/(w ^ omega0) - E sup V/w, same draws for both terms
-    lower = np.minimum(w, omega0)
-    return (profiles / lower).max(axis=1) - (profiles / w).max(axis=1), True
-
-
-def _leq_general_per_draw(profiles: np.ndarray, w: np.ndarray) -> tuple[np.ndarray, bool]:
-    # restricted event: profile vanishes exactly where w does and lies below w
-    # elsewhere; per-draw value 0 outside that set
-    zero_sites = w == 0.0
-    support = ~zero_sites
-    n = profiles.shape[0]
-    if not support.any():
-        return np.zeros(n), False
-    in_b0 = np.all(profiles[:, support] <= w[support], axis=1)
-    if zero_sites.any():
-        in_b0 &= np.all(profiles[:, zero_sites] == 0.0, axis=1)
-    out = np.zeros(n)
-    if in_b0.any():
-        ratio_sup = (profiles[np.ix_(in_b0, support)] / w[support]).max(axis=1)
-        out[in_b0] = 1.0 - ratio_sup
-    return out, bool(in_b0.any())
-
-
-def _gt_per_draw(profiles: np.ndarray, w: np.ndarray) -> tuple[np.ndarray, bool]:
-    # P(W > w) = rho(B1) E(inf V/w | B1); B1 requires a strictly positive
-    # profile lying below w somewhere
-    n = profiles.shape[0]
-    positive = profiles.min(axis=1) > 0.0
-    out = np.zeros(n)
-    if positive.any():
-        sub = profiles[positive]
-        below = np.any(sub < w, axis=1)  # w(s) > V(s) for some s
-        with np.errstate(divide="ignore"):  # w may have zero entries
-            out[positive] = np.where(below, (sub / w).min(axis=1), 0.0)
-    return out, bool(np.any(out > 0))
-
-
-def _not_leq_per_draw(profiles: np.ndarray, w: np.ndarray) -> tuple[np.ndarray, bool]:
-    # P(W not<= w) = E min(1, sup V/w); sites with V = w = 0 cannot exceed
-    with np.errstate(divide="ignore", invalid="ignore"):
-        ratios = profiles / w
-    ratios = np.nan_to_num(ratios, nan=0.0, posinf=np.inf)
-    return np.minimum(1.0, ratios.max(axis=1)), True
+    return _mean_result(per_draw_blocks(spec, grid, q.n_mc, rng,
+                                        lambda v: _per_draw(v, q.w.values, mode)))
 
 
 # ---------------------------------------------------------------------------
@@ -149,36 +116,32 @@ def _not_leq_per_draw(profiles: np.ndarray, w: np.ndarray) -> tuple[np.ndarray, 
 # ---------------------------------------------------------------------------
 
 def df_leq_positive(q: DfQuery, spec: SpectralProfileSpec, grid: Grid) -> DfResult:
-    """P(W <= w) for strictly positive w via the two-supremum formula."""
+    """P(W <= w) for strictly positive w."""
     if np.any(q.w.values == 0.0):
         raise NonPositiveArgument(
-            "w has zero entries; use df_leq_general for the restricted formula"
+            "w has zero entries; use df_leq_general, which takes w >= 0"
         )
-    return _formula(q, spec, grid, lambda v, w: _leq_positive_per_draw(v, w, spec.omega0))
+    return _formula(q, spec, grid, LEQ)
 
 
 def df_leq_general(q: DfQuery, spec: SpectralProfileSpec, grid: Grid) -> DfResult:
-    """P(W <= w) for w >= 0 via the zero-set-restricted formula."""
-    return _formula(q, spec, grid, _leq_general_per_draw)
+    """P(W <= w) for w >= 0: a draw counts only where the profile vanishes at
+    every zero of w."""
+    return _formula(q, spec, grid, LEQ)
 
 
 def survival_gt(q: DfQuery, spec: SpectralProfileSpec, grid: Grid) -> DfResult:
-    """P(W > w), exact in the regime sup w > omega0 (and 0 whenever the
-    profile can vanish, since W > w needs a strictly positive profile)."""
+    """P(W > w) = E min(1, inf V/w), exact for every w >= 0: 0 for a profile
+    that vanishes somewhere, and 1 for one at or above w everywhere, since the
+    Pareto radius exceeds 1."""
     if q.mode != GT:
         raise ValueError("survival_gt expects a GT-mode query")
-    return _formula(q, spec, grid, _gt_per_draw)
+    return _formula(q, spec, grid, GT)
 
 
 def evaluate(q: DfQuery, spec: SpectralProfileSpec, grid: Grid) -> DfResult:
-    """Dispatch a query to the matching formula."""
-    if q.mode == GT:
-        return survival_gt(q, spec, grid)
-    if q.mode == NOT_LEQ:
-        return _formula(q, spec, grid, _not_leq_per_draw)
-    if np.all(q.w.values > 0):
-        return df_leq_positive(q, spec, grid)
-    return df_leq_general(q, spec, grid)
+    """The query's probability in its own mode."""
+    return _formula(q, spec, grid, q.mode)
 
 
 def _conditional_tail(spec: SpectralProfileSpec, grid: Grid, x: float, n_sim: int,
@@ -206,8 +169,8 @@ def conditional_sup_tail(
     """
     if rng is None:
         rng = make_rng(0, "conditional_sup_tail")
-    mean_inf, se_inf = _mean_result(*per_draw_blocks(spec, grid, PRETEST_N, rng,
-                                                     lambda v: (v.min(axis=1), True)))
+    mean_inf, se_inf = _mean_result(per_draw_blocks(spec, grid, PRETEST_N, rng,
+                                                    lambda v: v.min(axis=1)))
     if not mean_inf - 3.0 * se_inf > 0.0:
         raise PreconditionFailed(
             f"E inf V not significantly positive (estimate {mean_inf:.3g} "
@@ -226,6 +189,7 @@ def marginal_conditional_tail(
     rng: np.random.Generator | None = None,
 ) -> float:
     """Empirical P(W(s) > x | W(s) > omega0); contract value min(1, omega0/x)."""
+    grid.site_indices(site)
     if rng is None:
         rng = make_rng(0, "marginal_conditional_tail")
     return _conditional_tail(spec, grid, x, n_sim, rng, lambda w: w[:, site],
@@ -253,7 +217,7 @@ def df_findim(
     seed: int = 0,
 ) -> DfResult:
     """P(W_1 <= w_1, ..., W_d <= w_d) for the d-dimensional simple Pareto
-    vector, via the zero-set-restricted formula on a d-point index grid."""
+    vector, via the LEQ statistic on a d-point index grid."""
     w = np.asarray(w_vec, dtype=float)
     if w.shape != (d,):
         raise ValueError(f"w_vec must have length d = {d}")
@@ -262,8 +226,8 @@ def df_findim(
     if n_mc < 1:
         raise ValueError("n_mc must be >= 1")
     rng = make_rng(seed, "df_findim")
-    return _mean_result(*per_draw_blocks(spec, vector_grid(d), n_mc, rng,
-                                         lambda v: _leq_general_per_draw(v, w)))
+    return _mean_result(per_draw_blocks(spec, vector_grid(d), n_mc, rng,
+                                        lambda v: _per_draw(v, w, LEQ)))
 
 
 def bernoulli_pair_cdf(x: float, y: float, omega0: float = 1.0) -> float:

@@ -67,6 +67,14 @@ class Grid:
         """First-axis coordinates, convenient for one-dimensional grids."""
         return self.sites[:, 0]
 
+    def site_indices(self, sites) -> np.ndarray:
+        """``sites`` as an int array, each a site index in 0..n_sites-1
+        (``ValueError`` otherwise; a negative index does not count from the end)."""
+        idx = np.asarray(sites, dtype=int)
+        if np.any((idx < 0) | (idx >= self.n_sites)):
+            raise ValueError(f"site indices must lie in 0..{self.n_sites - 1}")
+        return idx
+
     def __eq__(self, other) -> bool:
         if not isinstance(other, Grid):
             return NotImplemented

@@ -130,10 +130,7 @@ def select_exceedances(
     elif policy == SITES:
         if sites is None or len(sites) == 0:
             raise ValueError("sites policy needs a nonempty site list")
-        idx = np.asarray(sites, dtype=int)
-        m = data.grid.n_sites
-        if np.any((idx < 0) | (idx >= m)):
-            raise ValueError(f"site indices must lie in 0..{m - 1}")
+        idx = data.grid.site_indices(sites)
         keep = np.all(data.values[:, idx] > nf.b_t.values[idx], axis=1)
     else:
         raise ValueError(f"unknown policy {policy!r}")

@@ -150,7 +150,7 @@ def findim_evd(
     """Finite-dimensional df G(x) = exp(-E max_i V(s_i)/x_i) by Monte Carlo
     over rescaled profiles, drawn in blocks. Standard error via the delta method."""
     x = np.asarray(x, dtype=float)
-    sites = np.asarray(sites, dtype=int)
+    sites = cfg.grid.site_indices(sites)
     if x.shape != sites.shape:
         raise ValueError("x and sites must have equal length")
     if np.any(x <= 0):
@@ -158,8 +158,8 @@ def findim_evd(
     if rng is None:
         rng = make_rng(0, "findim_evd")
     mean_field = cfg.mean_field[sites]
-    exponent, _ = per_draw_blocks(cfg.spec, cfg.grid, n_mc, rng,
-                                  lambda v: ((v[:, sites] / mean_field / x).max(axis=1), True))
+    exponent = per_draw_blocks(cfg.spec, cfg.grid, n_mc, rng,
+                               lambda v: (v[:, sites] / mean_field / x).max(axis=1))
     mean = exponent.mean()
     est = float(np.exp(-mean))
     if not return_se:

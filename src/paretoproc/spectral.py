@@ -19,7 +19,7 @@ Built-in kinds:
   a scattered grid has one factor over all its sites. Factors are cached
   per (grid, corr_length), at most four at a time.
 * ``bernoulli_pair``: on a two-site grid, (omega0, 0) or (0, omega0) with
-  probability 1/2 each. Deliberately contains exact zeros so the restricted
+  probability 1/2 each. Deliberately contains exact zeros so the
   distribution-function formulas see profiles vanishing on part of the grid.
 """
 from __future__ import annotations
@@ -247,15 +247,14 @@ def profile_blocks(spec: SpectralProfileSpec, grid: Grid, n: int, rng: np.random
 
 
 def per_draw_blocks(spec: SpectralProfileSpec, grid: Grid, n: int,
-                    rng: np.random.Generator, per_draw) -> tuple[np.ndarray, bool]:
-    """``per_draw(profiles) -> (values, has_mass)`` over n profiles drawn in
-    ``profile_blocks``: the values of all n draws, and whether any block had mass."""
+                    rng: np.random.Generator, per_draw) -> np.ndarray:
+    """``per_draw(profiles) -> values``, one float per row, over n profiles
+    drawn in ``profile_blocks``: the values of all n draws. Each block is
+    fresh, so ``per_draw`` may overwrite it."""
     values = np.empty(n)  # allocated first: a count too large fails before any draw
-    mass = False
     for start, v in profile_blocks(spec, grid, n, rng):
-        values[start:start + v.shape[0]], has_mass = per_draw(v)
-        mass = mass or has_mass
-    return values, mass
+        values[start:start + v.shape[0]] = per_draw(v)
+    return values
 
 
 def sample_profile(

@@ -1,6 +1,7 @@
 """Behaviour lock: SHA-256 digests of the data outputs of one small config per
-CLI command, plus a second ``simulate`` config for ``rescaled_positive_field``
-and a third whose samples table goes through the pooled CSV writer.
+CLI command, plus a second ``simulate`` config for ``rescaled_positive_field``,
+a third whose samples table goes through the pooled CSV writer, and a second
+``df-battery`` config away from ``omega0 = 1``.
 
 A change that must leave every output as it is keeps these digests. A change
 that alters a random stream or an output format on purpose re-pins the
@@ -39,6 +40,10 @@ COMMANDS = {
                         ("maxstable_report.json", "stdout")),
     "df-battery": (["df-battery", "--spec", "gaussian_moving_max", "--sites", "11",
                     "--n-mc", "2000", "--n-direct", "4000", "--seed", SEED], ("battery.csv",)),
+    # omega0 = 2.5 puts the battery's GT level 1.2 below every profile's peak
+    "df-battery-omega0": (["df-battery", "--spec", "rescaled_positive_field", "--omega0", "2.5",
+                           "--sites", "11", "--n-mc", "2000", "--n-direct", "4000",
+                           "--seed", SEED], ("battery.csv", "stdout")),
 }
 
 EXPECTED = {
@@ -82,6 +87,10 @@ EXPECTED = {
     },
     "df-battery": {
         "battery.csv": "a5de5e8fbda0157f653baaaec1b1c92f9315a5dd9164b0f2563f9e23b7ce3792",
+    },
+    "df-battery-omega0": {
+        "battery.csv": "20eda04f649caf2a1d89108a267569f51a515ce8e4e2c08544c31593545da873",
+        "stdout": "f7daed18ed91f203f2a542514aea393bc66271f1e4569721d139409b22bcba31",
     },
 }
 

@@ -2,6 +2,7 @@ import os
 import sys
 import threading
 import time
+import warnings
 
 import numpy as np
 import pytest
@@ -25,6 +26,7 @@ from paretoproc.dfeval import (
 )
 from paretoproc.errors import GridMismatch, NonPositiveArgument, OutOfSupport, PreconditionFailed
 from paretoproc.grid import Field, Grid
+from paretoproc.maxstable import PenroseConfig, findim_evd
 from paretoproc.pareto import sample_simple_pareto_batch
 from paretoproc.rng import make_rng
 from paretoproc.spectral import SpectralProfileSpec
@@ -87,6 +89,17 @@ def test_leq_general_below_sphere_has_no_mass():
     assert res.estimate == 0.0 and res.no_mass
 
 
+@pytest.mark.parametrize("spec, n_sites", [(CONST, 11), (BP, 2), (GMM, 11),
+                                           (SpectralProfileSpec("rescaled_positive_field"), 11)])
+def test_leq_positive_and_general_agree_on_positive_w(spec, n_sites):
+    g = Grid.regular(n_sites)
+    queries = [q for q in default_battery(g, n_mc=2_000, seed=3) if q.mode == "LEQ"]
+    if spec is BP:
+        queries.append(DfQuery(Field(g, [0.5, 0.5]), "LEQ", 2_000, 0))  # no mass
+    for q in queries:
+        assert df_leq_positive(q, spec, g) == df_leq_general(q, spec, g)
+
+
 def test_leq_general_bernoulli_both_axes():
     g = Grid.regular(2)
     res = df_leq_general(DfQuery(Field(g, [2.0, 2.0]), "LEQ", 100_000, 4), BP, g)
@@ -105,14 +118,23 @@ def test_survival_zero_for_vanishing_profiles():
     assert res.estimate == 0.0 and res.no_mass
 
 
-def test_survival_event_compares_instead_of_dividing():
-    # a bump that falls to a subnormal value: w / V overflows there
+def test_survival_statistic_is_exact_for_every_w():
+    # a bump that falls to a subnormal value: V / w stays finite there; a profile
+    # at or above w everywhere gives W = Y V > w surely, since Y > 1
     profiles = np.array([[1.0, 1e-310], [1.0, 1.0], [1.0, 3.0], [0.5, 2.0]])
     w = np.array([0.5, 2.0])
-    with np.errstate(over="raise"):
-        values, mass = dfeval._gt_per_draw(profiles, w)
-    # inf_s V(s) / w(s) where V < w at some site; a profile equal to w is not below it
-    assert np.array_equal(values, [1e-310 / 2.0, 0.5, 0.0, 0.0]) and mass
+    values = dfeval._per_draw(profiles, w, "GT")
+    assert np.array_equal(values, [1e-310 / 2.0, 0.5, 1.0, 1.0])
+
+
+@pytest.mark.parametrize("mode, expected", [("LEQ", 0.0), ("GT", 1.0), ("NOT_LEQ", 1.0)])
+def test_evaluate_at_a_subnormal_w_is_quiet(mode, expected):
+    # V / w overflows to inf at most sites; the statistic caps every ratio at 1
+    g = Grid.regular(11)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        res = evaluate(DfQuery(flat(g, 1e-310), mode, 500, 0), GMM, g)
+    assert (res.estimate, res.std_error, res.no_mass) == (expected, 0.0, expected == 0.0)
 
 
 def test_survival_matches_direct_simulation():
@@ -154,6 +176,19 @@ def test_marginal_conditional_tail():
         marginal_conditional_tail(CONST, g, 2, 2.0, n_sim=0, rng=make_rng(2, "m"))
     est = marginal_conditional_tail(GMM, Grid.regular(51), 25, 2.0, n_sim=200_000, rng=make_rng(3, "m"))
     assert est == pytest.approx(0.5, abs=0.05)
+
+
+@pytest.mark.parametrize("site", [-1, 5])
+@pytest.mark.parametrize("tail", ["findim_evd", "marginal_conditional_tail"])
+def test_site_index_outside_the_grid_is_rejected_before_any_draw(tail, site):
+    g = Grid.regular(5)
+    rng = make_rng(0, "sites")
+    with pytest.raises(ValueError, match=r"site indices must lie in 0\.\.4"):
+        if tail == "findim_evd":
+            findim_evd(PenroseConfig(CONST, g), [2.0], [site], n_mc=100, rng=rng)
+        else:
+            marginal_conditional_tail(CONST, g, site, 2.0, n_sim=100, rng=rng)
+    assert rng.random() == make_rng(0, "sites").random()  # nothing was drawn
 
 
 def test_df_generalized_reduces_to_shifted_simple_df():
@@ -255,6 +290,19 @@ def test_run_battery_all_pass_and_csv(tmp_path):
     lines = out.read_text().splitlines()
     assert lines[0] == "query_id,estimate,std_error,oracle_estimate,oracle_se,pass"
     assert len(lines) == 6
+
+
+@pytest.mark.parametrize("spec", [
+    SpectralProfileSpec(kind, omega0=omega0) for omega0 in (0.3, 2.5)
+    for kind in ("constant", "bernoulli_pair", "gaussian_moving_max", "rescaled_positive_field")
+] + [SpectralProfileSpec("gaussian_moving_max", bandwidth=0.02),
+     SpectralProfileSpec("rescaled_positive_field", corr_length=0.05)], ids=repr)
+def test_run_battery_passes_away_from_the_default_parameters(spec):
+    # the battery's levels are fixed, so omega0 = 2.5 puts the GT level 1.2
+    # below every profile's peak
+    g = Grid.regular(2 if spec.kind == "bernoulli_pair" else 11)
+    rows = run_battery(spec, g, default_battery(g, n_mc=4_000, seed=0), n_direct=8_000, seed=1)
+    assert [r.query_id for r in rows if not r.passed] == []
 
 
 def test_queries_from_json(tmp_path):
