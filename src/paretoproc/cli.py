@@ -226,7 +226,7 @@ def _cmd_df_battery(cfg: RunConfig) -> int:
             raise ConfigError("--n-mc does not apply with --queries: each query sets its own n_mc")
         queries = queries_from_json(cfg.opt("queries"), grid)
     else:
-        queries = default_battery(grid, n_mc=cfg.opt("n_mc"), seed=cfg.seed)
+        queries = default_battery(grid, n_mc=cfg.opt("n_mc"), seed=cfg.seed, omega0=spec.omega0)
     rows = run_battery(spec, grid, queries, n_direct=cfg.opt("n_direct"), seed=cfg.seed)
     battery_to_csv(rows, cfg.outdir / "battery.csv")
     for row in rows:

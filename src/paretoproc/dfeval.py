@@ -108,7 +108,7 @@ def _formula(q: DfQuery, spec: SpectralProfileSpec, grid: Grid, mode: str) -> Df
         raise ValueError("query field and grid disagree")
     rng = make_rng(q.seed, "df_eval")
     return _mean_result(per_draw_blocks(spec, grid, q.n_mc, rng,
-                                        lambda v: _per_draw(v, q.w.values, mode)))
+                                        lambda _, v: _per_draw(v, q.w.values, mode)))
 
 
 # ---------------------------------------------------------------------------
@@ -170,7 +170,7 @@ def conditional_sup_tail(
     if rng is None:
         rng = make_rng(0, "conditional_sup_tail")
     mean_inf, se_inf = _mean_result(per_draw_blocks(spec, grid, PRETEST_N, rng,
-                                                    lambda v: v.min(axis=1)))
+                                                    lambda _, v: v.min(axis=1)))
     if not mean_inf - 3.0 * se_inf > 0.0:
         raise PreconditionFailed(
             f"E inf V not significantly positive (estimate {mean_inf:.3g} "
@@ -227,7 +227,7 @@ def df_findim(
         raise ValueError("n_mc must be >= 1")
     rng = make_rng(seed, "df_findim")
     return _mean_result(per_draw_blocks(spec, vector_grid(d), n_mc, rng,
-                                        lambda v: _per_draw(v, w, LEQ)))
+                                        lambda _, v: _per_draw(v, w, LEQ)))
 
 
 def bernoulli_pair_cdf(x: float, y: float, omega0: float = 1.0) -> float:
@@ -312,17 +312,17 @@ def run_battery(
     return rows
 
 
-def default_battery(grid: Grid, n_mc: int = 10_000, seed: int = 0) -> list[DfQuery]:
-    """Fixed five-query battery: three lower events (two flat levels and one
-    tilted field), one joint exceedance, one sup exceedance."""
+def default_battery(grid: Grid, n_mc: int = 10_000, seed: int = 0,
+                    omega0: float = 1.0) -> list[DfQuery]:
+    """Fixed five-query battery in units of ``omega0``, the same probabilities at
+    every omega0: three lower events (two flat levels, one tilted), a joint and a sup exceedance."""
     m = grid.n_sites
-    coords = grid.coords()
     fields = [
-        (LEQ, np.full(m, 2.0)),
-        (LEQ, np.full(m, 5.0)),
-        (LEQ, 1.5 + coords),
-        (GT, np.full(m, 1.2)),
-        (NOT_LEQ, np.full(m, 3.0)),
+        (LEQ, np.full(m, 2.0 * omega0)),
+        (LEQ, np.full(m, 5.0 * omega0)),
+        (LEQ, (1.5 + grid.coords()) * omega0),
+        (GT, np.full(m, 1.2 * omega0)),
+        (NOT_LEQ, np.full(m, 3.0 * omega0)),
     ]
     return [
         DfQuery(Field(grid, w), mode, n_mc, seed + i)

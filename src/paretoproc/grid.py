@@ -68,11 +68,11 @@ class Grid:
         return self.sites[:, 0]
 
     def site_indices(self, sites) -> np.ndarray:
-        """``sites`` as an int array, each a site index in 0..n_sites-1
-        (``ValueError`` otherwise; a negative index does not count from the end)."""
-        idx = np.asarray(sites, dtype=int)
-        if np.any((idx < 0) | (idx >= self.n_sites)):
-            raise ValueError(f"site indices must lie in 0..{self.n_sites - 1}")
+        """``sites`` as an integer array of indices in 0..n_sites-1, else ``ValueError``
+        (a float or bool is not cast; a negative index does not count from the end)."""
+        idx = np.asarray(sites)
+        if not np.issubdtype(idx.dtype, np.integer) or np.any((idx < 0) | (idx >= self.n_sites)):
+            raise ValueError(f"site indices must lie in 0..{self.n_sites - 1}, as integers")
         return idx
 
     def __eq__(self, other) -> bool:

@@ -83,11 +83,6 @@ class PenroseConfig:
         self.sup_bound = float(self.spec.omega0 / self.mean_field.min())
 
 
-def _rescaled_profiles(cfg: PenroseConfig, n: int, rng: np.random.Generator) -> np.ndarray:
-    profiles = sample_profiles(cfg.spec, cfg.grid, n, rng)
-    return np.divide(profiles, cfg.mean_field, out=profiles)
-
-
 def _poisson_max(
     n: int, m: int, scale: float, bound: float, draw, rng: np.random.Generator,
     truncation: float = 0.0,
@@ -159,7 +154,7 @@ def findim_evd(
         rng = make_rng(0, "findim_evd")
     mean_field = cfg.mean_field[sites]
     exponent = per_draw_blocks(cfg.spec, cfg.grid, n_mc, rng,
-                               lambda v: (v[:, sites] / mean_field / x).max(axis=1))
+                               lambda _, v: (v[:, sites] / mean_field / x).max(axis=1))
     mean = exponent.mean()
     est = float(np.exp(-mean))
     if not return_se:
@@ -263,8 +258,7 @@ def doa_empirical_check(
     if input_kind == "maxstable" and n_block < 2:
         raise ValueError("n_block must be >= 2 for max-stable input")
     t = float(n_block)
-    m = cfg.grid.n_sites
-    site = m // 2
+    site = cfg.grid.n_sites // 2
 
     if input_kind == "pareto":
         if t < cfg.sup_bound:
@@ -273,9 +267,9 @@ def doa_empirical_check(
                 "norming is above the sup-sphere at every site"
             )
         y = sample_radii(n_rep, rng)
-        normalized = _rescaled_profiles(cfg, n_rep, rng)  # V / E V
-        normalized *= y[:, None]
-        normalized /= t  # equals T_t X for gamma = 1
+        sup, at = _sup_and_site(cfg, n_rep, rng, site)
+        # T_t X = (V / E V) y / t for gamma = 1, whose sup is sup(V / E V) y / t
+        radius, at_site = sup * y / t, at * y / t
     else:
         normalized = sample_max_stable_batch(cfg, n_rep, rng)
         b_t = -1.0 / np.log1p(-1.0 / t)
@@ -284,8 +278,8 @@ def doa_empirical_check(
         normalized /= b_2t - b_t
         normalized += 1.0
         np.maximum(normalized, 0.0, out=normalized)
+        radius, at_site = normalized.max(axis=1), normalized[:, site]
 
-    radius = normalized.max(axis=1)
     exceed = radius > 1.0
     n_exc = int(exceed.sum())
     checks = []
@@ -299,7 +293,7 @@ def doa_empirical_check(
                             abs(q_hat - 1.0 / x) <= max(bound, 1e-12)))
 
     if input_kind == "pareto" and n_exc:
-        angle = normalized[exceed, site] / radius[exceed]
+        angle = at_site[exceed] / radius[exceed]
         reference = _sup_weighted_angle_sample(cfg, n_exc, site, rng)
         pvalue = two_sample_ks_pvalue(angle, reference)
         checks.append(Check("angle_two_sample_ks", pvalue, 0.01, pvalue > 0.01))
@@ -320,9 +314,17 @@ def _sup_weighted_angle_sample(cfg: PenroseConfig, n: int, site: int,
     normalized to sup one, size-biased by their supremum (rejection step)."""
 
     def draw(size):
-        scaled = _rescaled_profiles(cfg, size, rng)
-        sup = scaled.max(axis=1)
+        sup, at = _sup_and_site(cfg, size, rng, site)
         accept = rng.random(size) < sup / cfg.sup_bound
-        return (scaled[accept, site] / sup[accept],)
+        return (at[accept] / sup[accept],)
 
     return fill_rows(n, lambda remaining: max(2048, 2 * remaining), draw)[0]
+
+
+def _sup_and_site(cfg: PenroseConfig, n: int, rng: np.random.Generator, site: int) -> np.ndarray:
+    """(sup, value at ``site``) of n profiles V / E V drawn in blocks, a (2, n) array."""
+    def per_draw(_, v):
+        v /= cfg.mean_field
+        return np.column_stack((v.max(axis=1), v[:, site]))
+
+    return per_draw_blocks(cfg.spec, cfg.grid, n, rng, per_draw).T

@@ -13,7 +13,8 @@ import numpy as np
 from .errors import SpecGridMismatch, ZeroField
 from .grid import Field, Grid, sup_field, write_csv_table
 from .rng import fill_rows
-from .spectral import BERNOULLI_PAIR, SpectralProfileSpec, profile_blocks, sample_profiles
+from .spectral import (BERNOULLI_PAIR, SpectralProfileSpec, per_draw_blocks, profile_blocks,
+                       sample_profiles)
 
 STABILITY = "stability"
 REJECTION = "rejection"
@@ -49,18 +50,11 @@ def sample_simple_pareto_batch(
 
 def per_field_blocks(spec: SpectralProfileSpec, grid: Grid, n: int,
                      rng: np.random.Generator, per_field) -> np.ndarray:
-    """The floats ``per_field(w)`` keeps of n draws W = Y V (one a row, or
-    fewer), in row order: all n radii, then the profiles in ``profile_blocks``,
-    each block scaled in place by its radii, on ``sample_simple_pareto_batch``'s stream."""
+    """What ``per_field(w)`` keeps of n draws W = Y V: all n radii, then the blocks
+    of ``per_draw_blocks`` scaled in place, on ``sample_simple_pareto_batch``'s stream."""
     y = sample_radii(n, rng)
-    out = np.empty(n)
-    filled = 0
-    for start, v in profile_blocks(spec, grid, n, rng):
-        v *= y[start:start + v.shape[0], None]
-        kept = per_field(v)
-        out[filled:filled + kept.size] = kept
-        filled += kept.size
-    return out[:filled]
+    return per_draw_blocks(spec, grid, n, rng,
+                           lambda rows, v: per_field(np.multiply(v, y[rows, None], out=v)))
 
 
 def sample_simple_pareto(

@@ -248,13 +248,17 @@ def profile_blocks(spec: SpectralProfileSpec, grid: Grid, n: int, rng: np.random
 
 def per_draw_blocks(spec: SpectralProfileSpec, grid: Grid, n: int,
                     rng: np.random.Generator, per_draw) -> np.ndarray:
-    """``per_draw(profiles) -> values``, one float per row, over n profiles
-    drawn in ``profile_blocks``: the values of all n draws. Each block is
-    fresh, so ``per_draw`` may overwrite it."""
-    values = np.empty(n)  # allocated first: a count too large fails before any draw
+    """What ``per_draw(rows, v)`` keeps of n profiles drawn in ``profile_blocks``,
+    in row order: ``rows`` is a block's slice of the n draws, ``v`` its fresh profiles
+    (``per_draw`` may overwrite them); it keeps at most one float or fixed-width row a draw."""
+    out, filled = np.empty(n), 0  # allocated first: a count too large fails before any draw
     for start, v in profile_blocks(spec, grid, n, rng):
-        values[start:start + v.shape[0]] = per_draw(v)
-    return values
+        kept = per_draw(slice(start, start + v.shape[0]), v)
+        if kept.ndim > out.ndim:  # a row a draw: sized at the first block
+            out = np.empty((n, kept.shape[1]))
+        out[filled:filled + len(kept)] = kept
+        filled += len(kept)
+    return out[:filled]
 
 
 def sample_profile(

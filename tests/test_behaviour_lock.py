@@ -1,7 +1,8 @@
 """Behaviour lock: SHA-256 digests of the data outputs of one small config per
 CLI command, plus a second ``simulate`` config for ``rescaled_positive_field``,
-a third whose samples table goes through the pooled CSV writer, and a second
-``df-battery`` config away from ``omega0 = 1``.
+a third whose samples table goes through the pooled CSV writer, a second
+``maxstable-check`` config whose Pareto domain-of-attraction arm spans several
+profile blocks, and a second ``df-battery`` config away from ``omega0 = 1``.
 
 A change that must leave every output as it is keeps these digests. A change
 that alters a random stream or an output format on purpose re-pins the
@@ -38,9 +39,13 @@ COMMANDS = {
     "maxstable-check": (["maxstable-check", "--spec", "gaussian_moving_max", "--sites", "11",
                          "--n", "300", "--n-block", "50", "--n-rep", "2000", "--seed", SEED],
                         ("maxstable_report.json", "stdout")),
+    # 2,000 replicates at 101 sites: the Pareto arm draws four 648-row profile blocks
+    "maxstable-check-101": (["maxstable-check", "--spec", "gaussian_moving_max", "--sites", "101",
+                             "--n", "300", "--n-block", "50", "--n-rep", "2000", "--seed", SEED],
+                            ("maxstable_report.json", "stdout")),
     "df-battery": (["df-battery", "--spec", "gaussian_moving_max", "--sites", "11",
                     "--n-mc", "2000", "--n-direct", "4000", "--seed", SEED], ("battery.csv",)),
-    # omega0 = 2.5 puts the battery's GT level 1.2 below every profile's peak
+    # omega0 = 2.5: the battery's levels are in units of omega0
     "df-battery-omega0": (["df-battery", "--spec", "rescaled_positive_field", "--omega0", "2.5",
                            "--sites", "11", "--n-mc", "2000", "--n-direct", "4000",
                            "--seed", SEED], ("battery.csv", "stdout")),
@@ -85,12 +90,18 @@ EXPECTED = {
         "maxstable_report.json": "72d324beeb2843220c512604980cf47ada6210e63f27fe166909bf3238aff14c",
         "stdout": "43b4db72b76086e09e1f4081dca0aaaf7880888daa400e7c9af5ed5c743dc07b",
     },
+    "maxstable-check-101": {
+        "maxstable_report.json": "854a2f357c8adf755ec263f36f5aa28f4c60670b5a772d16bdb15e2672a32fa8",
+        "stdout": "514224a0ec0784f30eee6e9fdb90c7f2051855ec8ec4aa1c86fddc92de1f4309",
+    },
     "df-battery": {
         "battery.csv": "a5de5e8fbda0157f653baaaec1b1c92f9315a5dd9164b0f2563f9e23b7ce3792",
     },
     "df-battery-omega0": {
-        "battery.csv": "20eda04f649caf2a1d89108a267569f51a515ce8e4e2c08544c31593545da873",
-        "stdout": "f7daed18ed91f203f2a542514aea393bc66271f1e4569721d139409b22bcba31",
+        # re-pinned when the battery's levels went into units of omega0: the
+        # queries at omega0 = 2.5 are 2.5 times those at 1
+        "battery.csv": "f4789b500181900e75c840a28275c1c54cf286f3e514991418b682c432d9cdfc",
+        "stdout": "85aabebdc4beb1cf47ce50c4b94f290a4a6c5853dbf79b7f179e4f606eee8680",
     },
 }
 

@@ -178,7 +178,7 @@ def test_marginal_conditional_tail():
     assert est == pytest.approx(0.5, abs=0.05)
 
 
-@pytest.mark.parametrize("site", [-1, 5])
+@pytest.mark.parametrize("site", [-1, 5, 1.7, 1.5, True])  # a float or bool is not cast
 @pytest.mark.parametrize("tail", ["findim_evd", "marginal_conditional_tail"])
 def test_site_index_outside_the_grid_is_rejected_before_any_draw(tail, site):
     g = Grid.regular(5)
@@ -298,10 +298,10 @@ def test_run_battery_all_pass_and_csv(tmp_path):
 ] + [SpectralProfileSpec("gaussian_moving_max", bandwidth=0.02),
      SpectralProfileSpec("rescaled_positive_field", corr_length=0.05)], ids=repr)
 def test_run_battery_passes_away_from_the_default_parameters(spec):
-    # the battery's levels are fixed, so omega0 = 2.5 puts the GT level 1.2
-    # below every profile's peak
+    # the battery's levels are in units of the family's omega0
     g = Grid.regular(2 if spec.kind == "bernoulli_pair" else 11)
-    rows = run_battery(spec, g, default_battery(g, n_mc=4_000, seed=0), n_direct=8_000, seed=1)
+    queries = default_battery(g, n_mc=4_000, seed=0, omega0=spec.omega0)
+    rows = run_battery(spec, g, queries, n_direct=8_000, seed=1)
     assert [r.query_id for r in rows if not r.passed] == []
 
 

@@ -12,6 +12,7 @@ from paretoproc.gof import (
 )
 from paretoproc import maxstable, spectral
 from paretoproc.grid import Grid
+from paretoproc.pareto import sample_radii
 from paretoproc.maxstable import (
     PenroseConfig,
     construction_checks,
@@ -239,22 +240,65 @@ def test_doa_pareto_input(gmm_cfg):
     assert by_name["angle_two_sample_ks"].passed
 
 
+def _full_row_angles(cfg, n, rng):
+    """The angle sampler as it drew whole batches of V / E V and kept every
+    accepted row whole."""
+
+    def draw(size):
+        scaled = sample_profiles(cfg.spec, cfg.grid, size, rng) / cfg.mean_field
+        sup = scaled.max(axis=1)
+        accept = rng.random(size) < sup / cfg.sup_bound
+        return (scaled[accept] / sup[accept, None],)
+
+    return fill_rows(n, lambda remaining: max(2048, 2 * remaining), draw)[0]
+
+
 @pytest.mark.parametrize("site", [0, 25])
 def test_sup_weighted_angle_sample_is_the_site_column_of_the_full_rows(gmm_cfg, site):
-    def full_rows(cfg, n, rng):
-        # the sampler as it kept every accepted row whole
-        def draw(size):
-            scaled = maxstable._rescaled_profiles(cfg, size, rng)
-            sup = scaled.max(axis=1)
-            accept = rng.random(size) < sup / cfg.sup_bound
-            return (scaled[accept] / sup[accept, None],)
-
-        return fill_rows(n, lambda remaining: max(2048, 2 * remaining), draw)[0]
-
     column, rows = make_rng(7, "angle"), make_rng(7, "angle")
     got = maxstable._sup_weighted_angle_sample(gmm_cfg, 3_000, site, column)
-    assert np.array_equal(got, full_rows(gmm_cfg, 3_000, rows)[:, site])
+    assert np.array_equal(got, _full_row_angles(gmm_cfg, 3_000, rows)[:, site])
     assert column.random() == rows.random()
+
+
+@pytest.fixture(scope="module")
+def cfg_101():
+    return {kind: PenroseConfig(SpectralProfileSpec(kind), Grid.regular(101))
+            for kind in ("gaussian_moving_max", "rescaled_positive_field")}
+
+
+@pytest.mark.parametrize("kind", ["gaussian_moving_max", "rescaled_positive_field"])
+def test_doa_pareto_report_equals_the_whole_batch_draw_bitwise(cfg_101, kind):
+    # 2,000 replicates at 101 sites are four 648-row profile blocks
+    cfg, n_block, n_rep = cfg_101[kind], 50, 2_000
+    report = doa_empirical_check(cfg, n_block, n_rep, make_rng(6, "doa101"), "pareto")
+    # the Pareto arm as it drew one (n_rep, m) batch of T_t X = (V / E V) y / t
+    rng, t, site = make_rng(6, "doa101"), float(n_block), 50
+    y = sample_radii(n_rep, rng)
+    normalized = sample_profiles(cfg.spec, cfg.grid, n_rep, rng) / cfg.mean_field
+    normalized *= y[:, None]
+    normalized /= t
+    radius = normalized.max(axis=1)
+    exceed = radius > 1.0
+    ratios = [float(np.mean(radius[exceed] > x)) for x in (2.0, 5.0)]
+    angle = normalized[exceed, site] / radius[exceed]
+    reference = _full_row_angles(cfg, int(exceed.sum()), rng)[:, site]
+    assert report["n_exceedances"] == exceed.sum() > 0
+    assert [c.statistic for c in report["checks"]] == ratios + [
+        two_sample_ks_pvalue(angle, reference)]
+
+
+def test_doa_pareto_peak_memory_is_set_by_the_block(cfg_101):
+    # the whole-batch draw held (n_rep, 101) floats: 46.7 MiB traced here
+    cfg = cfg_101["gaussian_moving_max"]
+    doa_empirical_check(cfg, 50, 100, make_rng(0, "warm"), "pareto")  # cached set-up
+    tracemalloc.start()
+    try:
+        doa_empirical_check(cfg, 50, 50_000, make_rng(0, "peak"), "pareto")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 8 << 20
 
 
 def test_doa_maxstable_input(gmm_cfg):

@@ -20,7 +20,8 @@ from paretoproc.pareto import (
     vector_grid,
 )
 from paretoproc.rng import fill_rows, make_rng
-from paretoproc.spectral import BLOCK_CELLS, KINDS, SpectralProfileSpec, sample_profiles
+from paretoproc.spectral import (BLOCK_CELLS, KINDS, SpectralProfileSpec, per_draw_blocks,
+                                 sample_profiles)
 
 
 def test_sup_is_standard_pareto_constant_profile():
@@ -201,6 +202,14 @@ def test_per_field_blocks_reduce_the_one_shot_batch_bitwise(kind, sites, scatter
         kept = per_field_blocks(spec, grid, n, blocked, lambda w: (s := w.max(axis=1))[s > cut])
         s = sample_simple_pareto_batch(spec, grid, n, one_shot)[2].max(axis=1)
         assert np.array_equal(kept, s[s > cut])
+        assert blocked.random() == one_shot.random()
+    # the one loop under it, with a compacting reducer and one of a (sup, site) row a draw
+    site = grid.n_sites // 2
+    for per_draw in (lambda _, v: (x := v[:, site])[x > 0.75],
+                     lambda _, v: np.column_stack((v.max(axis=1), v[:, site]))):
+        blocked, one_shot = make_rng(n, "per_draw"), make_rng(n, "per_draw")
+        kept = per_draw_blocks(spec, grid, n, blocked, per_draw)
+        assert np.array_equal(kept, per_draw(slice(0, n), sample_profiles(spec, grid, n, one_shot)))
         assert blocked.random() == one_shot.random()
 
 
