@@ -94,7 +94,8 @@ def _per_draw(profiles: np.ndarray, w: np.ndarray, mode: str) -> np.ndarray:
     GT. Divides the fresh block in place."""
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         r = np.divide(profiles, w, out=profiles)
-    np.nan_to_num(r, copy=False)
+    if not w.all():  # 0/0 only where w is 0; min(1, .) reads an inf as it reads max-float
+        np.nan_to_num(r, copy=False)
     if mode == GT:
         return np.minimum(1.0, r.min(axis=1))
     sup = np.minimum(1.0, r.max(axis=1))
@@ -221,7 +222,7 @@ def df_findim(
     w = np.asarray(w_vec, dtype=float)
     if w.shape != (d,):
         raise ValueError(f"w_vec must have length d = {d}")
-    if np.any(w < 0):
+    if not np.all(w >= 0):
         raise ValueError("w_vec must be nonnegative")
     if n_mc < 1:
         raise ValueError("n_mc must be >= 1")

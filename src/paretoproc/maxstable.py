@@ -159,7 +159,7 @@ def findim_evd(
     est = float(np.exp(-mean))
     if not return_se:
         return est
-    se = float(est * exponent.std(ddof=1) / np.sqrt(n_mc))
+    se = float(est * exponent.std(ddof=1) / np.sqrt(n_mc)) if n_mc > 1 else 0.0
     return est, se
 
 

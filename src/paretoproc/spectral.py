@@ -102,7 +102,8 @@ def _check_grid(spec: SpectralProfileSpec, grid: Grid) -> None:
 def _bump_exponent(sites: np.ndarray, centers: np.ndarray, h: float) -> np.ndarray:
     """-|s - c|^2 / 2h^2 for every center c (rows) and site s (columns),
     built in one (n, m) buffer: axis squares are added in axis order, the
-    same sums as ``np.sum(diff * diff, -1)``."""
+    same sums as ``np.sum(diff * diff, -1)``. The two point sets are
+    interchangeable: swapped, the result is the transpose, bit for bit."""
     out = np.subtract(sites[:, 0], centers[:, :1])
     out *= out
     for a in range(1, sites.shape[1]):
@@ -185,7 +186,9 @@ def sample_profiles(
     """n independent profiles as an (n, n_sites) matrix.
 
     This is the vectorized workhorse behind :func:`sample_profile`; every
-    row is nonnegative with maximum exactly ``spec.omega0``.
+    row is nonnegative with maximum exactly ``spec.omega0``. The shape is the
+    contract, the memory order is not: a ``gaussian_moving_max`` draw of at
+    least as many rows as sites is stored site-major.
     """
     setup = prepare_draws(spec, grid)
     m = grid.n_sites
@@ -201,7 +204,9 @@ def sample_profiles(
     if spec.kind == GAUSSIAN_MOVING_MAX:
         lo, span = setup
         centers = lo + rng.random((n, grid.dim)) * span
-        z = _bump_exponent(grid.sites, centers, spec.bandwidth)
+        # site-major ((m, n) in memory) from as many rows as sites: reductions run along the draws
+        z = (_bump_exponent(centers, grid.sites, spec.bandwidth).T if n >= m
+             else _bump_exponent(grid.sites, centers, spec.bandwidth))
     else:
         # rescaled_positive_field: the covariance is the Kronecker product of
         # the per-axis covariances on a tensor grid, so one normal per
@@ -273,13 +278,14 @@ def profile_mean_se(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Per-site Monte Carlo mean of n independent profiles and its standard
     error, drawn in ``profile_blocks``. The moments are summed for V / omega0,
-    whose square cannot overflow, and scaled back."""
-    total = np.zeros(grid.n_sites)
-    total_sq = np.zeros(grid.n_sites)
+    whose square cannot overflow, and scaled back. Each block is divided into
+    one reused row-major buffer, so the sums add draw by draw in any layout."""
+    total, total_sq, buf = np.zeros(grid.n_sites), np.zeros(grid.n_sites), np.empty(0)
     for _, p in profile_blocks(spec, grid, n, rng):
-        p /= spec.omega0
+        buf = buf if buf.size >= p.size else np.empty(p.size)
+        p = np.divide(p, spec.omega0, out=buf[:p.size].reshape(p.shape))
         total += p.sum(axis=0)
-        total_sq += (p * p).sum(axis=0)
+        total_sq += np.multiply(p, p, out=p).sum(axis=0)
     mean = total / n
     var = total_sq / n - mean * mean
     return mean * spec.omega0, np.sqrt(np.maximum(var, 0.0) / n) * spec.omega0

@@ -127,6 +127,19 @@ def test_survival_statistic_is_exact_for_every_w():
     assert np.array_equal(values, [1e-310 / 2.0, 0.5, 1.0, 1.0])
 
 
+@pytest.mark.parametrize("mode", dfeval.MODES)
+@pytest.mark.parametrize("w", [[0.5, 2.0, 1e-310], [0.0, 2.0, 1e-310], [0.0, 0.0, 0.0]])
+def test_per_draw_skips_the_nan_pass_only_where_it_changes_nothing(mode, w):
+    # the reference maps every NaN and inf of V / w, whatever w holds
+    profiles = np.array([[1.0, 0.0, 3.0], [0.0, 1e-310, 1.0], [0.0, 0.0, 0.0], [2.0, 2.0, 2.0]])
+    w = np.array(w)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        r = np.nan_to_num(profiles / w)
+    sup = np.minimum(1.0, r.max(axis=1))
+    expected = {"GT": np.minimum(1.0, r.min(axis=1)), "LEQ": 1.0 - sup, "NOT_LEQ": sup}[mode]
+    assert np.array_equal(dfeval._per_draw(profiles, w, mode), expected)
+
+
 @pytest.mark.parametrize("mode, expected", [("LEQ", 0.0), ("GT", 1.0), ("NOT_LEQ", 1.0)])
 def test_evaluate_at_a_subnormal_w_is_quiet(mode, expected):
     # V / w overflows to inf at most sites; the statistic caps every ratio at 1
@@ -253,6 +266,12 @@ def test_df_findim_closed_form_battery():
         assert bernoulli_pair_cdf(x, y) == pytest.approx(value, abs=1e-15)
         res = df_findim((x, y), BP, 2, n_mc=200_000, seed=11)
         assert res.estimate == pytest.approx(value, abs=3e-3)
+
+
+@pytest.mark.parametrize("w", [(np.nan, 1.0), (-0.5, 1.0)])
+def test_df_findim_rejects_a_negative_or_nan_argument(w):
+    with pytest.raises(ValueError, match="nonnegative"):
+        df_findim(w, BP, 2, n_mc=10)
 
 
 def test_df_leq_monotone_in_w_with_shared_draws():

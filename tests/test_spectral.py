@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from paretoproc import spectral
+from paretoproc import dfeval, maxstable, spectral
 from paretoproc.errors import SpecGridMismatch
 from paretoproc.gof import two_sample_ks_pvalue
 from paretoproc.grid import Grid
@@ -406,3 +406,73 @@ def test_blocked_draws_equal_the_one_shot_draw_for_any_n(kind, sites, scattered,
     parts = [p for _, p in spectral.profile_blocks(spec, grid, n, blocked)]
     assert np.array_equal(np.concatenate(parts), expected)
     assert one.random() == blocked.random()
+
+
+def _layout_grid(layout, sites):
+    if layout == "1d":
+        return Grid.regular(sites)
+    if layout == "2d_tensor":
+        x = np.linspace(0.0, 1.0, sites)
+        return Grid(np.array([(a, b) for a in x for b in (0.0, 0.5, 1.0)]))
+    return Grid(np.random.default_rng(sites).random((sites, 2)))
+
+
+def _row_major_bump_profiles(spec, grid, n, rng):
+    # the bump draw with its exponent built row-major, (n, m) in memory
+    lo = grid.sites.min(axis=0)
+    centers = lo + rng.random((n, grid.dim)) * (grid.sites.max(axis=0) - lo)
+    z = spectral._bump_exponent(grid.sites, centers, spec.bandwidth)
+    z -= z.max(axis=1, keepdims=True)
+    return np.exp(z, out=z) * spec.omega0
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(layout=st.sampled_from(["1d", "2d_tensor", "scattered"]), sites=st.integers(2, 60),
+       bandwidth=_log_uniform(1e-4, 10.0),
+       omega0=_log_uniform(spectral.OMEGA0_MIN, spectral.OMEGA0_MAX), data=st.data())
+def test_moving_max_draw_equals_the_row_major_reference_bitwise(layout, sites, bandwidth,
+                                                                 omega0, data):
+    grid = _layout_grid(layout, sites)
+    m = grid.n_sites
+    n = data.draw(st.integers(1, 3 * m), label="n")
+    spec = SpectralProfileSpec("gaussian_moving_max", omega0=omega0, bandwidth=bandwidth)
+    drawn = sample_profiles(spec, grid, n, make_rng(n, "layout"))
+    # both layouts are reached: a draw of at least as many rows as sites is site-major
+    assert drawn.flags.c_contiguous == (n < m)
+    assert np.array_equal(drawn, _row_major_bump_profiles(spec, grid, n, make_rng(n, "layout")))
+
+
+def _reductions(spec, grid, w, n):
+    # what every per_draw_blocks reducer of the package keeps of n draws, each on its own stream
+    cfg = maxstable.PenroseConfig(spec, grid)
+    out = {mode: spectral.per_draw_blocks(spec, grid, n, make_rng(n, mode),
+                                          lambda _, v, mode=mode: dfeval._per_draw(v, w, mode))
+           for mode in dfeval.MODES}
+    for mode in dfeval.MODES:
+        out[f"direct_{mode}"] = dfeval.direct_frequency(spec, grid, w, mode, n, make_rng(n, "direct"))
+    out["sup_and_site"] = maxstable._sup_and_site(cfg, n, make_rng(n, "sup"), grid.n_sites // 2)
+    out["findim_evd"] = maxstable.findim_evd(cfg, [0.5, 2.0], np.array([0, grid.n_sites - 1]),
+                                             n, make_rng(n, "findim"), return_se=True)
+    out["profile_mean_se"] = profile_mean_se(spec, grid, n, make_rng(n, "mean"))
+    return {k: np.asarray(v).tobytes() for k, v in out.items()}
+
+
+@settings(derandomize=True, max_examples=30, deadline=None)
+@given(kind=st.sampled_from(["gaussian_moving_max", "bernoulli_pair"]),
+       layout=st.sampled_from(["1d", "2d_tensor"]), sites=st.integers(2, 40), data=st.data())
+def test_every_block_reducer_reads_a_site_major_block_as_its_row_major_copy(kind, layout,
+                                                                            sites, data):
+    grid = Grid.regular(2) if kind == "bernoulli_pair" else _layout_grid(layout, sites)
+    m = grid.n_sites
+    n = data.draw(st.integers(1, 4 * m + 50), label="n")
+    w = np.array(data.draw(st.lists(st.sampled_from([0.0, 0.3, 0.8, 1.5]), min_size=m, max_size=m),
+                           label="w"))
+    spec = SpectralProfileSpec(kind, omega0=1.5)
+    blocks = spectral.profile_blocks
+    found = []
+    for layout_of in (np.asfortranarray, np.ascontiguousarray):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(spectral, "profile_blocks",
+                       lambda *a, f=layout_of: ((s, f(v)) for s, v in blocks(*a)))
+            found.append(_reductions(spec, grid, w, n))
+    assert found[0] == found[1]

@@ -25,15 +25,14 @@ def _failing_gate(check, name):
 
 
 def test_pot_stability_fails_on_wider_stability_bumps(monkeypatch):
-    # the stability arm draws bumps of bandwidth 0.3, the rejection arm 0.1
-    sample = verify.pot_conditional_batch
+    # the stability arm draws bumps of bandwidth 0.3, the rejection arm 0.1;
+    # only the stability arm draws its profiles through spectral.per_draw_blocks
+    blocks = verify.per_draw_blocks
 
-    def wider(spec, grid, r, n, rng, method):
-        if method == "stability":
-            spec = verify.SpectralProfileSpec(spec.kind, bandwidth=0.3)
-        return sample(spec, grid, r, n, rng, method=method)
+    def wider(spec, grid, n, rng, per_draw):
+        return blocks(verify.SpectralProfileSpec(spec.kind, bandwidth=0.3), grid, n, rng, per_draw)
 
-    monkeypatch.setattr(verify, "pot_conditional_batch", wider)
+    monkeypatch.setattr(verify, "per_draw_blocks", wider)
     gate = _failing_gate(verify.check_pot_stability, "min_ks_p")
     assert gate.statistic <= gate.threshold
 
