@@ -148,8 +148,10 @@ def findim_evd(
     sites = cfg.grid.site_indices(sites)
     if x.shape != sites.shape:
         raise ValueError("x and sites must have equal length")
-    if np.any(x <= 0):
+    if not np.all(x > 0):
         raise ValueError("evaluation points must be positive")
+    if n_mc < 1:
+        raise ValueError("n_mc must be >= 1")
     if rng is None:
         rng = make_rng(0, "findim_evd")
     mean_field = cfg.mean_field[sites]

@@ -99,12 +99,13 @@ def _check_grid(spec: SpectralProfileSpec, grid: Grid) -> None:
             )
 
 
-def _bump_exponent(sites: np.ndarray, centers: np.ndarray, h: float) -> np.ndarray:
+def _bump_exponent(sites: np.ndarray, centers: np.ndarray, h: float,
+                   out: np.ndarray | None = None) -> np.ndarray:
     """-|s - c|^2 / 2h^2 for every center c (rows) and site s (columns),
-    built in one (n, m) buffer: axis squares are added in axis order, the
-    same sums as ``np.sum(diff * diff, -1)``. The two point sets are
-    interchangeable: swapped, the result is the transpose, bit for bit."""
-    out = np.subtract(sites[:, 0], centers[:, :1])
+    built in one (n, m) buffer (``out`` if given): axis squares are added in
+    axis order, the same sums as ``np.sum(diff * diff, -1)``. The two point
+    sets are interchangeable: swapped, the result is the transpose, bit for bit."""
+    out = np.subtract(sites[:, 0], centers[:, :1], out=out)
     out *= out
     for a in range(1, sites.shape[1]):
         sq = np.subtract(sites[:, a], centers[:, a:a + 1])
@@ -180,6 +181,34 @@ def prepare_draws(spec: SpectralProfileSpec, grid: Grid):
     return [_sq_exp_factor(g, spec.corr_length) for g in parts], flat
 
 
+def _site_major(n: int, m: int) -> bool:
+    """Whether a draw of n rows on m sites is stored site-major ((m, n) in memory):
+    when it and each of its full ``row_blocks`` hold at least m rows (n >= m, m <= 256)."""
+    return n >= m and m * m <= BLOCK_CELLS
+
+
+def _empty(n: int, m: int) -> np.ndarray:
+    """An uninitialized (n, m) draw in the layout ``_site_major`` gives it."""
+    return np.empty((m, n)).T if _site_major(n, m) else np.empty((n, m))
+
+
+def _field_block(normals: np.ndarray, factors, out: np.ndarray) -> None:
+    """The field of (k, rank_1, ..., rank_d) normals written into ``out``, (k, m) in the
+    factors' axis order, in out's layout: rank axes 1..d-1 go to sites with the draws last
+    (site-major) or first, the last product writes out (``F @ normals.T`` or ``normals @ F.T``)."""
+    site_major = not out.flags.c_contiguous
+    x, lead = (np.moveaxis(normals, 0, -1), 0) if site_major else (normals, 1)
+    for a, f in enumerate(factors[:-1], start=lead):  # rank axis a to its sites
+        y = np.matmul(f, x.reshape(math.prod(x.shape[:a]), f.shape[1], -1))
+        x = y.reshape(*x.shape[:a], f.shape[0], *x.shape[a + 1:])
+    f = factors[-1]
+    if site_major:
+        k = x.shape[-1]
+        np.matmul(f, x.reshape(-1, f.shape[1], k), out=out.T.reshape(-1, f.shape[0], k))
+    else:
+        np.matmul(x.reshape(-1, f.shape[1]), f.T, out=out.reshape(-1, f.shape[0]))
+
+
 def sample_profiles(
     spec: SpectralProfileSpec, grid: Grid, n: int, rng: np.random.Generator
 ) -> np.ndarray:
@@ -187,37 +216,45 @@ def sample_profiles(
 
     This is the vectorized workhorse behind :func:`sample_profile`; every
     row is nonnegative with maximum exactly ``spec.omega0``. The shape is the
-    contract, the memory order is not: a ``gaussian_moving_max`` draw of at
-    least as many rows as sites is stored site-major.
+    contract, the memory order is not: every family stores a draw site-major
+    when it and its full ``row_blocks`` hold at least as many rows as sites
+    (n >= m, up to 256 sites), and row-major otherwise.
     """
     setup = prepare_draws(spec, grid)
     m = grid.n_sites
     w0 = spec.omega0
+    z = _empty(n, m)
     if spec.kind == CONSTANT:
-        return np.full((n, m), w0)
+        z[...] = w0
+        return z
     if spec.kind == BERNOULLI_PAIR:
         first = rng.random(n) < 0.5
-        out = np.zeros((n, 2))
-        out[first, 0] = w0
-        out[~first, 1] = w0
-        return out
+        z[...] = 0.0
+        z[first, 0] = w0
+        z[~first, 1] = w0
+        return z
     if spec.kind == GAUSSIAN_MOVING_MAX:
         lo, span = setup
         centers = lo + rng.random((n, grid.dim)) * span
-        # site-major ((m, n) in memory) from as many rows as sites: reductions run along the draws
-        z = (_bump_exponent(centers, grid.sites, spec.bandwidth).T if n >= m
-             else _bump_exponent(grid.sites, centers, spec.bandwidth))
+        # the exponent is built in z, its argument order set by z's layout
+        a, b, out = (centers, grid.sites, z.T) if _site_major(n, m) else (grid.sites, centers, z)
+        _bump_exponent(a, b, spec.bandwidth, out)
     else:
         # rescaled_positive_field: the covariance is the Kronecker product of
         # the per-axis covariances on a tensor grid, so one normal per
-        # rank-product cell is mapped to the sites one axis factor at a time
+        # rank-product cell is mapped to the sites one axis factor at a time.
+        # Each row block is contracted in the layout it has when drawn alone,
+        # so BLAS rounds it alike in both; one of the other layout (at most
+        # the last) or of a reordered grid is contracted aside and copied in
         factors, flat = setup
-        z = rng.standard_normal((n, *(f.shape[1] for f in factors)))
-        for f in factors:  # contract the first rank axis, append its site axis
-            z = np.tensordot(z, f, axes=(1, 1))
-        z = z.reshape(n, m)
-        if flat is not None:
-            z = z[:, flat]
+        normals = rng.standard_normal((n, *(f.shape[1] for f in factors)))
+        for start, k in row_blocks(n, m):
+            block = z[start:start + k]
+            aside = flat is not None or _site_major(k, m) != _site_major(n, m)
+            dest = _empty(k, m) if aside else block
+            _field_block(normals[start:start + k], factors, dest)
+            if aside:
+                block[...] = dest if flat is None else dest[:, flat]
     # z is the log-profile, finite (_check_grid bounds the bump's exponent):
     # shifted by its row max, every row peaks at exp(0) = 1 exactly
     z -= z.max(axis=1, keepdims=True)
@@ -244,9 +281,8 @@ def profile_blocks(spec: SpectralProfileSpec, grid: Grid, n: int, rng: np.random
     the ``row_blocks`` of n, and each block's first row.
 
     The blocks draw the stream of the one-shot ``sample_profiles(spec, grid,
-    n, rng)`` and, concatenated, equal it bitwise, except where BLAS rounds
-    ``rescaled_positive_field``'s factor products by the size of the draw
-    (from about 200 sites, where one-shot draws of two sizes disagree too)."""
+    n, rng)`` and, concatenated, equal it bitwise at any site count: the
+    one-shot draw hands BLAS the same blocks in the same orientation."""
     for start, k in row_blocks(n, grid.n_sites):
         yield start, sample_profiles(spec, grid, k, rng)
 

@@ -168,6 +168,18 @@ def test_findim_evd_constant_profile(const_cfg):
     assert est == pytest.approx(1.0, abs=1e-8)
 
 
+@pytest.mark.parametrize("x, n_mc, message", [
+    ([2.0], 0, "n_mc must be >= 1"),
+    ([np.nan], 100, "evaluation points must be positive"),
+])
+def test_findim_evd_rejects_no_draws_or_a_nan_point_before_drawing(x, n_mc, message):
+    cfg = PenroseConfig(SpectralProfileSpec("constant"), Grid.regular(3))
+    rng = make_rng(0, "findim_checks")
+    with pytest.raises(ValueError, match=message):
+        findim_evd(cfg, x, [1], n_mc=n_mc, rng=rng, return_se=True)
+    assert rng.random() == make_rng(0, "findim_checks").random()  # nothing was drawn
+
+
 def test_findim_evd_monotone_and_bounded(gmm_cfg):
     sites = [10, 25, 40]
     rng = make_rng(3, "mono")

@@ -181,7 +181,7 @@ def test_no_joint_exceedance_for_disjoint_profiles():
 
 
 @settings(derandomize=True, max_examples=40, deadline=None)
-@given(kind=st.sampled_from(KINDS), sites=st.integers(2, 199), scattered=st.booleans(),
+@given(kind=st.sampled_from(KINDS), sites=st.integers(2, 1001), scattered=st.booleans(),
        cut=st.sampled_from([None, 2.0, 6.0]), data=st.data())
 def test_per_field_blocks_reduce_the_one_shot_batch_bitwise(kind, sites, scattered, cut, data):
     # one to three row blocks, some ending in a one-row tail that joins the block before it

@@ -287,6 +287,25 @@ def test_low_rank_factor_reproduces_covariance(grid, corr_length):
     assert np.abs(factor @ factor.T - cov).max() <= 1e-9
 
 
+@pytest.mark.parametrize("grid", [
+    pytest.param(Grid(np.stack(np.meshgrid(*[np.linspace(0.0, 1.0, k) for k in (4, 5, 3)],
+                                          indexing="ij"), -1).reshape(-1, 3)), id="3d_tensor"),
+    pytest.param(_tensor_grid_2d(), id="2d_shuffled"),
+    pytest.param(Grid.regular(101), id="1d_101"),
+])
+def test_rescaled_field_is_the_kronecker_factor_applied_to_the_normals(grid):
+    # every rank axis is contracted, in both layouts and on a tail of either
+    # layout, to the dense Kronecker product's field up to rounding
+    spec = SpectralProfileSpec("rescaled_positive_field", omega0=2.5)
+    factor = _full_factor(grid, spec.corr_length)
+    m = grid.n_sites
+    for n in (3, m, 2 * (spectral.BLOCK_CELLS // m) + 5):
+        z = make_rng(n, "kron").standard_normal((n, factor.shape[1])) @ factor.T
+        expected = np.exp(z - z.max(axis=1, keepdims=True)) * 2.5
+        drawn = sample_profiles(spec, grid, n, make_rng(n, "kron"))
+        np.testing.assert_allclose(drawn, expected, rtol=1e-12, atol=1e-12)
+
+
 def test_rescaled_field_follows_site_order():
     # the same draws on a shuffled tensor grid land on the same coordinates
     x, y = np.meshgrid(np.linspace(0.0, 1.0, 11), np.linspace(-1.0, 2.0, 7), indexing="ij")
@@ -331,15 +350,41 @@ def test_rescaled_field_on_tensor_grid_allocates_no_dense_covariance():
     assert peak <= 2.0 * (p.nbytes + factor.nbytes)
 
 
+def test_rescaled_field_draw_holds_no_second_output_array():
+    # three blocks on a line, two full and a short tail: the products go
+    # straight into the output, and only the tail, of the other layout, is copied in
+    grid = Grid.regular(101)
+    spec = SpectralProfileSpec("rescaled_positive_field")
+    factor = spectral.prepare_draws(spec, grid)[0][0]
+    rows = spectral.BLOCK_CELLS // 101
+    n = 2 * rows + 50
+    tracemalloc.start()
+    try:
+        p = sample_profiles(spec, grid, n, make_rng(0, "alloc"))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    normals = n * factor.shape[1] * 8
+    assert peak <= p.nbytes + normals + factor.nbytes + rows * 101 * 8
+
+
 def _blocked_grids():
     x = np.linspace(0.0, 1.0, 5)
     return {"1d": Grid.regular(11), "2d_tensor": Grid(np.array([(a, b) for a in x for b in x])),
             "scattered": Grid(np.random.default_rng(4).random((30, 2))),
-            "two_sites": Grid.regular(2)}
+            "scattered_201": Grid(np.random.default_rng(4).random((201, 2))),
+            "1d_1001": Grid.regular(1001), "two_sites": Grid.regular(2)}
+
+
+def _row_major(n, m):
+    # the layout rule of every draw: site-major when the draw and each of its
+    # full blocks hold at least as many rows as sites
+    return n < m or m * m > spectral.BLOCK_CELLS
 
 
 @pytest.mark.parametrize("kind, layout", [
-    *((k, layout) for k in ALL_KINDS[:3] for layout in ("1d", "2d_tensor", "scattered")),
+    *((k, layout) for k in ALL_KINDS[:3]
+      for layout in ("1d", "2d_tensor", "scattered", "scattered_201", "1d_1001")),
     ("bernoulli_pair", "two_sites"),
 ])
 def test_blocked_draws_concatenate_to_the_one_shot_draw(kind, layout):
@@ -392,7 +437,7 @@ def test_moving_max_rows_peak_at_omega0_at_any_bandwidth(bandwidth, omega0, site
 
 
 @settings(derandomize=True, max_examples=40, deadline=None)
-@given(kind=st.sampled_from(ALL_KINDS), sites=st.integers(2, 199), scattered=st.booleans(),
+@given(kind=st.sampled_from(ALL_KINDS), sites=st.integers(2, 1001), scattered=st.booleans(),
        data=st.data())
 def test_blocked_draws_equal_the_one_shot_draw_for_any_n(kind, sites, scattered, data):
     if kind == "bernoulli_pair":
@@ -406,6 +451,7 @@ def test_blocked_draws_equal_the_one_shot_draw_for_any_n(kind, sites, scattered,
     parts = [p for _, p in spectral.profile_blocks(spec, grid, n, blocked)]
     assert np.array_equal(np.concatenate(parts), expected)
     assert one.random() == blocked.random()
+    assert expected.flags.c_contiguous == _row_major(n, sites)
 
 
 def _layout_grid(layout, sites):
@@ -458,8 +504,8 @@ def _reductions(spec, grid, w, n):
 
 
 @settings(derandomize=True, max_examples=30, deadline=None)
-@given(kind=st.sampled_from(["gaussian_moving_max", "bernoulli_pair"]),
-       layout=st.sampled_from(["1d", "2d_tensor"]), sites=st.integers(2, 40), data=st.data())
+@given(kind=st.sampled_from(ALL_KINDS), layout=st.sampled_from(["1d", "2d_tensor"]),
+       sites=st.integers(2, 40), data=st.data())
 def test_every_block_reducer_reads_a_site_major_block_as_its_row_major_copy(kind, layout,
                                                                             sites, data):
     grid = Grid.regular(2) if kind == "bernoulli_pair" else _layout_grid(layout, sites)
@@ -468,11 +514,21 @@ def test_every_block_reducer_reads_a_site_major_block_as_its_row_major_copy(kind
     w = np.array(data.draw(st.lists(st.sampled_from([0.0, 0.3, 0.8, 1.5]), min_size=m, max_size=m),
                            label="w"))
     spec = SpectralProfileSpec(kind, omega0=1.5)
+    # every family follows the one layout rule; here site-major exactly when n >= m
+    drawn = sample_profiles(spec, grid, n, make_rng(n, "layout"))
+    assert drawn.flags.c_contiguous == _row_major(n, m)
     blocks = spectral.profile_blocks
     found = []
-    for layout_of in (np.asfortranarray, np.ascontiguousarray):
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(spectral, "profile_blocks",
-                       lambda *a, f=layout_of: ((s, f(v)) for s, v in blocks(*a)))
-            found.append(_reductions(spec, grid, w, n))
+    with pytest.MonkeyPatch.context() as mp:
+        # the reducers read the rescale, not its accuracy: a small Monte Carlo
+        # mean field, dropped from the cache afterwards, keeps this test quick
+        mp.setattr(maxstable, "MEAN_RESCALE_N", 1_000)
+        maxstable._mean_field.cache_clear()
+        try:
+            for layout_of in (np.asfortranarray, np.ascontiguousarray):
+                mp.setattr(spectral, "profile_blocks",
+                           lambda *a, f=layout_of: ((s, f(v)) for s, v in blocks(*a)))
+                found.append(_reductions(spec, grid, w, n))
+        finally:
+            maxstable._mean_field.cache_clear()
     assert found[0] == found[1]
