@@ -30,7 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NonPositiveArgument, OutOfSupport, PreconditionFailed
-from .grid import Field, Grid, _concurrently, write_csv_table
+from .grid import Field, Grid, _concurrently, check_count, write_csv_table
 from .pareto import per_field_blocks, vector_grid
 from .rng import make_rng
 from .spectral import SpectralProfileSpec, per_draw_blocks, prepare_draws
@@ -57,8 +57,7 @@ class DfQuery:
             raise ValueError(f"mode must be one of {MODES}")
         if np.any(self.w.values < 0):
             raise ValueError("query field must be nonnegative")
-        if self.n_mc < 1:
-            raise ValueError("n_mc must be >= 1")
+        check_count(self.n_mc, "n_mc", 1)
         if self.seed < 0:
             raise ValueError("seed must be >= 0")
 
@@ -145,6 +144,14 @@ def evaluate(q: DfQuery, spec: SpectralProfileSpec, grid: Grid) -> DfResult:
     return _formula(q, spec, grid, q.mode)
 
 
+def _check_tail(x: float, n_sim: int) -> None:
+    """The level and count of both conditional tails, checked before any draw:
+    no value exceeds a NaN level, so it would read 0."""
+    if np.isnan(x):
+        raise ValueError("x must be a number, not NaN")
+    check_count(n_sim, "n_sim")
+
+
 def _conditional_tail(spec: SpectralProfileSpec, grid: Grid, x: float, n_sim: int,
                       rng: np.random.Generator, reduce, empty: str) -> float:
     """Empirical P(X > x | X > omega0) for X = reduce(W), from the values above
@@ -168,6 +175,7 @@ def conditional_sup_tail(
     sample mean of the profile infimum must exceed 3 of its standard errors).
     The contract value is min(1, omega0/x).
     """
+    _check_tail(x, n_sim)
     if rng is None:
         rng = make_rng(0, "conditional_sup_tail")
     mean_inf, se_inf = _mean_result(per_draw_blocks(spec, grid, PRETEST_N, rng,
@@ -191,6 +199,7 @@ def marginal_conditional_tail(
 ) -> float:
     """Empirical P(W(s) > x | W(s) > omega0); contract value min(1, omega0/x)."""
     grid.site_indices(site)
+    _check_tail(x, n_sim)
     if rng is None:
         rng = make_rng(0, "marginal_conditional_tail")
     return _conditional_tail(spec, grid, x, n_sim, rng, lambda w: w[:, site],
@@ -224,8 +233,7 @@ def df_findim(
         raise ValueError(f"w_vec must have length d = {d}")
     if not np.all(w >= 0):
         raise ValueError("w_vec must be nonnegative")
-    if n_mc < 1:
-        raise ValueError("n_mc must be >= 1")
+    check_count(n_mc, "n_mc", 1)
     rng = make_rng(seed, "df_findim")
     return _mean_result(per_draw_blocks(spec, vector_grid(d), n_mc, rng,
                                         lambda _, v: _per_draw(v, w, LEQ)))
@@ -293,8 +301,7 @@ def run_battery(
     same time (``grid._concurrently``) with the rows of a serial run. The
     draws' set-up is made first, so the arms never build it twice.
     """
-    if n_direct < 1:
-        raise ValueError("n_direct must be >= 1")
+    check_count(n_direct, "n_direct", 1)
     prepare_draws(spec, grid)
     rows = []
     for i, q in enumerate(queries):

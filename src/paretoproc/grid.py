@@ -28,6 +28,17 @@ def _read_only(a: np.ndarray) -> np.ndarray:
     return a
 
 
+_INTEGER_TYPES = frozenset({int, *(np.dtype(c).type for c in np.typecodes["AllInteger"])})
+
+
+def check_count(n, name: str = "n", least: int = 0) -> None:
+    """``ValueError`` naming ``name`` unless ``n`` is an integer (not a bool) of at
+    least ``least``, before anything is drawn. The one count rule: samplers take
+    n >= 0, where 0 is an empty draw; estimators such as ``profile_mean`` need n >= 1."""
+    if type(n) not in _INTEGER_TYPES or n < least:
+        raise ValueError(f"{name} must be an integer >= {least}")
+
+
 @dataclass(frozen=True, eq=False)
 class Grid:
     """Ordered sites in R^d, d >= 1. At least two, pairwise distinct."""
@@ -53,6 +64,7 @@ class Grid:
     @classmethod
     def regular(cls, n_sites: int, lo: float = 0.0, hi: float = 1.0) -> "Grid":
         """Equispaced one-dimensional grid on [lo, hi]."""
+        check_count(n_sites, "n_sites", 2)
         return cls(np.linspace(lo, hi, n_sites))
 
     @property

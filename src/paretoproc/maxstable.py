@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .gof import Check, ks_critical_value, ks_statistic, standard_frechet_cdf, two_sample_ks_pvalue
-from .grid import Field, Grid, _read_only
+from .grid import Field, Grid, _read_only, check_count
 from .pareto import sample_radii
 from .rng import fill_rows, make_rng
 from .spectral import (
@@ -93,6 +93,7 @@ def _poisson_max(
     ``draw`` must return a fresh array: the loop overwrites it in place.
     The maxima are updated in place in the result rows; each round draws the
     live rows in ``row_blocks``, one block at a time."""
+    check_count(n)
     out = np.zeros((n, m))
     live = np.arange(n)  # result row of each row still drawing
     gamma_sum = np.zeros(n)
@@ -150,8 +151,7 @@ def findim_evd(
         raise ValueError("x and sites must have equal length")
     if not np.all(x > 0):
         raise ValueError("evaluation points must be positive")
-    if n_mc < 1:
-        raise ValueError("n_mc must be >= 1")
+    check_count(n_mc, "n_mc", 1)
     if rng is None:
         rng = make_rng(0, "findim_evd")
     mean_field = cfg.mean_field[sites]
@@ -185,8 +185,7 @@ def construction_checks(cfg: PenroseConfig, n: int, seed: int) -> list[Check]:
     """Construction checks at the middle site from n fields: standard Frechet
     marginal KS (stream ``maxstable_marginal``, 1% critical value) and the
     m = 4 self-similarity p-value (stream ``maxstable_mmax``, above 0.01)."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
+    check_count(n, "n", 1)
     site = cfg.grid.n_sites // 2
     eta = sample_max_stable_batch(cfg, n, make_rng(seed, "maxstable_marginal"))
     stat = ks_statistic(eta[:, site], standard_frechet_cdf)
@@ -249,14 +248,15 @@ def doa_empirical_check(
     * ``maxstable``: i.i.d. simple max-stable fields normalized by their exact
       Frechet quantile norming; the ratio checks hold asymptotically in t, so
       only they are gated. It needs t >= 2: at t = 1 the quantile b_t is 0.
+      The norming is nondecreasing, so only each field's sup is normalized.
 
     A ratio check without sup exceedances records statistic and threshold
     None and fails.
     """
     if input_kind not in ("pareto", "maxstable"):
         raise ValueError("input_kind must be 'pareto' or 'maxstable'")
-    if n_block < 1 or n_rep < 1:
-        raise ValueError("n_block and n_rep must be >= 1")
+    check_count(n_block, "n_block", 1)
+    check_count(n_rep, "n_rep", 1)
     if input_kind == "maxstable" and n_block < 2:
         raise ValueError("n_block must be >= 2 for max-stable input")
     t = float(n_block)
@@ -273,14 +273,11 @@ def doa_empirical_check(
         # T_t X = (V / E V) y / t for gamma = 1, whose sup is sup(V / E V) y / t
         radius, at_site = sup * y / t, at * y / t
     else:
-        normalized = sample_max_stable_batch(cfg, n_rep, rng)
+        sup = sample_max_stable_batch(cfg, n_rep, rng).max(axis=1)
         b_t = -1.0 / np.log1p(-1.0 / t)
         b_2t = -1.0 / np.log1p(-1.0 / (2.0 * t))
-        normalized -= b_t  # 1 + (eta - b_t) / a_t, floored at 0
-        normalized /= b_2t - b_t
-        normalized += 1.0
-        np.maximum(normalized, 0.0, out=normalized)
-        radius, at_site = normalized.max(axis=1), normalized[:, site]
+        # eta -> 1 + (eta - b_t) / a_t, floored at 0, is nondecreasing, so it commutes with the sup
+        radius = np.maximum(1.0 + (sup - b_t) / (b_2t - b_t), 0.0)
 
     exceed = radius > 1.0
     n_exc = int(exceed.sum())

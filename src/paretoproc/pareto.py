@@ -11,7 +11,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import SpecGridMismatch, ZeroField
-from .grid import Field, Grid, sup_field, write_csv_table
+from .grid import Field, Grid, check_count, sup_field, write_csv_table
 from .rng import fill_rows
 from .spectral import (BERNOULLI_PAIR, SpectralProfileSpec, per_draw_blocks, profile_blocks,
                        sample_profiles)
@@ -36,6 +36,7 @@ class SimpleParetoSample:
 
 def sample_radii(n: int, rng: np.random.Generator) -> np.ndarray:
     """n standard Pareto radii by inverse CDF (one uniform each, exact)."""
+    check_count(n)
     return 1.0 / (1.0 - rng.random(n))
 
 
@@ -96,6 +97,7 @@ def pot_conditional_batch(
     """
     if not r > 1:
         raise ValueError("r must be > 1")
+    check_count(n)
     if method == STABILITY:
         y = r * sample_radii(n, rng)
         v = sample_profiles(spec, grid, n, rng)

@@ -31,7 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import SpecGridMismatch
-from .grid import Field, Grid, _read_only
+from .grid import Field, Grid, _read_only, check_count
 
 CONSTANT = "constant"
 GAUSSIAN_MOVING_MAX = "gaussian_moving_max"
@@ -220,6 +220,7 @@ def sample_profiles(
     when it and its full ``row_blocks`` hold at least as many rows as sites
     (n >= m, up to 256 sites), and row-major otherwise.
     """
+    check_count(n)
     setup = prepare_draws(spec, grid)
     m = grid.n_sites
     w0 = spec.omega0
@@ -331,8 +332,7 @@ def profile_mean(
     spec: SpectralProfileSpec, grid: Grid, n: int, rng: np.random.Generator
 ) -> Field:
     """Per-site Monte Carlo mean of n independent profiles."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
+    check_count(n, "n", 1)
     return Field(grid, profile_mean_se(spec, grid, n, rng)[0])
 
 

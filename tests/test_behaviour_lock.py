@@ -2,7 +2,9 @@
 CLI command, plus a second ``simulate`` config for ``rescaled_positive_field``,
 a third whose samples table goes through the pooled CSV writer, a second
 ``maxstable-check`` config whose Pareto domain-of-attraction arm spans several
-profile blocks, and a second ``df-battery`` config away from ``omega0 = 1``.
+profile blocks, a third that runs both domain-of-attraction arms on
+``rescaled_positive_field``, and a second ``df-battery`` config away from
+``omega0 = 1``.
 
 A change that must leave every output as it is keeps these digests. A change
 that alters a random stream or an output format on purpose re-pins the
@@ -43,6 +45,11 @@ COMMANDS = {
     "maxstable-check-101": (["maxstable-check", "--spec", "gaussian_moving_max", "--sites", "101",
                              "--n", "300", "--n-block", "50", "--n-rep", "2000", "--seed", SEED],
                             ("maxstable_report.json", "stdout")),
+    # the rough family, whose mean field is a Monte Carlo estimate, through both DOA arms
+    "maxstable-check-rescaled": (["maxstable-check", "--spec", "rescaled_positive_field",
+                                  "--sites", "21", "--n", "300", "--n-rep", "2000",
+                                  "--n-block", "50", "--seed", "12"],
+                                 ("maxstable_report.json", "stdout")),
     "df-battery": (["df-battery", "--spec", "gaussian_moving_max", "--sites", "11",
                     "--n-mc", "2000", "--n-direct", "4000", "--seed", SEED], ("battery.csv",)),
     # omega0 = 2.5: the battery's levels are in units of omega0
@@ -93,6 +100,10 @@ EXPECTED = {
     "maxstable-check-101": {
         "maxstable_report.json": "854a2f357c8adf755ec263f36f5aa28f4c60670b5a772d16bdb15e2672a32fa8",
         "stdout": "514224a0ec0784f30eee6e9fdb90c7f2051855ec8ec4aa1c86fddc92de1f4309",
+    },
+    "maxstable-check-rescaled": {
+        "maxstable_report.json": "a96259376aaf2933239388684e5736e700b85206aa2a83db4fd6d2c4ccd60ea3",
+        "stdout": "996ec5e007cb7aff3031f6815ecd81b27a2177ef2d3dbccf858b62d4e91d36f1",
     },
     "df-battery": {
         "battery.csv": "a5de5e8fbda0157f653baaaec1b1c92f9315a5dd9164b0f2563f9e23b7ce3792",

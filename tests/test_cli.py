@@ -561,13 +561,13 @@ def test_df_battery_without_direct_samples_exits_two(tmp_path, capsys):
     assert main(["df-battery", "--n-direct", "0", "--sites", "5", "--seed", "1",
                  "--out", str(out)]) == 2
     err = capsys.readouterr().err
-    assert err == "ValueError: n_direct must be >= 1\n"
+    assert err == "ValueError: n_direct must be an integer >= 1\n"
     assert not (out / "battery.csv").exists()
 
 
 @pytest.mark.parametrize("argv, message", [
-    pytest.param(["--n", "0"], "n must be >= 1", id="n"),
-    pytest.param(["--n-rep", "0"], "n_block and n_rep must be >= 1", id="n_rep"),
+    pytest.param(["--n", "0"], "n must be an integer >= 1", id="n"),
+    pytest.param(["--n-rep", "0"], "n_rep must be an integer >= 1", id="n_rep"),
     pytest.param(["--n-block", "1"], "n_block must be >= 2 for max-stable input", id="n_block"),
 ])
 def test_maxstable_check_empty_sample_exits_two(tmp_path, capsys, argv, message):

@@ -204,6 +204,19 @@ def test_site_index_outside_the_grid_is_rejected_before_any_draw(tail, site):
     assert rng.random() == make_rng(0, "sites").random()  # nothing was drawn
 
 
+@pytest.mark.parametrize("tail", ["conditional_sup_tail", "marginal_conditional_tail"])
+def test_nan_tail_level_is_rejected_before_any_draw(tail):
+    # no value exceeds a NaN level, so both tails read 0.0 for it
+    g = Grid.regular(5)
+    rng = make_rng(0, "nan_level")
+    with pytest.raises(ValueError, match="x must be a number, not NaN"):
+        if tail == "conditional_sup_tail":
+            conditional_sup_tail(CONST, g, np.nan, 1_000, rng)
+        else:
+            marginal_conditional_tail(CONST, g, 2, np.nan, 1_000, rng)
+    assert rng.random() == make_rng(0, "nan_level").random()  # nothing was drawn
+
+
 def test_df_generalized_reduces_to_shifted_simple_df():
     g = Grid.regular(31)
     p = GpParams.constant(g, mu=0.0, sigma=1.0, gamma=1.0)

@@ -91,6 +91,12 @@ def test_sup_of_max_combination(values, data):
     assert sup_field(combined).value == max(sup_field(f1).value, sup_field(f2).value)
 
 
+@pytest.mark.parametrize("n_sites", [-2, 0, 1, True, 2.0])
+def test_regular_grid_names_a_site_count_below_two(n_sites):
+    with pytest.raises(ValueError, match="n_sites must be an integer >= 2"):
+        Grid.regular(n_sites)
+
+
 def test_grid_invariants():
     with pytest.raises(ValueError):
         Grid(np.array([1.0]))  # fewer than 2 sites

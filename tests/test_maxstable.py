@@ -169,7 +169,7 @@ def test_findim_evd_constant_profile(const_cfg):
 
 
 @pytest.mark.parametrize("x, n_mc, message", [
-    ([2.0], 0, "n_mc must be >= 1"),
+    ([2.0], 0, "n_mc must be an integer >= 1"),
     ([np.nan], 100, "evaluation points must be positive"),
 ])
 def test_findim_evd_rejects_no_draws_or_a_nan_point_before_drawing(x, n_mc, message):
@@ -298,6 +298,29 @@ def test_doa_pareto_report_equals_the_whole_batch_draw_bitwise(cfg_101, kind):
     assert report["n_exceedances"] == exceed.sum() > 0
     assert [c.statistic for c in report["checks"]] == ratios + [
         two_sample_ks_pvalue(angle, reference)]
+
+
+@pytest.mark.parametrize("n_block", [2, 50])
+@pytest.mark.parametrize("kind", ["gaussian_moving_max", "rescaled_positive_field"])
+def test_doa_maxstable_report_equals_the_whole_batch_normalization_bitwise(cfg_101, kind, n_block):
+    cfg, n_rep = cfg_101[kind], 2_000
+    report = doa_empirical_check(cfg, n_block, n_rep, make_rng(8, "doams101"), "maxstable")
+    # the max-stable arm as it normalized the whole (n_rep, m) batch, then took the sup
+    t = float(n_block)
+    normalized = sample_max_stable_batch(cfg, n_rep, make_rng(8, "doams101"))
+    b_t = -1.0 / np.log1p(-1.0 / t)
+    b_2t = -1.0 / np.log1p(-1.0 / (2.0 * t))
+    normalized -= b_t
+    normalized /= b_2t - b_t
+    normalized += 1.0
+    np.maximum(normalized, 0.0, out=normalized)
+    radius = normalized.max(axis=1)
+    exceed = radius > 1.0
+    n_exc = int(exceed.sum())
+    ratios = [float(np.mean(radius[exceed] > x)) for x in (2.0, 5.0)]
+    bounds = [maxstable.DOA_SE_FACTOR * float(np.sqrt(q * (1.0 - q) / n_exc)) for q in ratios]
+    assert report["n_exceedances"] == n_exc > 0
+    assert [(c.statistic, c.threshold) for c in report["checks"]] == list(zip(ratios, bounds))
 
 
 def test_doa_pareto_peak_memory_is_set_by_the_block(cfg_101):

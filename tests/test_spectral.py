@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from paretoproc import dfeval, maxstable, spectral
+from paretoproc import dfeval, maxstable, pareto, spectral
 from paretoproc.errors import SpecGridMismatch
 from paretoproc.gof import two_sample_ks_pvalue
 from paretoproc.grid import Grid
@@ -64,6 +64,41 @@ def test_gaussian_moving_max_mean_strictly_positive_everywhere():
     grid = Grid.regular(101)
     mean = profile_mean(spec, grid, 100_000, make_rng(3, "gmm_mean"))
     assert np.all(mean.values > 0.0)
+
+
+SAMPLERS = {
+    "sample_profiles": lambda n, rng: sample_profiles(
+        SpectralProfileSpec("gaussian_moving_max"), Grid.regular(5), n, rng),
+    "sample_simple_pareto_batch": lambda n, rng: pareto.sample_simple_pareto_batch(
+        SpectralProfileSpec("constant"), Grid.regular(5), n, rng)[2],
+    "pot_conditional_batch": lambda n, rng: pareto.pot_conditional_batch(
+        SpectralProfileSpec("constant"), Grid.regular(5), 2.0, n, rng, "rejection")[2],
+    "sample_max_stable_batch": lambda n, rng: maxstable.sample_max_stable_batch(
+        maxstable.PenroseConfig(SpectralProfileSpec("constant"), Grid.regular(5)), n, rng),
+    "sample_moving_maximum_batch": lambda n, rng: maxstable.sample_moving_maximum_batch(
+        Grid.regular(5), n, rng),
+}
+
+
+@pytest.mark.parametrize("n", [True, -1, 2.0, np.float64(3.0), None])
+@pytest.mark.parametrize("sampler", sorted(SAMPLERS))
+def test_a_bool_fractional_or_negative_count_is_rejected_before_any_draw(sampler, n):
+    rng = make_rng(0, "counts")
+    with pytest.raises(ValueError, match="n must be an integer >= 0"):
+        SAMPLERS[sampler](n, rng)
+    assert rng.random() == make_rng(0, "counts").random()  # nothing was drawn
+
+
+@pytest.mark.parametrize("sampler", sorted(SAMPLERS))
+def test_a_zero_count_is_an_empty_draw_and_a_numpy_integer_counts(sampler):
+    assert SAMPLERS[sampler](0, make_rng(0, "counts")).shape == (0, 5)
+    assert SAMPLERS[sampler](np.int32(3), make_rng(0, "counts")).shape == (3, 5)
+
+
+@pytest.mark.parametrize("n", [0, True, 2.0])
+def test_profile_mean_needs_one_integer_draw_or_more(n):
+    with pytest.raises(ValueError, match="n must be an integer >= 1"):
+        profile_mean(SpectralProfileSpec("constant"), Grid.regular(5), n, make_rng(0, "m"))
 
 
 def test_profile_mean_constant_exact():
