@@ -58,8 +58,7 @@ class DfQuery:
         if np.any(self.w.values < 0):
             raise ValueError("query field must be nonnegative")
         check_count(self.n_mc, "n_mc", 1)
-        if self.seed < 0:
-            raise ValueError("seed must be >= 0")
+        check_count(self.seed, "seed")
 
 
 @dataclass(frozen=True)
@@ -356,11 +355,8 @@ def queries_from_json(path, grid: Grid) -> list[DfQuery]:
             if not all(type(x) in (int, float) for x in (w if isinstance(w, list) else [w])):
                 raise ValueError(f"w must be a JSON number or a list of them, not {json.dumps(w)}")
             values = np.asarray(w, float) if isinstance(w, list) else np.full(grid.n_sites, float(w))
-            counts = {"n_mc": item.get("n_mc", 10_000), "seed": item.get("seed", 0)}
-            for key, value in counts.items():
-                if type(value) is not int:  # a float or bool would be truncated
-                    raise ValueError(f"{key} must be a JSON integer, not {json.dumps(value)}")
-            queries.append(DfQuery(Field(grid, values), item["mode"], **counts))
+            queries.append(DfQuery(Field(grid, values), item["mode"],
+                                   item.get("n_mc", 10_000), item.get("seed", 0)))
         except KeyError as exc:
             raise ValueError(f"{path}: query {i} has no {exc} entry") from exc
         except (TypeError, ValueError, OverflowError) as exc:

@@ -110,7 +110,8 @@ def pot_conditional_batch(
             return y[keep], np.concatenate([v[keep[s:s + v.shape[0]]] for s, v in blocks])
 
         # r is the acceptance odds; oversample to keep the loop short
-        y, v = fill_rows(n, lambda remaining: max(1024, int(1.2 * remaining * r)), draw)
+        y, v = (fill_rows(n, lambda remaining: max(1024, int(1.2 * remaining * r)), draw)
+                if n else (np.empty(0), np.empty((0, grid.n_sites))))
     else:
         raise ValueError(f"unknown method {method!r}")
     return y, v, y[:, None] * v

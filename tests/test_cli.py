@@ -338,7 +338,7 @@ def test_n_mc_with_query_file_exits_two(tmp_path, capsys):
     pytest.param('[{"mode": "LEQ", "w": 2.0}, {"mode": "GT", "w": 2.0, "n_mc": 1e300}]',
                  "query 1", id="n_mc_1e300"),
     pytest.param('[{"mode": "LEQ", "w": 2.0, "n_mc": 50, "seed": -1}]',
-                 "query 0: seed must be >= 0", id="seed_negative"),
+                 "query 0: seed must be an integer >= 0", id="seed_negative"),
     # w is a JSON number or a list of them: a bool or a string is not read as one
     pytest.param('[{"mode": "LEQ", "w": true}]', "query 0: w must be a JSON number", id="w_bool"),
     pytest.param('[{"mode": "LEQ", "w": 2.0}, {"mode": "GT", "w": "2.0"}]', "query 1", id="w_string"),

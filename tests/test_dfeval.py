@@ -217,6 +217,13 @@ def test_nan_tail_level_is_rejected_before_any_draw(tail):
     assert rng.random() == make_rng(0, "nan_level").random()  # nothing was drawn
 
 
+@pytest.mark.parametrize("seed", [2.5, True, -1])
+def test_query_seed_is_a_nonnegative_integer(seed):
+    # a float seed reached numpy's SeedSequence at the draw, and True ran as seed 1
+    with pytest.raises(ValueError, match="seed must be an integer >= 0"):
+        DfQuery(flat(Grid.regular(5), 2.0), "LEQ", 100, seed)
+
+
 def test_df_generalized_reduces_to_shifted_simple_df():
     g = Grid.regular(31)
     p = GpParams.constant(g, mu=0.0, sigma=1.0, gamma=1.0)

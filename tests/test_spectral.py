@@ -91,7 +91,9 @@ def test_a_bool_fractional_or_negative_count_is_rejected_before_any_draw(sampler
 
 @pytest.mark.parametrize("sampler", sorted(SAMPLERS))
 def test_a_zero_count_is_an_empty_draw_and_a_numpy_integer_counts(sampler):
-    assert SAMPLERS[sampler](0, make_rng(0, "counts")).shape == (0, 5)
+    rng = make_rng(0, "counts")
+    assert SAMPLERS[sampler](0, rng).shape == (0, 5)
+    assert rng.random() == make_rng(0, "counts").random()  # nothing was drawn
     assert SAMPLERS[sampler](np.int32(3), make_rng(0, "counts")).shape == (3, 5)
 
 
