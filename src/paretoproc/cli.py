@@ -32,7 +32,7 @@ import numpy as np
 from . import __version__
 from .dfeval import battery_to_csv, default_battery, queries_from_json, run_battery
 from .errors import ParetoProcError
-from .grid import Grid, _concurrently
+from .grid import Grid
 from .lifting import (
     estimate_norming,
     field_sample_from_csv,
@@ -236,16 +236,13 @@ def _cmd_df_battery(cfg: RunConfig) -> int:
 
 
 def _cmd_maxstable_check(cfg: RunConfig) -> int:
-    grid = _build_grid(cfg)
-    spec = _build_spec(cfg)
-    pcfg = PenroseConfig(spec, grid, truncation=cfg.opt("truncation"))  # makes the draws' set-up
-    doa = functools.partial(doa_empirical_check, pcfg, cfg.opt("n_block"), cfg.opt("n_rep"))
-    # every KS test runs on this thread (gof); the max-stable DOA runs none
-    (checks, doa_pareto), doa_maxstable = _concurrently(
-        lambda: (construction_checks(pcfg, cfg.opt("n"), cfg.seed),
-                 doa(make_rng(cfg.seed, "doa_pareto"), input_kind="pareto")),
-        lambda: doa(make_rng(cfg.seed, "doa_maxstable"), input_kind="maxstable"))
-    report = {"checks": checks, "doa_pareto": doa_pareto, "doa_maxstable": doa_maxstable}
+    pcfg = PenroseConfig(_build_spec(cfg), _build_grid(cfg), truncation=cfg.opt("truncation"))
+    # each part draws on its own stream; the DOA arms go first, so an n_block
+    # either rejects fails before the construction checks draw
+    report = {f"doa_{kind}": doa_empirical_check(pcfg, cfg.opt("n_block"), cfg.opt("n_rep"),
+                                                 make_rng(cfg.seed, f"doa_{kind}"), kind)
+              for kind in ("pareto", "maxstable")}
+    checks = report["checks"] = construction_checks(pcfg, cfg.opt("n"), cfg.seed)
     text = json.dumps(report, indent=2, sort_keys=True, default=asdict)
     (cfg.outdir / "maxstable_report.json").write_text(text)
     for c in checks:

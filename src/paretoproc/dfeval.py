@@ -227,6 +227,7 @@ def df_findim(
 ) -> DfResult:
     """P(W_1 <= w_1, ..., W_d <= w_d) for the d-dimensional simple Pareto
     vector, via the LEQ statistic on a d-point index grid."""
+    check_count(d, "d", 2)
     w = np.asarray(w_vec, dtype=float)
     if w.shape != (d,):
         raise ValueError(f"w_vec must have length d = {d}")
@@ -242,11 +243,11 @@ def bernoulli_pair_cdf(x: float, y: float, omega0: float = 1.0) -> float:
     """Closed-form df of the two-site zero-or-peak Pareto vector
     (Y*B*omega0, Y*(1-B)*omega0): each half contributes a univariate Pareto
     tail on its own axis."""
-
-    def axis_mass(c: float) -> float:
-        return 0.5 * (1.0 - omega0 / c) if c >= omega0 else 0.0
-
-    return axis_mass(x) + axis_mass(y)
+    if np.isnan(x) or np.isnan(y):
+        raise ValueError(f"x and y must not be NaN, not ({x}, {y})")
+    if not 0.0 < omega0 < np.inf:
+        raise ValueError("omega0 must be positive and finite")
+    return sum((0.5 * (1.0 - omega0 / c) for c in (x, y) if c >= omega0), 0.0)
 
 
 # ---------------------------------------------------------------------------

@@ -18,7 +18,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import DegenerateTail, InsufficientData
-from .grid import Field, Grid, _read_only, read_csv_table, write_csv_table
+from .grid import Field, Grid, _read_only, check_count, read_csv_table, write_csv_table
 from .maxstable import sample_moving_maximum_batch
 from .rng import make_rng
 from .transforms import (
@@ -77,9 +77,11 @@ def estimate_norming(data: FieldSample, k: int) -> NormingFunctions:
     quantile-difference formula a_t = gamma (b_t - b_{t/2}) 2^gamma
     / (2^gamma - 1), which reduces to (b_t - b_{t/2}) / log 2 as gamma -> 0.
 
-    Raises ``InsufficientData`` when k is out of range and ``DegenerateTail``
-    when a site has tied or nonpositive top order statistics.
+    Raises ``ValueError`` when k is no integer, ``InsufficientData`` when it is
+    out of range and ``DegenerateTail`` when a site has tied or nonpositive top
+    order statistics.
     """
+    check_count(k, "k")
     n = data.n
     if not (2 <= k and 2 * k <= n - 1):
         raise InsufficientData(

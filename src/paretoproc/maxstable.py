@@ -12,8 +12,7 @@ raise a site, and the sampled law is unchanged. The finished maxima are then
 divided by E V(s) once, which commutes with the maximum. The maxima live in
 the result rows, and each round draws in ``spectral.row_blocks``, keeping the
 stream of a one-shot draw, so memory beyond the result is one block. A
-``PenroseConfig`` takes E V(s) from one cache, exact or Monte Carlo, and makes
-the set-up of its profile draws, so concurrent draws only read it.
+``PenroseConfig`` takes E V(s) from one cache, exact or Monte Carlo.
 """
 from __future__ import annotations
 
@@ -31,7 +30,6 @@ from .spectral import (
     exact_profile_mean,
     gaussian_bump,
     per_draw_blocks,
-    prepare_draws,
     profile_mean_se,
     row_blocks,
     sample_profiles,
@@ -64,7 +62,8 @@ class PenroseConfig:
     estimate. ``mean_field_se`` records the standard error of that rescale
     (0 where the mean is exact). ``truncation`` is the smallest Poisson
     point retained (points below it can shift the maximum only with
-    probability of order truncation).
+    probability of order truncation). The mean field's grid check rejects
+    a spec the grid cannot carry.
     """
 
     spec: SpectralProfileSpec
@@ -78,7 +77,6 @@ class PenroseConfig:
         if not 0.0 < self.truncation < 1.0:
             raise ValueError("truncation must be in (0, 1)")
         self.mean_field, self.mean_field_se = _mean_field(self.spec, self.grid)
-        prepare_draws(self.spec, self.grid)
         # after rescale, sup_s V(s)/mean(s) <= omega0 / min_s mean(s)
         self.sup_bound = float(self.spec.omega0 / self.mean_field.min())
 

@@ -67,13 +67,15 @@ def sample_simple_pareto(
 
 def decompose(w: Field, omega0: float) -> tuple[float, Field]:
     """Split a nonnegative field into radius y = sup w / omega0 and angle
-    v = omega0 * w / sup w; y * v reproduces w up to rounding."""
+    v = omega0 * w / sup w (omega0 > 0); y * v reproduces w up to rounding."""
+    if not 0.0 < omega0 < np.inf:
+        raise ValueError("omega0 must be positive and finite")
+    if not np.all(w.values >= 0):
+        raise ValueError("w must be nonnegative")
     top = sup_field(w).value
     if top == 0.0:
         raise ZeroField("cannot decompose an identically-zero field")
-    y = top / omega0
-    v = Field(w.grid, (w.values / top) * omega0)
-    return y, v
+    return top / omega0, Field(w.grid, (w.values / top) * omega0)
 
 
 def recombine(y: float, v: Field) -> Field:
@@ -145,13 +147,12 @@ def sample_simple_pareto_vector(
     d = 1 degenerates to a plain standard Pareto scalar times omega0: a
     one-coordinate profile with maximum omega0 is identically omega0.
     """
+    check_count(d, "d", 1)
     if d == 1:
         if spec.kind == BERNOULLI_PAIR:
             raise SpecGridMismatch("bernoulli_pair needs exactly 2 coordinates")
         return spec.omega0 * sample_radii(1, rng)
-    grid = vector_grid(d)
-    _, _, w = sample_simple_pareto_batch(spec, grid, 1, rng)
-    return w[0]
+    return sample_simple_pareto_batch(spec, vector_grid(d), 1, rng)[2][0]
 
 
 def export_batch_csv(

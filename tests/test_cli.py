@@ -198,48 +198,23 @@ def test_failing_thread_side_battery_arm_exits_two_with_one_line(tmp_path, capsy
     assert threading.active_count() == before
 
 
-def test_maxstable_check_threads_give_the_serial_report(tmp_path, capsys, monkeypatch):
-    # n and n_rep span several 648-row blocks of the Poisson-max loop at 101 sites
-    on_main, doa = {}, cli.doa_empirical_check
-
-    def spied(*args, input_kind):
-        on_main[input_kind] = threading.current_thread() is threading.main_thread()
-        return doa(*args, input_kind=input_kind)
-
-    monkeypatch.setattr(cli, "doa_empirical_check", spied)
-    argv = ["maxstable-check", "--spec", "gaussian_moving_max", "--sites", "101", "--n", "700",
-            "--n-rep", "1500", "--seed", "4"]
-    outputs = {}
-    before = threading.active_count()
-    for cpus in (2, 1):
-        monkeypatch.setattr(grid, "_cpus", lambda c=cpus: c)
-        spectral._draw_setup.cache_clear()  # the shared set-up starts empty
-        out = tmp_path / str(cpus)
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)  # the threads switch often
-        try:
-            assert main(argv + ["--out", str(out)]) == 0
-        finally:
-            sys.setswitchinterval(interval)
-        outputs[cpus] = (out / "maxstable_report.json").read_bytes(), capsys.readouterr().out
-        # the max-stable DOA has its own thread on two CPUs; KS tests stay on main
-        assert on_main == {"pareto": True, "maxstable": cpus == 1}
-        assert threading.active_count() == before
-    assert outputs[2] == outputs[1]
-
-
-def test_failing_thread_side_doa_exits_two_with_one_line(tmp_path, capsys, monkeypatch):
-    # the Pareto DOA takes t = 1 (sup_bound is 1); the max-stable one, on the
-    # thread, needs t >= 2
-    monkeypatch.setattr(grid, "_cpus", lambda: 2)
+@pytest.mark.parametrize("kind, message", [
+    pytest.param("gaussian_moving_max", "n_block must be at least 6.1 so the marginal norming "
+                 "is above the sup-sphere at every site", id="pareto_arm"),
+    pytest.param("constant", "n_block must be >= 2 for max-stable input", id="maxstable_arm"),
+])
+def test_a_rejected_n_block_exits_two_before_the_construction_checks(tmp_path, capsys, monkeypatch,
+                                                                     kind, message):
+    # the Pareto arm needs t >= sup_bound (6.1 for the bump on 5 sites, 1 for
+    # constant); the max-stable arm needs t >= 2
+    ran = []
+    monkeypatch.setattr(cli, "construction_checks", lambda *args: ran.append(args))
     out = tmp_path / "out"
-    before = threading.active_count()
-    assert main(["maxstable-check", "--spec", "constant", "--sites", "5", "--n", "20",
+    assert main(["maxstable-check", "--spec", kind, "--sites", "5", "--n", "20",
                  "--n-rep", "20", "--n-block", "1", "--seed", "1", "--out", str(out)]) == 2
     captured = capsys.readouterr()
-    assert captured.err == "ValueError: n_block must be >= 2 for max-stable input\n"
-    assert captured.out == "" and not (out / "manifest.json").exists()
-    assert threading.active_count() == before
+    assert captured.err == f"ValueError: {message}\n" and captured.out == ""
+    assert not (out / "manifest.json").exists() and ran == []
 
 
 HEADER = "sample_id,site_index,value\n"

@@ -288,6 +288,15 @@ def test_df_findim_closed_form_battery():
         assert res.estimate == pytest.approx(value, abs=3e-3)
 
 
+@pytest.mark.parametrize("x, omega0, message", [
+    (np.nan, 1.0, "x and y must not be NaN"),
+    (1.0, 0.0, "omega0 must be positive and finite"),
+])
+def test_bernoulli_pair_cdf_rejects_a_nan_point_or_a_zero_omega0(x, omega0, message):
+    with pytest.raises(ValueError, match=message):
+        bernoulli_pair_cdf(x, 1.0, omega0)
+
+
 @pytest.mark.parametrize("w", [(np.nan, 1.0), (-0.5, 1.0)])
 def test_df_findim_rejects_a_negative_or_nan_argument(w):
     with pytest.raises(ValueError, match="nonnegative"):

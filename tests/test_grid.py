@@ -13,6 +13,7 @@ from hypothesis import given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
 from paretoproc import grid
+from paretoproc.dfeval import df_findim
 from paretoproc.errors import DomainError, GridMismatch
 from paretoproc.grid import (
     Field,
@@ -23,6 +24,9 @@ from paretoproc.grid import (
     sup_field,
     write_csv_table,
 )
+from paretoproc.pareto import sample_simple_pareto_vector
+from paretoproc.rng import make_rng
+from paretoproc.spectral import SpectralProfileSpec
 
 
 @pytest.fixture
@@ -91,10 +95,25 @@ def test_sup_of_max_combination(values, data):
     assert sup_field(combined).value == max(sup_field(f1).value, sup_field(f2).value)
 
 
-@pytest.mark.parametrize("n_sites", [-2, 0, 1, True, 2.0])
-def test_regular_grid_names_a_site_count_below_two(n_sites):
-    with pytest.raises(ValueError, match="n_sites must be an integer >= 2"):
-        Grid.regular(n_sites)
+CONSTANT = SpectralProfileSpec("constant")
+# a call taking a site count -> (the count's name, its least): a regular grid,
+# and the d-point index grid of a simple Pareto vector's df and of its draw
+SITE_COUNTS = {
+    "Grid.regular": (Grid.regular, "n_sites", 2),
+    "df_findim": (lambda d: df_findim([2.0, 2.0], CONSTANT, d, n_mc=10), "d", 2),
+    "sample_simple_pareto_vector": (
+        lambda d: sample_simple_pareto_vector(CONSTANT, d, make_rng(0, "vector")), "d", 1),
+}
+
+
+@pytest.mark.parametrize("call, count", [
+    (call, count) for call, (_, _, least) in SITE_COUNTS.items()
+    for count in (-2, 0, 1, True, 2.0, 2.5) if type(count) is not int or count < least
+])
+def test_a_site_count_below_its_least_or_not_an_integer_is_named(call, count):
+    make, name, least = SITE_COUNTS[call]
+    with pytest.raises(ValueError, match=f"{name} must be an integer >= {least}"):
+        make(count)
 
 
 def test_grid_invariants():

@@ -76,6 +76,9 @@ def test_estimate_norming_input_validation():
         estimate_norming(data, 1)
     with pytest.raises(InsufficientData):
         estimate_norming(data, 50)  # needs 2k <= n - 1
+    for k in (2.5, True):
+        with pytest.raises(ValueError, match="k must be an integer"):
+            estimate_norming(data, k)
     tied = FieldSample(grid, np.ones((100, 2)))
     with pytest.raises(DegenerateTail):
         estimate_norming(tied, 10)

@@ -62,6 +62,15 @@ def test_decompose_examples():
         decompose(Field(g, [0.0, 0.0]), omega0=1.0)
 
 
+@pytest.mark.parametrize("values, omega0, message", [
+    ([2.0, 4.0], 0.0, "omega0 must be positive and finite"),
+    ([-1.0, -1.0], 1.0, "w must be nonnegative"),
+])
+def test_decompose_rejects_a_zero_omega0_or_a_negative_field(values, omega0, message):
+    with pytest.raises(ValueError, match=message):
+        decompose(Field(Grid.regular(2), values), omega0)
+
+
 def test_decompose_recombine_identity_within_one_ulp():
     spec = SpectralProfileSpec("rescaled_positive_field")
     grid = Grid.regular(31)

@@ -2,7 +2,9 @@
 kind and the lazy ``scipy`` import, read from the package's syntax trees.
 
 * ``os.fork`` is called only in ``grid._forked``, the one process shape.
-* ``ThreadPoolExecutor`` appears only in ``grid._concurrently``, the one thread shape.
+* ``ThreadPoolExecutor`` appears only in ``grid._concurrently``, the one thread shape,
+  and ``_concurrently`` is called only from ``dfeval.run_battery``, the one
+  caller whose thread a benchmark measured to pay.
 * No module imports ``threading`` or ``multiprocessing``.
 * ``scipy`` is imported only inside ``gof``'s two KS functions.
 """
@@ -16,11 +18,13 @@ import paretoproc
 PACKAGE = Path(paretoproc.__file__).parent
 KS_FUNCTIONS = {"gof.ks_statistic", "gof.two_sample_ks_pvalue"}
 SHAPES = {"fork": {"grid._forked"}, "ThreadPoolExecutor": {"grid._concurrently"}}
+CALLERS = {"_concurrently": {"dfeval.run_battery"}}
 
 
 def _uses():
     """(where, what) for every import and every name or attribute in ``SHAPES``
-    in the package; ``where`` is ``module.function`` (``module`` at module level)."""
+    or ``CALLERS`` in the package; ``where`` is ``module.function`` (``module``
+    at module level)."""
     found = []
 
     def visit(node, where):
@@ -32,7 +36,7 @@ def _uses():
             found.extend((where, f"import {node.module}.{a.name}") for a in node.names)
         elif isinstance(node, (ast.Name, ast.Attribute)):
             name = node.id if isinstance(node, ast.Name) else node.attr
-            if name in SHAPES:
+            if name in SHAPES or name in CALLERS:
                 found.append((where, name))
         for child in ast.iter_child_nodes(node):
             visit(child, where)
@@ -58,6 +62,12 @@ def _imports(what, *roots):
 def test_one_concurrency_shape_per_kind(kind):
     # its one owner uses it, and nothing else names or imports it
     assert _where(lambda what: what == kind or what.endswith(f".{kind}")) == SHAPES[kind]
+
+
+@pytest.mark.parametrize("shape", sorted(CALLERS))
+def test_a_shape_is_used_only_by_its_measured_callers(shape):
+    # a new caller brings its own benchmark A/B before it joins the set
+    assert _where(lambda what: what == shape) == CALLERS[shape]
 
 
 def test_no_module_imports_threading_or_multiprocessing():
