@@ -41,7 +41,7 @@ from .lifting import (
     run_storm_scenario,
     write_lift_report,
 )
-from .maxstable import PenroseConfig, construction_checks, doa_empirical_check
+from .maxstable import PenroseConfig, check_doa_arguments, construction_checks, doa_empirical_check
 from .pareto import export_batch_csv, sample_simple_pareto_batch
 from .rng import make_rng
 from .spectral import SpectralProfileSpec
@@ -237,11 +237,14 @@ def _cmd_df_battery(cfg: RunConfig) -> int:
 
 def _cmd_maxstable_check(cfg: RunConfig) -> int:
     pcfg = PenroseConfig(_build_spec(cfg), _build_grid(cfg), truncation=cfg.opt("truncation"))
-    # each part draws on its own stream; the DOA arms go first, so an n_block
-    # either rejects fails before the construction checks draw
-    report = {f"doa_{kind}": doa_empirical_check(pcfg, cfg.opt("n_block"), cfg.opt("n_rep"),
+    kinds, n_block, n_rep = ("pareto", "maxstable"), cfg.opt("n_block"), cfg.opt("n_rep")
+    # each part draws on its own stream; an n_block either DOA arm rejects
+    # fails before anything is drawn
+    for kind in kinds:
+        check_doa_arguments(pcfg, n_block, n_rep, kind)
+    report = {f"doa_{kind}": doa_empirical_check(pcfg, n_block, n_rep,
                                                  make_rng(cfg.seed, f"doa_{kind}"), kind)
-              for kind in ("pareto", "maxstable")}
+              for kind in kinds}
     checks = report["checks"] = construction_checks(pcfg, cfg.opt("n"), cfg.seed)
     text = json.dumps(report, indent=2, sort_keys=True, default=asdict)
     (cfg.outdir / "maxstable_report.json").write_text(text)

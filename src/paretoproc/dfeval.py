@@ -324,6 +324,7 @@ def default_battery(grid: Grid, n_mc: int = 10_000, seed: int = 0,
                     omega0: float = 1.0) -> list[DfQuery]:
     """Fixed five-query battery in units of ``omega0``, the same probabilities at
     every omega0: three lower events (two flat levels, one tilted), a joint and a sup exceedance."""
+    check_count(seed, "seed")
     m = grid.n_sites
     fields = [
         (LEQ, np.full(m, 2.0 * omega0)),

@@ -27,8 +27,11 @@ class Check:
         return f"{self.name}: statistic {stat} vs {threshold} -> {'ok' if self.passed else 'FAIL'}"
 
 
-# scipy.stats is imported inside the two KS functions: it takes about a
-# second to import, and most commands never run a KS test
+# The two KS functions repeat scipy's operations in numpy, so they give its
+# bits without its import (about a second and 64 MB). scipy.stats is imported
+# inside them only for what they do not repeat: an empty or NaN sample, and a
+# two-sample p-value that is not exact for one size n <= EXACT_KS_MAX_N.
+EXACT_KS_MAX_N = 10_000  # scipy's largest sample size for an exact two-sample p-value
 
 
 def standard_pareto_cdf(x: np.ndarray) -> np.ndarray:
@@ -43,7 +46,16 @@ def standard_frechet_cdf(x: np.ndarray) -> np.ndarray:
 
 
 def ks_statistic(samples: np.ndarray, cdf) -> float:
-    """One-sample Kolmogorov-Smirnov statistic against a given cdf."""
+    """One-sample Kolmogorov-Smirnov statistic against a given cdf: the larger
+    of D+ = max(i/n - F(x_(i))) and D- = max(F(x_(i)) - (i-1)/n) over the
+    sorted sample, as ``scipy.stats.kstest`` computes it."""
+    x = np.asarray(samples)
+    if x.ndim == 1 and x.size and not np.isnan(x).any():
+        x = np.sort(x if x.dtype.kind == "f" else x.astype(float))
+        n, f = x.size, cdf(x)
+        d_plus = (np.arange(1.0, n + 1, dtype=x.dtype) / n - f).max()
+        d_minus = (f - np.arange(0.0, n, dtype=x.dtype) / n).max()
+        return float(d_plus if d_plus > d_minus else d_minus)
     from scipy import stats
 
     return float(stats.kstest(samples, cdf).statistic)
@@ -56,9 +68,31 @@ def ks_critical_value(n: int, alpha: float = 0.01) -> float:
 
 
 def two_sample_ks_pvalue(a: np.ndarray, b: np.ndarray) -> float:
-    """Two-sample KS p-value. On tied samples scipy may fall back from the
-    exact to the asymptotic p-value; its notice is dropped by a process-wide
-    filter, so KS tests run on the main thread only."""
+    """Two-sided two-sample KS p-value of ``scipy.stats.ks_2samp``. For one size
+    n <= EXACT_KS_MAX_N it is the exact Gnedenko-Korolyuk (Hodges 1958)
+    alternating sum, in scipy's order. Other sizes, and a sum outside [0, 1]
+    (tied samples), go to scipy, which then takes the asymptotic p-value; its
+    notice is dropped by a process-wide filter, so call this on the main thread."""
+    x, y = np.asarray(a), np.asarray(b)
+    n = x.size
+    if x.ndim == y.ndim == 1 and 0 < n == y.size <= EXACT_KS_MAX_N and not (
+            np.isnan(x).any() or np.isnan(y).any()):
+        x, y = np.sort(x), np.sort(y)
+        both = np.concatenate([x, y])
+        diff = np.searchsorted(x, both, side="right") / n - np.searchsorted(y, both, side="right") / n
+        lower, upper = np.clip(-diff.min(), 0, 1), diff.max()
+        h = int(np.round((lower if lower > upper else upper) * n))
+        if h == 0:
+            return 1.0
+        # P(D >= h/n) = 2 (A_1 - A_2 + A_3 - ...), A_k = C(2n, n - kh) / C(2n, n)
+        p = 0.0
+        for k in range(n // h, -1, -1):
+            term = 1.0
+            for j in range(h):
+                term = (n - k * h - j) * term / (n + k * h + j + 1)
+            p = term * (1.0 - p)
+        if 0.0 <= 2 * p <= 1.0:
+            return 2 * p
     from scipy import stats
 
     with warnings.catch_warnings():

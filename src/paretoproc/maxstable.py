@@ -227,6 +227,23 @@ def sample_moving_maximum_batch(grid: Grid, n: int, rng: np.random.Generator) ->
 # 1/x and that the exceedance angle matches the spectral measure.
 # ---------------------------------------------------------------------------
 
+def check_doa_arguments(cfg: PenroseConfig, n_block: int, n_rep: int, input_kind: str) -> None:
+    """``ValueError`` unless ``doa_empirical_check`` takes these arguments, so a
+    caller running both arms can check both before either draws. The Pareto
+    arm needs t = n_block >= ``cfg.sup_bound``, the max-stable arm t >= 2."""
+    if input_kind not in ("pareto", "maxstable"):
+        raise ValueError("input_kind must be 'pareto' or 'maxstable'")
+    check_count(n_block, "n_block", 1)
+    check_count(n_rep, "n_rep", 1)
+    if input_kind == "maxstable" and n_block < 2:
+        raise ValueError("n_block must be >= 2 for max-stable input")
+    if input_kind == "pareto" and n_block < cfg.sup_bound:
+        raise ValueError(
+            f"n_block must be at least {cfg.sup_bound:.1f} so the marginal "
+            "norming is above the sup-sphere at every site"
+        )
+
+
 def doa_empirical_check(
     cfg: PenroseConfig,
     n_block: int,
@@ -249,23 +266,13 @@ def doa_empirical_check(
       The norming is nondecreasing, so only each field's sup is normalized.
 
     A ratio check without sup exceedances records statistic and threshold
-    None and fails.
+    None and fails. The arguments go through ``check_doa_arguments`` first.
     """
-    if input_kind not in ("pareto", "maxstable"):
-        raise ValueError("input_kind must be 'pareto' or 'maxstable'")
-    check_count(n_block, "n_block", 1)
-    check_count(n_rep, "n_rep", 1)
-    if input_kind == "maxstable" and n_block < 2:
-        raise ValueError("n_block must be >= 2 for max-stable input")
+    check_doa_arguments(cfg, n_block, n_rep, input_kind)
     t = float(n_block)
     site = cfg.grid.n_sites // 2
 
     if input_kind == "pareto":
-        if t < cfg.sup_bound:
-            raise ValueError(
-                f"n_block must be at least {cfg.sup_bound:.1f} so the marginal "
-                "norming is above the sup-sphere at every site"
-            )
         y = sample_radii(n_rep, rng)
         sup, at = _sup_and_site(cfg, n_rep, rng, site)
         # T_t X = (V / E V) y / t for gamma = 1, whose sup is sup(V / E V) y / t

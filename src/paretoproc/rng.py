@@ -11,13 +11,17 @@ import zlib
 
 import numpy as np
 
+from .grid import check_count
+
 
 def make_rng(seed: int, stream: str | None = None) -> np.random.Generator:
     """Philox generator for ``seed``; ``stream`` selects an independent substream.
 
     Streams with distinct labels are statistically independent, so parallel
     tasks can be given one stream each without sharing generator state.
+    ``seed`` must be an integer >= 0 (``grid.check_count``).
     """
+    check_count(seed, "seed")
     if stream is None:
         ss = np.random.SeedSequence(seed)
     else:

@@ -11,7 +11,7 @@ import pytest
 import scipy
 
 import paretoproc
-from paretoproc import cli, dfeval, grid, pareto, spectral, verify
+from paretoproc import cli, dfeval, grid, maxstable, pareto, spectral, verify
 from paretoproc.cli import main
 from paretoproc.gof import Check
 from paretoproc.grid import Grid
@@ -206,9 +206,13 @@ def test_failing_thread_side_battery_arm_exits_two_with_one_line(tmp_path, capsy
 def test_a_rejected_n_block_exits_two_before_the_construction_checks(tmp_path, capsys, monkeypatch,
                                                                      kind, message):
     # the Pareto arm needs t >= sup_bound (6.1 for the bump on 5 sites, 1 for
-    # constant); the max-stable arm needs t >= 2
+    # constant); the max-stable arm needs t >= 2. Both arms' arguments are
+    # checked before either draws, so the Pareto arm draws no radius or
+    # profile even where only the max-stable arm rejects t = 1
     ran = []
     monkeypatch.setattr(cli, "construction_checks", lambda *args: ran.append(args))
+    for name in ("_sup_and_site", "sample_radii", "sample_max_stable_batch"):
+        monkeypatch.setattr(maxstable, name, lambda *args, name=name: ran.append(name))
     out = tmp_path / "out"
     assert main(["maxstable-check", "--spec", kind, "--sites", "5", "--n", "20",
                  "--n-rep", "20", "--n-block", "1", "--seed", "1", "--out", str(out)]) == 2
@@ -601,3 +605,27 @@ def test_cli_import_leaves_scipy_stats_unloaded():
     result = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                             text=True, check=True, timeout=120)
     assert result.stdout.strip() == "[]"
+
+
+def test_maxstable_check_and_df_battery_run_their_ks_tests_without_scipy_stats(tmp_path):
+    # every family's KS tests take gof's numpy path. bernoulli_pair's two-valued
+    # angles still reach scipy where the exact sum of a p-value near 1 leaves
+    # [0, 1] (seeds 1 and 3 at this config); seed 2 keeps to the exact path
+    src = str(Path(paretoproc.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    code = f"""
+import sys
+from paretoproc.cli import main
+from paretoproc.spectral import KINDS
+out = {str(tmp_path)!r}
+for kind in KINDS:
+    sites = "2" if kind == "bernoulli_pair" else "5"
+    assert main(["maxstable-check", "--spec", kind, "--sites", sites, "--n", "100", "--n-rep", "500",
+                 "--n-block", "50", "--seed", "2", "--out", out]) == 0, kind
+assert main(["df-battery", "--spec", "gaussian_moving_max", "--sites", "5", "--n-mc", "500",
+             "--n-direct", "500", "--seed", "2", "--out", out]) == 0
+print("scipy.stats" in sys.modules, file=sys.stderr)
+"""
+    result = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                            text=True, check=True, timeout=120)
+    assert result.stderr.strip() == "False"

@@ -26,7 +26,7 @@ from paretoproc.dfeval import (
 )
 from paretoproc.errors import GridMismatch, NonPositiveArgument, OutOfSupport, PreconditionFailed
 from paretoproc.grid import Field, Grid
-from paretoproc.maxstable import PenroseConfig, findim_evd
+from paretoproc.maxstable import PenroseConfig, construction_checks, findim_evd
 from paretoproc.pareto import sample_simple_pareto_batch
 from paretoproc.rng import make_rng
 from paretoproc.spectral import SpectralProfileSpec
@@ -222,6 +222,26 @@ def test_query_seed_is_a_nonnegative_integer(seed):
     # a float seed reached numpy's SeedSequence at the draw, and True ran as seed 1
     with pytest.raises(ValueError, match="seed must be an integer >= 0"):
         DfQuery(flat(Grid.regular(5), 2.0), "LEQ", 100, seed)
+
+
+@pytest.mark.parametrize("seed", [2.5, True, -1])
+@pytest.mark.parametrize("call", [
+    pytest.param(lambda seed: make_rng(seed, "stream"), id="make_rng"),
+    pytest.param(lambda seed: construction_checks(
+        PenroseConfig(CONST, Grid.regular(5)), 10, seed), id="construction_checks"),
+    pytest.param(lambda seed: run_battery(
+        CONST, Grid.regular(5), default_battery(Grid.regular(5), 100), 100, seed), id="run_battery"),
+    pytest.param(lambda seed: default_battery(Grid.regular(5), 100, seed), id="default_battery"),
+    pytest.param(lambda seed: df_findim([2.0, 2.0], BP, 2, 100, seed), id="df_findim"),
+])
+def test_every_seed_is_a_nonnegative_integer_before_any_draw(monkeypatch, call, seed):
+    # make_rng handed any seed to SeedSequence: 2.5 raised numpy's TypeError and
+    # True ran as seed 1. No generator is built, so nothing is drawn
+    built = []
+    monkeypatch.setattr(np.random, "Philox", lambda *args: built.append(args))
+    with pytest.raises(ValueError, match="seed must be an integer >= 0"):
+        call(seed)
+    assert built == []
 
 
 def test_df_generalized_reduces_to_shifted_simple_df():
