@@ -238,17 +238,17 @@ def _cmd_df_battery(cfg: RunConfig) -> int:
 def _cmd_maxstable_check(cfg: RunConfig) -> int:
     pcfg = PenroseConfig(_build_spec(cfg), _build_grid(cfg), truncation=cfg.opt("truncation"))
     kinds, n_block, n_rep = ("pareto", "maxstable"), cfg.opt("n_block"), cfg.opt("n_rep")
-    # each part draws on its own stream; an n_block either DOA arm rejects
-    # fails before anything is drawn
+    # each part draws on its own stream; an n_block either DOA arm rejects, or
+    # an n the construction checks reject, fails before the DOA arms draw
     for kind in kinds:
         check_doa_arguments(pcfg, n_block, n_rep, kind)
-    report = {f"doa_{kind}": doa_empirical_check(pcfg, n_block, n_rep,
-                                                 make_rng(cfg.seed, f"doa_{kind}"), kind)
-              for kind in kinds}
-    checks = report["checks"] = construction_checks(pcfg, cfg.opt("n"), cfg.seed)
+    report = {"checks": construction_checks(pcfg, cfg.opt("n"), cfg.seed)}
+    for kind in kinds:
+        rng = make_rng(cfg.seed, f"doa_{kind}")
+        report[f"doa_{kind}"] = doa_empirical_check(pcfg, n_block, n_rep, rng, kind)
     text = json.dumps(report, indent=2, sort_keys=True, default=asdict)
     (cfg.outdir / "maxstable_report.json").write_text(text)
-    for c in checks:
+    for c in report["checks"]:
         print(c)
     return 0
 

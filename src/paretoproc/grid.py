@@ -166,7 +166,7 @@ def combine(f: Field, g: Field, op: str) -> Field:
         fractional = b != np.floor(b)
         if np.any((a < 0.0) & fractional):
             raise DomainError("negative base with fractional exponent")
-    with np.errstate(over="ignore", invalid="ignore"):
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         out = _BINARY_OPS[op](a, b)
     if not np.all(np.isfinite(out)):
         raise DomainError(f"componentwise {op} produced non-finite values")

@@ -79,7 +79,7 @@ def estimate_norming(data: FieldSample, k: int) -> NormingFunctions:
 
     Raises ``ValueError`` when k is no integer, ``InsufficientData`` when it is
     out of range and ``DegenerateTail`` when a site has tied or nonpositive top
-    order statistics.
+    order statistics, or a scale that underflows to 0.
     """
     check_count(k, "k")
     n = data.n
@@ -112,6 +112,8 @@ def estimate_norming(data: FieldSample, k: int) -> NormingFunctions:
         two_g = np.power(2.0, gamma)
         a = np.where(near_zero, spread / np.log(2.0),
                      gamma * two_g * spread / (two_g - 1.0))
+    if not np.all(a > 0.0):  # 2^gamma underflows to 0 at gamma far below -1,000
+        raise DegenerateTail("the scale underflows at some site")
     grid = data.grid
     return NormingFunctions(
         Field(grid, gamma), Field(grid, a), Field(grid, b), t=n / k, k=k

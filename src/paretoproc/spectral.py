@@ -181,15 +181,10 @@ def prepare_draws(spec: SpectralProfileSpec, grid: Grid):
     return [_sq_exp_factor(g, spec.corr_length) for g in parts], flat
 
 
-def _site_major(n: int, m: int) -> bool:
-    """Whether a draw of n rows on m sites is stored site-major ((m, n) in memory):
-    when it and each of its full ``row_blocks`` hold at least m rows (n >= m, m <= 256)."""
-    return n >= m and m * m <= BLOCK_CELLS
-
-
 def _empty(n: int, m: int) -> np.ndarray:
-    """An uninitialized (n, m) draw in the layout ``_site_major`` gives it."""
-    return np.empty((m, n)).T if _site_major(n, m) else np.empty((n, m))
+    """An uninitialized (n, m) draw, laid out by the grid alone: site-major ((m, n) in memory)
+    up to 256 sites, where each full ``row_blocks`` block holds at least m rows, else row-major."""
+    return np.empty((m, n)).T if m * m <= BLOCK_CELLS else np.empty((n, m))
 
 
 def _field_block(normals: np.ndarray, factors, out: np.ndarray) -> None:
@@ -216,9 +211,7 @@ def sample_profiles(
 
     This is the vectorized workhorse behind :func:`sample_profile`; every
     row is nonnegative with maximum exactly ``spec.omega0``. The shape is the
-    contract, the memory order is not: every family stores a draw site-major
-    when it and its full ``row_blocks`` hold at least as many rows as sites
-    (n >= m, up to 256 sites), and row-major otherwise.
+    contract; the memory order, which ``_empty`` sets by the grid alone, is not.
     """
     check_count(n)
     setup = prepare_draws(spec, grid)
@@ -238,24 +231,22 @@ def sample_profiles(
         lo, span = setup
         centers = lo + rng.random((n, grid.dim)) * span
         # the exponent is built in z, its argument order set by z's layout
-        a, b, out = (centers, grid.sites, z.T) if _site_major(n, m) else (grid.sites, centers, z)
+        a, b, out = (grid.sites, centers, z) if z.flags.c_contiguous else (centers, grid.sites, z.T)
         _bump_exponent(a, b, spec.bandwidth, out)
     else:
-        # rescaled_positive_field: the covariance is the Kronecker product of
-        # the per-axis covariances on a tensor grid, so one normal per
-        # rank-product cell is mapped to the sites one axis factor at a time.
-        # Each row block is contracted in the layout it has when drawn alone,
-        # so BLAS rounds it alike in both; one of the other layout (at most
-        # the last) or of a reordered grid is contracted aside and copied in
+        # rescaled_positive_field: the covariance is the Kronecker product of the
+        # per-axis covariances on a tensor grid, so one normal per rank-product cell
+        # is mapped to the sites one axis factor at a time. Each row block is
+        # contracted in z, laid out as when drawn alone, so BLAS rounds both alike; a
+        # grid whose sites are not in the axes' C order is contracted aside, reordered in
         factors, flat = setup
         normals = rng.standard_normal((n, *(f.shape[1] for f in factors)))
         for start, k in row_blocks(n, m):
             block = z[start:start + k]
-            aside = flat is not None or _site_major(k, m) != _site_major(n, m)
-            dest = _empty(k, m) if aside else block
+            dest = block if flat is None else _empty(k, m)
             _field_block(normals[start:start + k], factors, dest)
-            if aside:
-                block[...] = dest if flat is None else dest[:, flat]
+            if flat is not None:
+                block[...] = dest[:, flat]
     # z is the log-profile, finite (_check_grid bounds the bump's exponent):
     # shifted by its row max, every row peaks at exp(0) = 1 exactly
     z -= z.max(axis=1, keepdims=True)
@@ -315,8 +306,9 @@ def profile_mean_se(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Per-site Monte Carlo mean of n independent profiles and its standard
     error, drawn in ``profile_blocks``. The moments are summed for V / omega0,
-    whose square cannot overflow, and scaled back. Each block is divided into
-    one reused row-major buffer, so the sums add draw by draw in any layout."""
+    whose square cannot overflow, and scaled back. Each block is divided into one
+    reused row-major buffer, whose sums add draw by draw (a site-major block's would
+    add pairwise): that order fixes the Monte Carlo mean field's bits."""
     total, total_sq, buf = np.zeros(grid.n_sites), np.zeros(grid.n_sites), np.empty(0)
     for _, p in profile_blocks(spec, grid, n, rng):
         buf = buf if buf.size >= p.size else np.empty(p.size)

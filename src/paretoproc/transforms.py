@@ -126,14 +126,21 @@ def inv_power_transform_values(
     """
     gamma = np.asarray(gamma)
     zero = np.abs(gamma) < GAMMA_ZERO_TOL
-    base = 1.0 + gamma * z
-    clamped = ~zero & (base <= 0.0)
     safe_exponent = 1.0 / np.where(zero, 1.0, gamma)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        base = 1.0 + gamma * z
+        clamped = ~zero & (base <= 0.0)
         powed = np.power(np.where(clamped, 1.0, base), safe_exponent)
         powed = np.where(clamped, np.where(gamma > 0, 0.0, LEVEL_CEILING), powed)
         out = np.where(zero, np.exp(np.minimum(z, 709.0)), powed)
     return np.minimum(out, LEVEL_CEILING), clamped
+
+
+def standardized_level(x, loc, scale, gamma) -> tuple[np.ndarray, np.ndarray]:
+    """``inv_power_transform_values`` of (x - loc) / scale. A quotient too large for a
+    float is past every endpoint, and lands on the ceiling or the clamp like one."""
+    with np.errstate(over="ignore"):
+        return inv_power_transform_values((x - loc) / scale, gamma)
 
 
 def _require_finite(values: np.ndarray, what: str) -> np.ndarray:
@@ -169,8 +176,7 @@ def from_generalized(g: Field, p: GpParams, return_clamped: bool = False):
     """
     if g.grid != p.grid:
         raise GridMismatch("field and parameters live on different grids")
-    z = (g.values - p.mu.values) / p.sigma.values
-    out, clamped = inv_power_transform_values(z, p.gamma.values)
+    out, clamped = standardized_level(g.values, p.mu.values, p.sigma.values, p.gamma.values)
     out = np.where(clamped, 0.0, out)  # out-of-support convention is 0 here
     if clamped.any() and not return_clamped:
         warnings.warn(
@@ -187,8 +193,7 @@ def from_generalized(g: Field, p: GpParams, return_clamped: bool = False):
 
 def apply_T_values(x: np.ndarray, nf: NormingFunctions) -> np.ndarray:
     """Normalization T_t on raw (..., n_sites) arrays."""
-    z = (x - nf.b_t.values) / nf.a_t.values
-    out, _ = inv_power_transform_values(z, nf.gamma.values)
+    out, _ = standardized_level(x, nf.b_t.values, nf.a_t.values, nf.gamma.values)
     return _require_finite(out, "threshold normalization")
 
 

@@ -39,9 +39,9 @@ from .transforms import (
     GpParams,
     NormingFunctions,
     apply_T_values,
-    inv_power_transform_values,
     power_transform_values,
     stability_norming,
+    standardized_level,
 )
 
 SEED = 20260810
@@ -177,7 +177,7 @@ def check_generalized_stability(quick: bool = False) -> tuple[str, list[Check]]:
                 # (u, s), return to the simple scale and keep one float a row
                 def level(w):
                     g = p.mu.values + p.sigma.values * power_transform_values(w, gamma)
-                    return keep(inv_power_transform_values((g - u) / s, gamma)[0])
+                    return keep(standardized_level(g, u, s, gamma)[0])
                 return per_field_blocks(spec, grid, size, rng, level)
 
             # base arm: the middle-site level of W recovered from the generalized process

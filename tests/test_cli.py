@@ -549,13 +549,18 @@ def test_df_battery_without_direct_samples_exits_two(tmp_path, capsys):
     pytest.param(["--n-rep", "0"], "n_rep must be an integer >= 1", id="n_rep"),
     pytest.param(["--n-block", "1"], "n_block must be >= 2 for max-stable input", id="n_block"),
 ])
-def test_maxstable_check_empty_sample_exits_two(tmp_path, capsys, argv, message):
+def test_maxstable_check_empty_sample_exits_two(tmp_path, capsys, monkeypatch, argv, message):
+    # every count is checked before either DOA arm or a construction check draws
+    drawn = []
+    for name in ("sample_radii", "_sup_and_site", "sample_max_stable_batch"):
+        monkeypatch.setattr(maxstable, name, lambda *a, name=name: drawn.append(name))
     out = tmp_path / "out"
     assert main(["maxstable-check", "--sites", "5", "--n", "100", "--n-rep", "100", *argv,
                  "--seed", "1", "--out", str(out)]) == 2
     captured = capsys.readouterr()
     assert captured.err == f"ValueError: {message}\n" and captured.out == ""
     assert not (out / "maxstable_report.json").exists()
+    assert drawn == []
 
 
 _PARENT_PID = os.getpid()

@@ -74,6 +74,12 @@ def test_combine_negative_base_fractional_exponent_raises():
         combine(Field(g, [-2.0, 1.0]), Field(g, [0.5, 1.0]), "pow")
 
 
+def test_combine_zero_base_negative_exponent_raises_without_a_warning():
+    g = Grid(np.array([0.0, 1.0]))
+    with pytest.raises(DomainError, match="non-finite"):
+        combine(Field(g, [0.0, 1.0]), Field(g, [-1.0, 1.0]), "pow")
+
+
 def test_combine_grid_mismatch():
     f = Field(Grid(np.array([0.0, 1.0])), [1.0, 2.0])
     g = Field(Grid(np.array([0.0, 2.0])), [1.0, 2.0])

@@ -84,6 +84,16 @@ def test_estimate_norming_input_validation():
         estimate_norming(tied, 10)
 
 
+def test_estimate_norming_rejects_a_scale_that_underflows():
+    # nearly equal log-spacings give gamma near -2e4: 2^gamma and the scale a are 0
+    col = np.concatenate([np.linspace(1.0, 1.9, 18), [1.9 * np.e, 1.9 * np.e**1.01]])
+    data = FieldSample(Grid.regular(2), np.column_stack([col, np.arange(1.0, 21.0)]))
+    with pytest.raises(DegenerateTail, match="scale underflows"):
+        estimate_norming(data, 2)
+    with pytest.raises(DegenerateTail, match="scale underflows"):  # 14 of seeds 0-199 do this
+        estimate_norming(sample_scenario_fields(20, make_rng(0, "g"), 2), 2)
+
+
 def test_selection_empty_when_all_below_threshold():
     grid = Grid.regular(3)
     nf = NormingFunctions.constant(grid, gamma=1.0, a_t=1.0, b_t=100.0, t=10.0)

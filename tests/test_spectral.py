@@ -414,9 +414,20 @@ def _blocked_grids():
 
 
 def _row_major(n, m):
-    # the layout rule of every draw: site-major when the draw and each of its
-    # full blocks hold at least as many rows as sites
-    return n < m or m * m > spectral.BLOCK_CELLS
+    # the layout rule of every draw, set by the grid: site-major up to 256 sites;
+    # a one-row draw is both and reads as row-major
+    return n == 1 or m * m > spectral.BLOCK_CELLS
+
+
+@pytest.mark.parametrize("kind", ALL_KINDS[:3])
+def test_the_grid_alone_sets_a_draws_layout(kind):
+    # draws below, at and above the site count, blocked or not, are site-major
+    # up to 256 sites and row-major above
+    spec = SpectralProfileSpec(kind)
+    for m in (101, 256, 257):
+        for n in (2, m - 1, m, 3 * (spectral.BLOCK_CELLS // m)):
+            drawn = sample_profiles(spec, Grid.regular(m), n, make_rng(n, "grid_layout"))
+            assert (drawn.flags.c_contiguous, drawn.flags.f_contiguous) == (m > 256, m <= 256)
 
 
 @pytest.mark.parametrize("kind, layout", [
@@ -520,8 +531,8 @@ def test_moving_max_draw_equals_the_row_major_reference_bitwise(layout, sites, b
     n = data.draw(st.integers(1, 3 * m), label="n")
     spec = SpectralProfileSpec("gaussian_moving_max", omega0=omega0, bandwidth=bandwidth)
     drawn = sample_profiles(spec, grid, n, make_rng(n, "layout"))
-    # both layouts are reached: a draw of at least as many rows as sites is site-major
-    assert drawn.flags.c_contiguous == (n < m)
+    # both layouts are reached: a draw of two or more rows is site-major
+    assert drawn.flags.c_contiguous == (n == 1)
     assert np.array_equal(drawn, _row_major_bump_profiles(spec, grid, n, make_rng(n, "layout")))
 
 
@@ -551,7 +562,7 @@ def test_every_block_reducer_reads_a_site_major_block_as_its_row_major_copy(kind
     w = np.array(data.draw(st.lists(st.sampled_from([0.0, 0.3, 0.8, 1.5]), min_size=m, max_size=m),
                            label="w"))
     spec = SpectralProfileSpec(kind, omega0=1.5)
-    # every family follows the one layout rule; here site-major exactly when n >= m
+    # every family follows the one layout rule; here site-major exactly when n >= 2
     drawn = sample_profiles(spec, grid, n, make_rng(n, "layout"))
     assert drawn.flags.c_contiguous == _row_major(n, m)
     blocks = spectral.profile_blocks

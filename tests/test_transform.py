@@ -8,6 +8,7 @@ from paretoproc.pareto import sample_simple_pareto, sample_simple_pareto_batch
 from paretoproc.rng import make_rng
 from paretoproc.spectral import SpectralProfileSpec
 from paretoproc.transforms import (
+    LEVEL_CEILING,
     GpParams,
     NormingFunctions,
     apply_T,
@@ -90,6 +91,16 @@ def test_apply_T_examples(grid2):
     assert np.array_equal(out.values, [1.0, 1.0])
     out = apply_T(Field(grid2, [-100.0, -100.0]), nf)  # far below: positive part
     assert np.array_equal(out.values, [0.0, 0.0])
+
+
+@pytest.mark.parametrize("gamma", [0.3, 0.0])
+def test_a_level_too_large_for_a_float_is_the_ceiling_without_a_warning(grid2, gamma):
+    # (x - b) / a overflows to inf under the suite's error::RuntimeWarning filter
+    x = Field(grid2, [1e308, 1.0])
+    nf = NormingFunctions.constant(grid2, gamma, 1e-10, 0.0, 10.0)
+    p = GpParams.constant(grid2, 0.0, 1e-10, gamma)
+    for out in (apply_T(x, nf), from_generalized(x, p)):
+        assert out.values[0] == LEVEL_CEILING
 
 
 def test_invert_T_examples(grid2):
