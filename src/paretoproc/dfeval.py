@@ -33,7 +33,7 @@ from .errors import NonPositiveArgument, OutOfSupport, PreconditionFailed
 from .grid import Field, Grid, _concurrently, check_count, write_csv_table
 from .pareto import per_field_blocks, vector_grid
 from .rng import make_rng
-from .spectral import SpectralProfileSpec, per_draw_blocks, prepare_draws
+from .spectral import SpectralProfileSpec, draw_setup, per_draw_blocks
 from .transforms import GpParams, from_generalized
 
 LEQ = "LEQ"
@@ -302,7 +302,7 @@ def run_battery(
     draws' set-up is made first, so the arms never build it twice.
     """
     check_count(n_direct, "n_direct", 1)
-    prepare_draws(spec, grid)
+    draw_setup(spec, grid)
     rows = []
     for i, q in enumerate(queries):
         rng = make_rng(seed, f"battery_direct_{i}")

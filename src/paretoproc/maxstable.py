@@ -27,6 +27,7 @@ from .pareto import sample_radii
 from .rng import fill_rows, make_rng
 from .spectral import (
     SpectralProfileSpec,
+    _bump_reaches,
     exact_profile_mean,
     gaussian_bump,
     per_draw_blocks,
@@ -209,6 +210,8 @@ def sample_moving_maximum_batch(grid: Grid, n: int, rng: np.random.Generator) ->
     if grid.dim != 1:
         raise ValueError("moving-maximum sampler is one-dimensional")
     coords = grid.coords()
+    if not _bump_reaches(grid, 1.0):  # else far kernels overflow to 0 and the loop never stops
+        raise ValueError(f"a grid of extent {np.ptp(coords):g} is too wide for the unit kernel")
     lo, hi = coords.min() - MOVING_MAX_MARGIN, coords.max() + MOVING_MAX_MARGIN
     width = hi - lo
     phi_max = 1.0 / np.sqrt(2.0 * np.pi)

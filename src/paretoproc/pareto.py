@@ -13,7 +13,7 @@ import numpy as np
 from .errors import SpecGridMismatch, ZeroField
 from .grid import Field, Grid, check_count, sup_field, write_csv_table
 from .rng import fill_rows
-from .spectral import (BERNOULLI_PAIR, SpectralProfileSpec, per_draw_blocks, profile_blocks,
+from .spectral import (BERNOULLI_PAIR, SpectralProfileSpec, per_draw_blocks, row_blocks,
                        sample_profiles)
 
 STABILITY = "stability"
@@ -97,8 +97,8 @@ def pot_conditional_batch(
     keeps the exceedances of each profile block. Both are exposed so the
     equality of the two conditional laws can be tested rather than assumed.
     """
-    if not r > 1:
-        raise ValueError("r must be > 1")
+    if not 1 < r < np.inf:
+        raise ValueError("r must be > 1 and finite")
     check_count(n)
     if method == STABILITY:
         y = r * sample_radii(n, rng)
@@ -108,8 +108,8 @@ def pot_conditional_batch(
         def draw(size):
             y = sample_radii(size, rng)
             keep = y > r
-            blocks = profile_blocks(spec, grid, size, rng)
-            return y[keep], np.concatenate([v[keep[s:s + v.shape[0]]] for s, v in blocks])
+            return y[keep], np.concatenate([sample_profiles(spec, grid, k, rng)[keep[s:s + k]]
+                                            for s, k in row_blocks(size, grid.n_sites)])
 
         # r is the acceptance odds; oversample to keep the loop short
         y, v = (fill_rows(n, lambda remaining: max(1024, int(1.2 * remaining * r)), draw)

@@ -16,8 +16,9 @@ Built-in kinds:
   keeping the eigenvalues above ``EIG_TOL`` (1e-10) times the largest. On a
   tensor grid the covariance is the Kronecker product of the per-axis
   covariances, so there is one small factor per axis and no (m, m) array;
-  a scattered grid has one factor over all its sites. Factors are cached
-  per (grid, corr_length), at most four at a time.
+  a scattered grid has one factor over all its sites. A draw's finished
+  set-up, factors included, is cached per (spec, grid) in ``draw_setup``,
+  at most four at a time.
 * ``bernoulli_pair``: on a two-site grid, (omega0, 0) or (0, omega0) with
   probability 1/2 each. Deliberately contains exact zeros so the
   distribution-function formulas see profiles vanishing on part of the grid.
@@ -84,19 +85,17 @@ class SpectralProfileSpec:
                 raise ValueError(f"{kind} requires {key} > 0 with a finite, nonzero square")
 
 
+def _bump_reaches(grid: Grid, h: float) -> bool:
+    """Whether a bump of width h centered in the grid's box has a finite exponent at every site."""
+    with np.errstate(over="ignore"):
+        return bool(np.isfinite(np.sum(np.ptp(grid.sites, axis=0) ** 2) / h**2))
+
+
 def _check_grid(spec: SpectralProfileSpec, grid: Grid) -> None:
     if spec.kind == BERNOULLI_PAIR and grid.n_sites != 2:
-        raise SpecGridMismatch(
-            f"bernoulli_pair needs exactly 2 sites, grid has {grid.n_sites}"
-        )
-    if spec.kind == GAUSSIAN_MOVING_MAX:
-        # the bump's exponent at the site farthest from the center must be finite
-        with np.errstate(over="ignore"):
-            reach = np.sum(np.ptp(grid.sites, axis=0) ** 2) / spec.bandwidth**2
-        if not np.isfinite(reach):
-            raise SpecGridMismatch(
-                f"bandwidth {spec.bandwidth:g} is too small for the extent of the grid"
-            )
+        raise SpecGridMismatch(f"bernoulli_pair needs exactly 2 sites, grid has {grid.n_sites}")
+    if spec.kind == GAUSSIAN_MOVING_MAX and not _bump_reaches(grid, spec.bandwidth):
+        raise SpecGridMismatch(f"bandwidth {spec.bandwidth:g} is too small for the extent of the grid")
 
 
 def _bump_exponent(sites: np.ndarray, centers: np.ndarray, h: float,
@@ -134,28 +133,24 @@ def _tensor_axes(grid: Grid) -> tuple[list[np.ndarray], np.ndarray] | None:
     return list(axes), np.ravel_multi_index(index, shape)
 
 
-# Low-rank factors F (F F^T ~ covariance) of the squared-exponential
-# covariance, one per (grid, corr_length). Grids are immutable so entries
-# never stale; a scattered grid's factor can be large, so only a few are kept.
-@functools.lru_cache(maxsize=4)
 def _sq_exp_factor(grid: Grid, corr_length: float) -> np.ndarray:
-    """U sqrt(lambda) over the eigenvalues above EIG_TOL times the largest:
-    at corr_length 0.3 an axis keeps 12 columns whether it has 51 or 1001
-    sites. Read-only, since every caller shares it."""
+    """U sqrt(lambda) of the squared-exponential covariance (F F^T ~ covariance) over
+    the eigenvalues above EIG_TOL times the largest: at corr_length 0.3 an axis keeps
+    12 columns whether it has 51 or 1001 sites. Read-only, since every draw shares it."""
     lam, u = np.linalg.eigh(gaussian_bump(grid.sites, grid.sites, corr_length))
     keep = lam > EIG_TOL * lam[-1]
     return _read_only(u[:, keep] * np.sqrt(lam[keep]))
 
 
-# Per-(spec, grid) set-up of sample_profiles, done once: the grid check, the
-# bump's center box, and the tensor split of rescaled_positive_field. The
-# factors themselves stay in _sq_exp_factor's cache.
-@functools.lru_cache(maxsize=16)
-def _draw_setup(spec: SpectralProfileSpec, grid: Grid):
-    """``(lo, hi - lo)`` of the sites for ``gaussian_moving_max``; for
-    ``rescaled_positive_field`` the grids that carry one factor each (the axes
-    longer than one coordinate, or the whole scattered grid) and the column
-    order from their product to the sites, None when it is the identity."""
+# The finished set-up of sample_profiles per (spec, grid). Grids are immutable so
+# entries never stale; a scattered grid's factor can take megabytes, so only a few
+# are kept. A call fills it, so draws that run concurrently afterwards only read it.
+@functools.lru_cache(maxsize=4)
+def draw_setup(spec: SpectralProfileSpec, grid: Grid):
+    """The grid check, then ``(lo, hi - lo)`` of the sites for ``gaussian_moving_max``;
+    for ``rescaled_positive_field`` one factor per axis longer than one coordinate (or
+    one over a scattered grid) and the column order from their product to the sites,
+    None when it is the identity; None for the other kinds."""
     _check_grid(spec, grid)
     if spec.kind == GAUSSIAN_MOVING_MAX:
         lo = grid.sites.min(axis=0)
@@ -164,21 +159,10 @@ def _draw_setup(spec: SpectralProfileSpec, grid: Grid):
         return None
     tensor = _tensor_axes(grid)
     if tensor is None:  # scattered sites: one factor over all of them
-        return (grid,), None
+        return (_sq_exp_factor(grid, spec.corr_length),), None
     axes, flat = tensor
-    parts = tuple(Grid(u) for u in axes if u.size > 1)
-    return parts, None if np.array_equal(flat, np.arange(grid.n_sites)) else _read_only(flat)
-
-
-def prepare_draws(spec: SpectralProfileSpec, grid: Grid):
-    """The set-up of ``sample_profiles`` for (spec, grid), the factors of
-    ``rescaled_positive_field`` in place of their grids. A call fills both
-    caches, so draws that run concurrently afterwards only read them."""
-    setup = _draw_setup(spec, grid)
-    if spec.kind != RESCALED_POSITIVE_FIELD:
-        return setup
-    parts, flat = setup
-    return [_sq_exp_factor(g, spec.corr_length) for g in parts], flat
+    factors = tuple(_sq_exp_factor(Grid(u), spec.corr_length) for u in axes if u.size > 1)
+    return factors, None if np.array_equal(flat, np.arange(grid.n_sites)) else _read_only(flat)
 
 
 def _empty(n: int, m: int) -> np.ndarray:
@@ -214,7 +198,7 @@ def sample_profiles(
     contract; the memory order, which ``_empty`` sets by the grid alone, is not.
     """
     check_count(n)
-    setup = prepare_draws(spec, grid)
+    setup = draw_setup(spec, grid)
     m = grid.n_sites
     w0 = spec.omega0
     z = _empty(n, m)
@@ -259,7 +243,10 @@ def row_blocks(n: int, m: int):
     """``(start, rows)`` of consecutive blocks of n draws on m sites, as many
     rows as fit in ``BLOCK_CELLS`` cells (at least two). A one-row tail joins
     the block before it: BLAS would map a lone row through its matrix-vector
-    path, which rounds differently."""
+    path, which rounds differently. Drawn by ``sample_profiles`` one block at a
+    time, the blocks on a grid of m sites take the stream of the one-shot draw of
+    n and concatenate to it bitwise: the one-shot draw hands BLAS the same blocks
+    in the same orientation."""
     rows = max(2, BLOCK_CELLS // m)
     start = 0
     while start < n:
@@ -268,25 +255,14 @@ def row_blocks(n: int, m: int):
         start += k
 
 
-def profile_blocks(spec: SpectralProfileSpec, grid: Grid, n: int, rng: np.random.Generator):
-    """n profiles as ``(start, block)`` pairs: ``sample_profiles`` draws in
-    the ``row_blocks`` of n, and each block's first row.
-
-    The blocks draw the stream of the one-shot ``sample_profiles(spec, grid,
-    n, rng)`` and, concatenated, equal it bitwise at any site count: the
-    one-shot draw hands BLAS the same blocks in the same orientation."""
-    for start, k in row_blocks(n, grid.n_sites):
-        yield start, sample_profiles(spec, grid, k, rng)
-
-
 def per_draw_blocks(spec: SpectralProfileSpec, grid: Grid, n: int,
                     rng: np.random.Generator, per_draw) -> np.ndarray:
-    """What ``per_draw(rows, v)`` keeps of n profiles drawn in ``profile_blocks``,
+    """What ``per_draw(rows, v)`` keeps of n profiles drawn in ``row_blocks``,
     in row order: ``rows`` is a block's slice of the n draws, ``v`` its fresh profiles
     (``per_draw`` may overwrite them); it keeps at most one float or fixed-width row a draw."""
     out, filled = np.empty(n), 0  # allocated first: a count too large fails before any draw
-    for start, v in profile_blocks(spec, grid, n, rng):
-        kept = per_draw(slice(start, start + v.shape[0]), v)
+    for start, k in row_blocks(n, grid.n_sites):
+        kept = per_draw(slice(start, start + k), sample_profiles(spec, grid, k, rng))
         if kept.ndim > out.ndim:  # a row a draw: sized at the first block
             out = np.empty((n, kept.shape[1]))
         out[filled:filled + len(kept)] = kept
@@ -305,12 +281,13 @@ def profile_mean_se(
     spec: SpectralProfileSpec, grid: Grid, n: int, rng: np.random.Generator
 ) -> tuple[np.ndarray, np.ndarray]:
     """Per-site Monte Carlo mean of n independent profiles and its standard
-    error, drawn in ``profile_blocks``. The moments are summed for V / omega0,
+    error, drawn in ``row_blocks``. The moments are summed for V / omega0,
     whose square cannot overflow, and scaled back. Each block is divided into one
     reused row-major buffer, whose sums add draw by draw (a site-major block's would
     add pairwise): that order fixes the Monte Carlo mean field's bits."""
     total, total_sq, buf = np.zeros(grid.n_sites), np.zeros(grid.n_sites), np.empty(0)
-    for _, p in profile_blocks(spec, grid, n, rng):
+    for _, k in row_blocks(n, grid.n_sites):
+        p = sample_profiles(spec, grid, k, rng)
         buf = buf if buf.size >= p.size else np.empty(p.size)
         p = np.divide(p, spec.omega0, out=buf[:p.size].reshape(p.shape))
         total += p.sum(axis=0)

@@ -25,7 +25,7 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from .errors import DomainError, GridMismatch, OutOfSupportWarning
-from .grid import Field, Grid
+from .grid import Field, Grid, check_count
 
 GAMMA_ZERO_TOL = 1e-8
 
@@ -68,7 +68,8 @@ class NormingFunctions:
     """Per-site shape gamma, scale a_t > 0 and location b_t at level t.
 
     ``k`` records the order-statistic level when the functions were estimated
-    from data (t = n/k); it is None for analytically given normings.
+    from data (t = n/k); it is None for analytically given normings. Both are
+    kept JSON-ready: t finite, k a Python int.
     """
 
     gamma: Field
@@ -82,8 +83,11 @@ class NormingFunctions:
             raise GridMismatch("gamma, a_t, b_t must share one grid")
         if not np.all(self.a_t.values > 0):
             raise ValueError("a_t must be positive at every site")
-        if not self.t > 0:
-            raise ValueError("t must be positive")
+        if not 0 < self.t < np.inf:
+            raise ValueError("t must be positive and finite")
+        if self.k is not None:
+            check_count(self.k, "k")
+            object.__setattr__(self, "k", int(self.k))
 
     @property
     def grid(self) -> Grid:

@@ -392,9 +392,9 @@ def _cannot_allocate(*args, **kwargs):
 @pytest.mark.parametrize("argv, targets", [
     pytest.param(["simulate", "--n", "1000000000000"], [(pareto, "sample_radii")], id="simulate"),
     # the formula arm and the direct arm both draw through spectral.per_draw_blocks,
-    # which draws through spectral's profile_blocks
+    # which draws through spectral's sample_profiles
     pytest.param(["df-battery", "--n-mc", "1000000000000"],
-                 [(spectral, "profile_blocks")], id="df-battery"),
+                 [(spectral, "sample_profiles")], id="df-battery"),
 ])
 def test_count_too_large_to_allocate_exits_two_with_one_line(tmp_path, capsys, monkeypatch,
                                                               argv, targets):

@@ -418,9 +418,8 @@ def test_run_battery_rows_equal_threaded_and_in_process(monkeypatch):
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid, c=cpus: set(range(c)),
                             raising=False)
         on_main.clear()
-        # the shared set-up and factor caches start empty; the threads switch often
-        spectral._draw_setup.cache_clear()
-        spectral._sq_exp_factor.cache_clear()
+        # the shared set-up cache starts empty; the threads switch often
+        spectral.draw_setup.cache_clear()
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
@@ -433,7 +432,7 @@ def test_run_battery_rows_equal_threaded_and_in_process(monkeypatch):
 
 
 def test_run_battery_builds_each_factor_once_with_two_arms(monkeypatch):
-    # a slow eigh keeps both arms inside the factor cache's miss unless the
+    # a slow eigh keeps both arms inside the set-up cache's miss unless the
     # set-up is made before they start
     g = Grid(np.random.default_rng(8).random((300, 2)))
     spec = SpectralProfileSpec("rescaled_positive_field")
@@ -449,8 +448,7 @@ def test_run_battery_builds_each_factor_once_with_two_arms(monkeypatch):
     rows = {}
     for cpus in (2, 1):
         monkeypatch.setattr(grid, "_cpus", lambda c=cpus: c)
-        spectral._draw_setup.cache_clear()
-        spectral._sq_exp_factor.cache_clear()
+        spectral.draw_setup.cache_clear()
         calls.clear()
         rows[cpus] = run_battery(spec, g, queries, n_direct=200, seed=5)
         assert len(calls) == 1

@@ -84,6 +84,25 @@ def test_estimate_norming_input_validation():
         estimate_norming(tied, 10)
 
 
+def test_norming_from_a_numpy_k_writes_json(tmp_path):
+    # a numpy integer k passes the count rule; it is kept as a Python int, so the
+    # report's manifest and norming.json serialize
+    grid = Grid.regular(2)
+    data = FieldSample(grid, pareto_matrix(100, 2, make_rng(3, "npk")))
+    nf = estimate_norming(data, np.int64(3))
+    assert type(nf.k) is int and nf.t == estimate_norming(data, 3).t
+    write_lift_report(lift(data, nf, t0=2.0), tmp_path)
+    assert json.loads((tmp_path / "manifest.json").read_text())["k"] == 3
+    assert json.loads((tmp_path / "norming.json").read_text())["k"] == 3
+
+
+@pytest.mark.parametrize("t", [np.inf, 0.0, -1.0, np.nan])
+def test_norming_level_must_be_positive_and_finite(t):
+    # an infinite t was written to norming.json as Infinity, which is not JSON
+    with pytest.raises(ValueError, match="t must be positive and finite"):
+        NormingFunctions.constant(Grid.regular(3), 0.3, 1.0, 0.0, t)
+
+
 def test_estimate_norming_rejects_a_scale_that_underflows():
     # nearly equal log-spacings give gamma near -2e4: 2^gamma and the scale a are 0
     col = np.concatenate([np.linspace(1.0, 1.9, 18), [1.9 * np.e, 1.9 * np.e**1.01]])

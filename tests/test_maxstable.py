@@ -242,6 +242,19 @@ def test_moving_maximum_kernel_matches_normal_density_bitwise():
     assert np.array_equal(sample_moving_maximum_batch(grid, 500, make_rng(10, "mk")), reference)
 
 
+def test_moving_maximum_rejects_a_grid_too_wide_for_its_kernel(monkeypatch):
+    # the unit kernel's exponent overflows at the far site, no field's running minimum
+    # leaves 0 and the Poisson-max loop never stops: rejected before it starts
+    def drew(*args, **kwargs):
+        raise AssertionError("the Poisson-max loop ran")
+
+    monkeypatch.setattr(maxstable, "_poisson_max", drew)
+    rng = make_rng(0, "wide")
+    with pytest.raises(ValueError, match=r"grid of extent 1e\+300 is too wide"):
+        sample_moving_maximum_batch(Grid(np.array([0.0, 1e300])), 1, rng)
+    assert rng.random() == make_rng(0, "wide").random()  # the stream did not move
+
+
 def test_doa_pareto_input(gmm_cfg):
     report = doa_empirical_check(gmm_cfg, n_block=50, n_rep=40_000,
                                  rng=make_rng(10, "doa"), input_kind="pareto")

@@ -111,6 +111,18 @@ def test_pot_conditional_near_one_reduces_to_unconditional():
     assert np.all(w.max(axis=1) > 1.0)
 
 
+@pytest.mark.parametrize("r", [np.inf, 1.0, np.nan])
+@pytest.mark.parametrize("method", ["stability", "rejection"])
+def test_pot_conditional_rejects_a_level_not_in_one_to_inf_before_any_draw(method, r):
+    # at r = inf the stability arm gave infinite W and the rejection arm an OverflowError
+    spec, grid = SpectralProfileSpec("constant"), Grid.regular(3)
+    rng = make_rng(0, "pot_r")
+    for sampler in (pot_conditional_batch, pot_conditional_sample):
+        with pytest.raises(ValueError, match="r must be > 1 and finite"):
+            sampler(spec, grid, r, 10, rng, method)
+    assert rng.random() == make_rng(0, "pot_r").random()  # the stream did not move
+
+
 def test_vector_single_coordinate_is_plain_pareto():
     spec = SpectralProfileSpec("constant", omega0=1.0)
     rng = make_rng(7, "v1")

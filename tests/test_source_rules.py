@@ -7,6 +7,8 @@ kind and the lazy ``scipy`` import, read from the package's syntax trees.
   caller whose thread a benchmark measured to pay.
 * No module imports ``threading`` or ``multiprocessing``.
 * ``scipy`` is imported only inside ``gof``'s two KS functions.
+* Caches are bounded: every ``functools.lru_cache`` gives an integer ``maxsize``,
+  and ``functools.cache`` decorates only functions with no arguments.
 """
 import ast
 from pathlib import Path
@@ -76,3 +78,54 @@ def test_no_module_imports_threading_or_multiprocessing():
 
 def test_scipy_is_imported_only_inside_the_two_ks_functions():
     assert _where(lambda what: _imports(what, "scipy")) == KS_FUNCTIONS
+
+
+def _caches():
+    """(module.function, cache, decorator, function) for every function decorated with
+    ``functools.lru_cache`` or ``functools.cache``, and how often the package
+    names either at all."""
+    decorated, named = [], 0
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text(), str(path))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.module == "functools":
+                named += sum(a.name in ("lru_cache", "cache") for a in node.names)
+            elif (isinstance(node, ast.Attribute) and node.attr in ("lru_cache", "cache")
+                  and isinstance(node.value, ast.Name) and node.value.id == "functools"):
+                named += 1
+            elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                for d in node.decorator_list:
+                    head = d.func if isinstance(d, ast.Call) else d
+                    if isinstance(head, ast.Attribute) and head.attr in ("lru_cache", "cache"):
+                        decorated.append((f"{path.stem}.{node.name}", head.attr, d, node))
+    return decorated, named
+
+
+CACHES, CACHES_NAMED = _caches()
+
+
+def _decorated(kind):
+    return [(where, d, fn) for where, cache, d, fn in CACHES if cache == kind]
+
+
+def test_caches_are_named_only_as_decorators():
+    # a cache made by a call, or imported under its bare name, would escape the rules below
+    assert len(CACHES) == CACHES_NAMED
+
+
+def test_every_lru_cache_has_an_integer_maxsize():
+    found = _decorated("lru_cache")
+    assert {"spectral.draw_setup", "maxstable._mean_field"} <= {where for where, _, _ in found}
+    for where, d, _ in found:
+        # a bare decorator leaves the size to the default; None is unbounded
+        assert isinstance(d, ast.Call), where
+        size = d.args[0] if d.args else next((k.value for k in d.keywords if k.arg == "maxsize"), None)
+        assert isinstance(size, ast.Constant) and type(size.value) is int, where
+
+
+def test_functools_cache_decorates_only_functions_without_arguments():
+    found = _decorated("cache")
+    assert {"cli._build_parser", "cli._scipy_version"} <= {where for where, _, _ in found}
+    for where, _, fn in found:
+        a = fn.args
+        assert not (a.posonlyargs or a.args or a.vararg or a.kwonlyargs or a.kwarg), where

@@ -240,7 +240,7 @@ def test_no_exact_mean_without_closed_form():
 
 
 def test_factor_cache_drops_least_recently_used():
-    cache = spectral._sq_exp_factor
+    cache = spectral.draw_setup
     maxsize = 4  # the bound: a scattered grid's factor can take megabytes
     lengths = [0.11 + 0.01 * i for i in range(maxsize + 1)]
 
@@ -376,23 +376,23 @@ def test_rescaled_field_on_tensor_grid_allocates_no_dense_covariance():
     x, y = np.meshgrid(np.linspace(0.0, 1.0, 41), np.linspace(0.0, 1.0, 41), indexing="ij")
     grid = Grid(np.column_stack([x.ravel(), y.ravel()]))
     spec = SpectralProfileSpec("rescaled_positive_field")
-    spectral._sq_exp_factor.cache_clear()
+    spectral.draw_setup.cache_clear()
     tracemalloc.start()
     try:
         p = sample_profiles(spec, grid, 50, make_rng(0, "alloc"))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    factor = spectral._sq_exp_factor(Grid(x[:, 0]), 0.3)
+    factor = spectral.draw_setup(spec, grid)[0][0]
     assert peak <= 2.0 * (p.nbytes + factor.nbytes)
 
 
 def test_rescaled_field_draw_holds_no_second_output_array():
     # three blocks on a line, two full and a short tail: the products go
-    # straight into the output, and only the tail, of the other layout, is copied in
+    # straight into the output
     grid = Grid.regular(101)
     spec = SpectralProfileSpec("rescaled_positive_field")
-    factor = spectral.prepare_draws(spec, grid)[0][0]
+    factor = spectral.draw_setup(spec, grid)[0][0]
     rows = spectral.BLOCK_CELLS // 101
     n = 2 * rows + 50
     tracemalloc.start()
@@ -411,6 +411,12 @@ def _blocked_grids():
             "scattered": Grid(np.random.default_rng(4).random((30, 2))),
             "scattered_201": Grid(np.random.default_rng(4).random((201, 2))),
             "1d_1001": Grid.regular(1001), "two_sites": Grid.regular(2)}
+
+
+def _blocks(spec, grid, n, rng):
+    # (start, block) of n draws, sample_profiles called once per row_blocks block
+    return [(start, sample_profiles(spec, grid, k, rng))
+            for start, k in spectral.row_blocks(n, grid.n_sites)]
 
 
 def _row_major(n, m):
@@ -442,7 +448,7 @@ def test_blocked_draws_concatenate_to_the_one_shot_draw(kind, layout):
     for n in (1, block - 1, block, block + 1, 3 * block + 7):
         one, blocked = make_rng(5, "blocks"), make_rng(5, "blocks")
         expected = sample_profiles(spec, grid, n, one)
-        starts, parts = zip(*spectral.profile_blocks(spec, grid, n, blocked))
+        starts, parts = zip(*_blocks(spec, grid, n, blocked))
         assert np.array_equal(np.concatenate(parts), expected)
         assert list(starts) == [block * i for i in range(len(parts))]
         assert one.random() == blocked.random()  # the stream ends in the same state
@@ -453,11 +459,11 @@ def test_blocked_draws_concatenate_to_the_one_shot_draw(kind, layout):
 
 def test_draw_setup_is_cached_and_checks_the_grid_every_call():
     spec = SpectralProfileSpec("gaussian_moving_max")
-    spectral._draw_setup.cache_clear()
+    spectral.draw_setup.cache_clear()
     for _ in range(3):
         sample_profiles(spec, Grid.regular(5), 1, make_rng(0, "setup"))
-    info = spectral._draw_setup.cache_info()
-    assert (info.hits, info.misses, info.maxsize) == (2, 1, 16)
+    info = spectral.draw_setup.cache_info()
+    assert (info.hits, info.misses, info.maxsize) == (2, 1, 4)
     bernoulli = SpectralProfileSpec("bernoulli_pair")
     for _ in range(2):  # a rejected grid is not cached
         with pytest.raises(SpecGridMismatch):
@@ -496,7 +502,7 @@ def test_blocked_draws_equal_the_one_shot_draw_for_any_n(kind, sites, scattered,
     spec = SpectralProfileSpec(kind, omega0=1.5)
     one, blocked = make_rng(n, "any_n"), make_rng(n, "any_n")
     expected = sample_profiles(spec, grid, n, one)
-    parts = [p for _, p in spectral.profile_blocks(spec, grid, n, blocked)]
+    parts = [p for _, p in _blocks(spec, grid, n, blocked)]
     assert np.array_equal(np.concatenate(parts), expected)
     assert one.random() == blocked.random()
     assert expected.flags.c_contiguous == _row_major(n, sites)
@@ -565,7 +571,7 @@ def test_every_block_reducer_reads_a_site_major_block_as_its_row_major_copy(kind
     # every family follows the one layout rule; here site-major exactly when n >= 2
     drawn = sample_profiles(spec, grid, n, make_rng(n, "layout"))
     assert drawn.flags.c_contiguous == _row_major(n, m)
-    blocks = spectral.profile_blocks
+    sample = spectral.sample_profiles
     found = []
     with pytest.MonkeyPatch.context() as mp:
         # the reducers read the rescale, not its accuracy: a small Monte Carlo
@@ -574,8 +580,7 @@ def test_every_block_reducer_reads_a_site_major_block_as_its_row_major_copy(kind
         maxstable._mean_field.cache_clear()
         try:
             for layout_of in (np.asfortranarray, np.ascontiguousarray):
-                mp.setattr(spectral, "profile_blocks",
-                           lambda *a, f=layout_of: ((s, f(v)) for s, v in blocks(*a)))
+                mp.setattr(spectral, "sample_profiles", lambda *a, f=layout_of: f(sample(*a)))
                 found.append(_reductions(spec, grid, w, n))
         finally:
             maxstable._mean_field.cache_clear()
