@@ -8,11 +8,13 @@ Poisson(1/eps) count and points eps/U_i, which is the restriction of the
 r^-2 dr process to (eps, inf]). The loop runs on the raw profiles, whose sup
 is omega0 exactly, so the bound is sitewise: generation stops once z * omega0
 cannot beat the running maximum at any site, after which no later point can
-raise a site, and the sampled law is unchanged. The finished maxima are then
-divided by E V(s) once, which commutes with the maximum. The maxima live in
-the result rows, and each round draws in ``spectral.row_blocks``, keeping the
-stream of a one-shot draw, so memory beyond the result is one block. A
-``PenroseConfig`` takes E V(s) from one cache, exact or Monte Carlo.
+raise a site, and the sampled law is unchanged. Each row's stopping test reads
+only that row, so at most one ``spectral.row_blocks`` block of fields is in
+flight: a field leaves the round it settles, divided by E V(s) (which commutes
+with the maximum) and reduced to what its caller reads of it, a column or a
+sup, and the next field takes its slot. Memory is one block plus what the
+caller keeps. A ``PenroseConfig`` takes E V(s) from one cache, exact or Monte
+Carlo.
 """
 from __future__ import annotations
 
@@ -28,6 +30,7 @@ from .rng import fill_rows, make_rng
 from .spectral import (
     SpectralProfileSpec,
     _bump_reaches,
+    _empty,
     exact_profile_mean,
     gaussian_bump,
     per_draw_blocks,
@@ -84,54 +87,85 @@ class PenroseConfig:
 
 def _poisson_max(
     n: int, m: int, scale: float, bound: float, draw, rng: np.random.Generator,
-    truncation: float = 0.0,
+    truncation: float = 0.0, reduce=None,
 ) -> np.ndarray:
-    """n sitewise maxima of z_i * draw(k, rng) over the points z_i =
-    scale / (cumulative standard-exponential sum) above ``truncation``,
-    as an (n, m) matrix; ``bound`` is an upper bound of every drawn profile.
-    ``draw`` must return a fresh array: the loop overwrites it in place.
-    The maxima are updated in place in the result rows; each round draws the
-    live rows in ``row_blocks``, one block at a time."""
+    """What ``reduce(rows)`` keeps of n sitewise maxima of z_i * draw(k, rng) over
+    the points z_i = scale / (cumulative standard-exponential sum) above
+    ``truncation``, at each field's index (no ``reduce``: the (n, m) maxima);
+    ``bound`` bounds every profile, and ``draw`` returns a fresh array, which the
+    loop overwrites. At most one ``row_blocks`` block of fields is in flight. A
+    field leaves the round its point falls to ``truncation`` (before the draw) or
+    its maxima settle; ``reduce`` sees the leaving rows, which it may overwrite,
+    and keeps one float or fixed-width row a field. The next fields take the free
+    slots in place; once too few are left, the staying rows move up in order, so up
+    to one block this is the round-major loop, bit for bit."""
     check_count(n)
-    out = np.zeros((n, m))
-    live = np.arange(n)  # result row of each row still drawing
-    gamma_sum = np.zeros(n)
-    while live.size:
-        gamma_sum += rng.standard_exponential(live.size)
-        z = scale / gamma_sum
-        keep = z > truncation
-        live, gamma_sum, z = live[keep], gamma_sum[keep], z[keep]
-        undecided = np.empty(live.size, dtype=bool)
-        for start, k in row_blocks(live.size, m):
-            idx, zk = live[start:start + k], z[start:start + k]
-            best = draw(k, rng)
-            best *= zk[:, None]
-            np.maximum(best, out[idx], out=best)
-            out[idx] = best
+    reduce = reduce or (lambda rows: rows)
+    out = np.empty((n, *reduce(np.empty((0, m))).shape[1:]))  # sized before any draw
+    cap = next(row_blocks(n, m), (0, 0))[1]  # at most n: the first cap fields fill every slot
+    # the fields in flight, their exponential sums and their maxima, in the draws' layout
+    fields, gamma_sum, maxima = np.arange(cap), np.zeros(cap), _empty(cap, m)
+    maxima[...] = 0.0
+    live = entered = cap
+
+    def leave(stay, live, queued):
+        """Store what the caller keeps of the first ``live`` rows not staying. Their
+        slots, then the empty ones, take up to ``queued`` next fields; if too few
+        come, the staying rows first move up in order. Returns the rows in flight."""
+        nonlocal entered
+        gone = np.flatnonzero(~stay)
+        k = min(gone.size + cap - live, queued)
+        if gone.size:
+            out[fields[gone]] = reduce(maxima[gone])
+        elif not k:
+            return live
+        live -= gone.size
+        if k < gone.size:
+            kept = np.flatnonzero(stay)
+            fields[:live], gamma_sum[:live], maxima[:live] = fields[kept], gamma_sum[kept], maxima[kept]
+            gone = np.arange(live, live + gone.size)
+        slots = np.concatenate((gone, np.arange(live + gone.size, cap)))[:k]
+        fields[slots], gamma_sum[slots], maxima[slots] = np.arange(entered, entered + k), 0.0, 0.0
+        entered += k
+        return live + k
+
+    while live:
+        gamma_sum[:live] += rng.standard_exponential(live)
+        z = scale / gamma_sum[:live]
+        stay = z > truncation
+        live, z = leave(stay, live, 0), z[stay]  # before the draw, so no field enters
+        if live:
+            best = draw(live, rng)
+            best *= z[:, None]
+            np.maximum(maxima[:live], best, out=maxima[:live])
             # points only get smaller; once z * bound cannot beat the current
             # minimum over sites, no later point can change any site
-            undecided[start:start + k] = zk * bound > best.min(axis=1)
-        live, gamma_sum = live[undecided], gamma_sum[undecided]
+            live = leave(z * bound > maxima[:live].min(axis=1), live, n - entered)
     return out
 
 
 def sample_max_stable_batch(
-    cfg: PenroseConfig, n: int, rng: np.random.Generator
+    cfg: PenroseConfig, n: int, rng: np.random.Generator, reduce=None
 ) -> np.ndarray:
-    """n independent simple max-stable fields as an (n, n_sites) matrix: the
-    Poisson maximum of raw profiles, bounded by omega0 = sup V, divided by
-    the mean field once at the end."""
-    eta = _poisson_max(
+    """n independent simple max-stable fields as an (n, n_sites) matrix, or
+    what ``reduce(eta)`` keeps of each block of finished fields: the Poisson
+    maximum of raw profiles, bounded by omega0 = sup V, divided by the mean
+    field as each field finishes."""
+    def finished(eta):
+        np.divide(eta, cfg.mean_field, out=eta)
+        return eta if reduce is None else reduce(eta)
+
+    return _poisson_max(
         n, cfg.grid.n_sites, 1.0, cfg.spec.omega0,
-        lambda k, rng: sample_profiles(cfg.spec, cfg.grid, k, rng), rng, cfg.truncation,
+        lambda k, rng: sample_profiles(cfg.spec, cfg.grid, k, rng), rng, cfg.truncation, finished,
     )
-    return np.divide(eta, cfg.mean_field, out=eta)
 
 
 def sample_max_stable(cfg: PenroseConfig, rng: np.random.Generator) -> Field:
     """One simple max-stable field (standard Frechet marginals up to the
     documented rescale and truncation bias)."""
-    return Field(cfg.grid, sample_max_stable_batch(cfg, 1, rng)[0])
+    (eta,) = sample_max_stable_batch(cfg, 1, rng)
+    return Field(cfg.grid, eta)
 
 
 def findim_evd(
@@ -174,8 +208,8 @@ def mmax_self_similarity_pvalue(
     componentwise maximum of m independent copies divided by m (equal in law
     for simple max-stable)."""
     site = cfg.grid.n_sites // 2
-    one = sample_max_stable_batch(cfg, n, rng)[:, site]
-    many = sample_max_stable_batch(cfg, m * n, rng)[:, site].reshape(n, m)
+    one = sample_max_stable_batch(cfg, n, rng, lambda eta: eta[:, site])
+    many = sample_max_stable_batch(cfg, m * n, rng, lambda eta: eta[:, site]).reshape(n, m)
     scaled_max = many.max(axis=1) / m
     return two_sample_ks_pvalue(one, scaled_max)
 
@@ -186,8 +220,9 @@ def construction_checks(cfg: PenroseConfig, n: int, seed: int) -> list[Check]:
     m = 4 self-similarity p-value (stream ``maxstable_mmax``, above 0.01)."""
     check_count(n, "n", 1)
     site = cfg.grid.n_sites // 2
-    eta = sample_max_stable_batch(cfg, n, make_rng(seed, "maxstable_marginal"))
-    stat = ks_statistic(eta[:, site], standard_frechet_cdf)
+    at_site = sample_max_stable_batch(cfg, n, make_rng(seed, "maxstable_marginal"),
+                                      lambda eta: eta[:, site])
+    stat = ks_statistic(at_site, standard_frechet_cdf)
     crit = ks_critical_value(n, alpha=0.01)
     pval = mmax_self_similarity_pvalue(cfg, 4, n, make_rng(seed, "maxstable_mmax"))
     return [
@@ -218,7 +253,7 @@ def sample_moving_maximum_batch(grid: Grid, n: int, rng: np.random.Generator) ->
 
     def kernels(k, rng):
         centers = lo + width * rng.random(k)
-        phi = gaussian_bump(grid.sites, centers[:, None], 1.0)
+        phi = gaussian_bump(grid.sites, centers[:, None], 1.0, _empty(k, grid.n_sites))
         return np.divide(phi, np.sqrt(2.0 * np.pi), out=phi)
 
     return _poisson_max(n, grid.n_sites, width, phi_max, kernels, rng)
@@ -281,7 +316,7 @@ def doa_empirical_check(
         # T_t X = (V / E V) y / t for gamma = 1, whose sup is sup(V / E V) y / t
         radius, at_site = sup * y / t, at * y / t
     else:
-        sup = sample_max_stable_batch(cfg, n_rep, rng).max(axis=1)
+        sup = sample_max_stable_batch(cfg, n_rep, rng, lambda eta: eta.max(axis=1))
         b_t = -1.0 / np.log1p(-1.0 / t)
         b_2t = -1.0 / np.log1p(-1.0 / (2.0 * t))
         # eta -> 1 + (eta - b_t) / a_t, floored at 0, is nondecreasing, so it commutes with the sup

@@ -82,6 +82,12 @@ def recombine(y: float, v: Field) -> Field:
     return Field(v.grid, y * v.values)
 
 
+def _check_level(r: float, n: int) -> None:
+    if not 1 < r < np.inf:
+        raise ValueError("r must be > 1 and finite")
+    check_count(n)
+
+
 def pot_conditional_batch(
     spec: SpectralProfileSpec,
     grid: Grid,
@@ -93,30 +99,39 @@ def pot_conditional_batch(
     """n draws of W conditional on sup W > r * omega0, as raw arrays.
 
     ``stability`` multiplies unconditional radii by r (peaks-over-threshold
-    invariance makes this exact); ``rejection`` samples unconditionally and
-    keeps the exceedances of each profile block. Both are exposed so the
-    equality of the two conditional laws can be tested rather than assumed.
+    invariance makes this exact); ``rejection`` is ``pot_rejection_blocks``
+    keeping whole profiles. Both are exposed so the equality of the two
+    conditional laws can be tested rather than assumed.
     """
-    if not 1 < r < np.inf:
-        raise ValueError("r must be > 1 and finite")
-    check_count(n)
-    if method == STABILITY:
-        y = r * sample_radii(n, rng)
-        v = sample_profiles(spec, grid, n, rng)
-    elif method == REJECTION:
-
-        def draw(size):
-            y = sample_radii(size, rng)
-            keep = y > r
-            return y[keep], np.concatenate([sample_profiles(spec, grid, k, rng)[keep[s:s + k]]
-                                            for s, k in row_blocks(size, grid.n_sites)])
-
-        # r is the acceptance odds; oversample to keep the loop short
-        y, v = (fill_rows(n, lambda remaining: max(1024, int(1.2 * remaining * r)), draw)
-                if n else (np.empty(0), np.empty((0, grid.n_sites))))
-    else:
+    if method == REJECTION:
+        y, v = pot_rejection_blocks(spec, grid, r, n, rng, lambda v: v)
+        return y, v, y[:, None] * v
+    _check_level(r, n)
+    if method != STABILITY:
         raise ValueError(f"unknown method {method!r}")
+    y = r * sample_radii(n, rng)
+    v = sample_profiles(spec, grid, n, rng)
     return y, v, y[:, None] * v
+
+
+def pot_rejection_blocks(spec: SpectralProfileSpec, grid: Grid, r: float, n: int,
+                         rng: np.random.Generator, per_draw) -> tuple[np.ndarray, np.ndarray]:
+    """Radii of n draws of W conditional on sup W > r * omega0 by rejection, and
+    what ``per_draw(v)`` keeps of their profiles: unconditional candidates, radii
+    first, each profile block reduced (one float or fixed-width row a draw) before
+    its exceedances are kept."""
+    _check_level(r, n)
+
+    def draw(size):
+        y = sample_radii(size, rng)
+        keep = y > r
+        return y[keep], np.concatenate([per_draw(sample_profiles(spec, grid, k, rng))[keep[s:s + k]]
+                                        for s, k in row_blocks(size, grid.n_sites)])
+
+    if not n:
+        return np.empty(0), per_draw(np.empty((0, grid.n_sites)))
+    # r is the acceptance odds; oversample to keep the loop short
+    return fill_rows(n, lambda remaining: max(1024, int(1.2 * remaining * r)), draw)
 
 
 def pot_conditional_sample(

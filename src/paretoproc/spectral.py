@@ -103,7 +103,11 @@ def _bump_exponent(sites: np.ndarray, centers: np.ndarray, h: float,
     """-|s - c|^2 / 2h^2 for every center c (rows) and site s (columns),
     built in one (n, m) buffer (``out`` if given): axis squares are added in
     axis order, the same sums as ``np.sum(diff * diff, -1)``. The two point
-    sets are interchangeable: swapped, the result is the transpose, bit for bit."""
+    sets are interchangeable: swapped, the result is the transpose, bit for bit,
+    so a site-major ``out`` is built as its transpose."""
+    if out is not None and not out.flags.c_contiguous:
+        _bump_exponent(centers, sites, h, out.T)
+        return out
     out = np.subtract(sites[:, 0], centers[:, :1], out=out)
     out *= out
     for a in range(1, sites.shape[1]):
@@ -115,10 +119,12 @@ def _bump_exponent(sites: np.ndarray, centers: np.ndarray, h: float,
     return out
 
 
-def gaussian_bump(sites: np.ndarray, centers: np.ndarray, h: float) -> np.ndarray:
+def gaussian_bump(sites: np.ndarray, centers: np.ndarray, h: float,
+                  out: np.ndarray | None = None) -> np.ndarray:
     """exp(-|s - c|^2 / 2h^2) as an (n, m) matrix for (m, d) sites and (n, d)
-    centers; the exponent and its exp share one buffer, which is returned."""
-    out = _bump_exponent(sites, centers, h)
+    centers; the exponent and its exp share one buffer (``out`` if given, in
+    either layout), which is returned."""
+    out = _bump_exponent(sites, centers, h, out)
     return np.exp(out, out=out)
 
 
@@ -214,9 +220,7 @@ def sample_profiles(
     if spec.kind == GAUSSIAN_MOVING_MAX:
         lo, span = setup
         centers = lo + rng.random((n, grid.dim)) * span
-        # the exponent is built in z, its argument order set by z's layout
-        a, b, out = (grid.sites, centers, z) if z.flags.c_contiguous else (centers, grid.sites, z.T)
-        _bump_exponent(a, b, spec.bandwidth, out)
+        _bump_exponent(grid.sites, centers, spec.bandwidth, z)
     else:
         # rescaled_positive_field: the covariance is the Kronecker product of the
         # per-axis covariances on a tensor grid, so one normal per rank-product cell

@@ -241,9 +241,14 @@ def stability_norming(p: GpParams, r: float) -> tuple[Field, Field]:
 
 # ---------------------------------------------------------------------------
 # JSON serialization of GpParams and NormingFunctions: one key per dataclass
-# field in field order, each Field as its array indexed by site.
+# field in field order, each Field as its array indexed by site and a numpy
+# scalar as the Python number it holds.
 # ---------------------------------------------------------------------------
 
 def record_to_json(rec: GpParams | NormingFunctions) -> str:
-    items = ((f.name, getattr(rec, f.name)) for f in fields(rec))
-    return json.dumps({k: v.values.tolist() if isinstance(v, Field) else v for k, v in items})
+    def plain(v):
+        if isinstance(v, Field):
+            return v.values.tolist()
+        return v.item() if isinstance(v, np.generic) else v
+
+    return json.dumps({f.name: plain(getattr(rec, f.name)) for f in fields(rec)})

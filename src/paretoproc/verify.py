@@ -25,7 +25,7 @@ from .gof import (
 from .grid import Field, Grid
 from .lifting import FieldSample, estimate_norming, lift, run_storm_scenario
 from .maxstable import PenroseConfig, construction_checks, findim_evd, sample_max_stable_batch
-from .pareto import per_field_blocks, pot_conditional_batch, sample_radii, sample_simple_pareto_batch
+from .pareto import per_field_blocks, pot_rejection_blocks, sample_radii, sample_simple_pareto_batch
 from .rng import fill_rows, make_rng
 from .spectral import (
     BERNOULLI_PAIR,
@@ -101,10 +101,11 @@ def check_pot_stability(quick: bool = False) -> tuple[str, list[Check]]:
     pvals = []
     for r in (2.0, 5.0):
         rng = make_rng(SEED, f"pot_stability_r{r:g}")
-        _, v_rej, _ = pot_conditional_batch(spec, grid, r, n, rng, method="rejection")
-        sample_radii(n, rng)  # the stability arm's stream: radii, then profiles, one column kept
+        # both arms keep one column of their profiles
+        _, v_rej = pot_rejection_blocks(spec, grid, r, n, rng, lambda v: v[:, site])
+        sample_radii(n, rng)  # the stability arm's stream: radii, then profiles
         v_stab = per_draw_blocks(spec, grid, n, rng, lambda _, v: v[:, site])
-        pvals.append(two_sample_ks_pvalue(v_rej[:, site], v_stab))
+        pvals.append(two_sample_ks_pvalue(v_rej, v_stab))
     return "pot_stability", [Check("min_ks_p", min(pvals), 0.01, min(pvals) > 0.01)]
 
 
@@ -207,7 +208,7 @@ def check_max_stable(quick: bool = False) -> tuple[str, list[Check]]:
     points = [(1.0, 1.0, 1.0), (2.0, 1.5, 1.2), (0.8, 1.5, 1.0)]
     rng = make_rng(SEED, "maxstable_findim")
     n_emp = 2 * n
-    eta_fd = sample_max_stable_batch(cfg, n_emp, rng)[:, sites]
+    eta_fd = sample_max_stable_batch(cfg, n_emp, rng, lambda eta: eta[:, sites])
     worst_z = 0.0
     for x in points:
         est, se = findim_evd(cfg, x, sites, n_mc=20 * n, rng=rng, return_se=True)

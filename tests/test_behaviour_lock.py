@@ -98,8 +98,11 @@ EXPECTED = {
         "stdout": "43b4db72b76086e09e1f4081dca0aaaf7880888daa400e7c9af5ed5c743dc07b",
     },
     "maxstable-check-101": {
-        "maxstable_report.json": "854a2f357c8adf755ec263f36f5aa28f4c60670b5a772d16bdb15e2672a32fa8",
-        "stdout": "514224a0ec0784f30eee6e9fdb90c7f2051855ec8ec4aa1c86fddc92de1f4309",
+        # re-pinned when the Poisson-max loop came to hold one 648-field block in
+        # flight and refill it: the 1,200 m-max fields and the 2,000 max-stable DOA
+        # fields take a new stream; the 300 marginal fields are one block and stay
+        "maxstable_report.json": "c76f2b63f50b75665a30aab38105ee7104583d5fd1be785d811e5d72943df9b2",
+        "stdout": "61b44addacc9ca41921328f495fc0ad38cb8a993b74cb58a87eb25507365c2c6",
     },
     "maxstable-check-rescaled": {
         "maxstable_report.json": "a96259376aaf2933239388684e5736e700b85206aa2a83db4fd6d2c4ccd60ea3",

@@ -12,6 +12,7 @@ from paretoproc.pareto import (
     per_field_blocks,
     pot_conditional_batch,
     pot_conditional_sample,
+    pot_rejection_blocks,
     recombine,
     sample_radii,
     sample_simple_pareto,
@@ -278,6 +279,18 @@ def test_rejection_arm_matches_the_whole_batch_draw_bitwise(kind, sites, r, n, s
         assert np.array_equal(a, b)
     assert blocked.random() == whole.random()
     assert len(rounds) == n_rounds
+
+
+@pytest.mark.parametrize("n", [0, 3_000])
+def test_rejection_blocks_keep_what_the_reducer_keeps_of_the_whole_profiles(n):
+    # the middle-site column of each block, kept before its exceedances are selected
+    spec, grid = SpectralProfileSpec("gaussian_moving_max"), Grid.regular(101)
+    reduced, whole = make_rng(3, "pot_column"), make_rng(3, "pot_column")
+    y, column = pot_rejection_blocks(spec, grid, 2.0, n, reduced, lambda v: v[:, 50])
+    y_whole, v, _ = pot_conditional_batch(spec, grid, 2.0, n, whole, "rejection")
+    assert np.array_equal(y, y_whole) and np.array_equal(column, v[:, 50])
+    assert column.shape == (n,)
+    assert reduced.random() == whole.random()
 
 
 def test_rejection_arm_peak_memory_is_under_three_results():

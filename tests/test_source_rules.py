@@ -9,6 +9,9 @@ kind and the lazy ``scipy`` import, read from the package's syntax trees.
 * ``scipy`` is imported only inside ``gof``'s two KS functions.
 * Caches are bounded: every ``functools.lru_cache`` gives an integer ``maxsize``,
   and ``functools.cache`` decorates only functions with no arguments.
+* No result of ``sample_max_stable_batch`` or ``_poisson_max`` is subscripted or
+  sliced: a caller that keeps part of each field passes a reducer, so the (n, m)
+  maxima are never held for a column or a sup.
 """
 import ast
 from pathlib import Path
@@ -129,3 +132,43 @@ def test_functools_cache_decorates_only_functions_without_arguments():
     for where, _, fn in found:
         a = fn.args
         assert not (a.posonlyargs or a.args or a.vararg or a.kwonlyargs or a.kwarg), where
+
+
+POISSON_MAX = {"sample_max_stable_batch", "_poisson_max"}
+
+
+def _poisson_max_call(node):
+    return isinstance(node, ast.Call) and (
+        isinstance(node.func, ast.Name) and node.func.id in POISSON_MAX
+        or isinstance(node.func, ast.Attribute) and node.func.attr in POISSON_MAX)
+
+
+def _poisson_max_subscripts(tree, stem):
+    """``module.function:line`` of every subscript or slice, in ``tree``'s functions,
+    of a Poisson-max call or of a name assigned one in the same function."""
+    found = set()
+    for fn in ast.walk(tree):
+        if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        held = {t.id for node in ast.walk(fn) if isinstance(node, ast.Assign)
+                and _poisson_max_call(node.value) for t in node.targets if isinstance(t, ast.Name)}
+        found |= {f"{stem}.{fn.name}:{node.lineno}" for node in ast.walk(fn)
+                  if isinstance(node, ast.Subscript) and (
+                      _poisson_max_call(node.value)
+                      or isinstance(node.value, ast.Name) and node.value.id in held)}
+    return found
+
+
+def test_the_poisson_max_rule_sees_a_subscripted_call_and_a_subscripted_name():
+    code = ("def f(cfg, rng, draw):\n"
+            "    eta = sample_max_stable_batch(cfg, 9, rng)\n"
+            "    first = maxstable._poisson_max(9, 2, 1.0, 1.0, draw, rng)[0]\n"
+            "    return eta[:, 4], first, sample_max_stable_batch(cfg, 9, rng, lambda e: e[:, 4])\n")
+    assert _poisson_max_subscripts(ast.parse(code), "m") == {"m.f:3", "m.f:4"}
+
+
+def test_no_poisson_max_result_is_subscripted_or_sliced():
+    found = set()
+    for path in sorted(PACKAGE.glob("*.py")):
+        found |= _poisson_max_subscripts(ast.parse(path.read_text(), str(path)), path.stem)
+    assert found == set()

@@ -270,6 +270,10 @@ def test_gaussian_bump_matches_summed_squares_bitwise(dim, h):
     diff = sites[None, :, :] - centers[:, None, :]
     reference = np.exp(-0.5 * np.sum(diff * diff, axis=-1) / h**2)
     assert np.array_equal(gaussian_bump(sites, centers, h), reference)
+    # a site-major buffer is filled with the same bits
+    site_major = np.empty((37, 500)).T
+    assert gaussian_bump(sites, centers, h, site_major) is site_major
+    assert np.array_equal(site_major, reference)
 
 
 def test_gaussian_bump_profiles_allocate_little_beyond_output():

@@ -16,6 +16,7 @@ from paretoproc.transforms import (
     inv_power_transform_values,
     invert_T,
     power_transform_values,
+    record_to_json,
     stability_norming,
     to_generalized,
 )
@@ -207,3 +208,15 @@ def test_generalized_homogeneity_of_threshold_events():
         p_ra = (w[:, site] > r * c).mean()
         se_ra = np.sqrt(p_ra * (1 - p_ra) / n)
         assert abs(r * p_ra - p_a) <= 3.0 * np.hypot(r * se_ra, se_a)
+
+
+@pytest.mark.parametrize("numpy_record, python_record", [
+    pytest.param(lambda g: NormingFunctions.constant(g, 0.3, 1.0, 0.0, np.float32(2.0)),
+                 lambda g: NormingFunctions.constant(g, 0.3, 1.0, 0.0, 2.0), id="norming_t"),
+    pytest.param(lambda g: GpParams.constant(g, 0.0, 1.0, 0.5, np.float32(1.5)),
+                 lambda g: GpParams.constant(g, 0.0, 1.0, 0.5, 1.5), id="gp_omega0"),
+])
+def test_a_numpy_scalar_field_serializes_as_its_python_number(grid2, numpy_record, python_record):
+    # a numpy float scalar was accepted, then raised TypeError in json.dumps
+    # 2.0 and 1.5 are exact in float32, so both records write the same bytes
+    assert record_to_json(numpy_record(grid2)) == record_to_json(python_record(grid2))

@@ -58,10 +58,10 @@ def test_formula_vs_empirical_fails_on_squared_direct_radii(monkeypatch):
 
 def test_max_stable_findim_fails_on_doubled_fields(monkeypatch):
     # the empirical arm draws 2 * eta, Frechet with scale 2: P(2 eta <= x) is
-    # the formula at x / 2
+    # the formula at x / 2; it keeps three columns a field through its reducer
     sample = verify.sample_max_stable_batch
     monkeypatch.setattr(verify, "sample_max_stable_batch",
-                        lambda cfg, n, rng: 2.0 * sample(cfg, n, rng))
+                        lambda cfg, n, rng, reduce: 2.0 * sample(cfg, n, rng, reduce))
     gate = _failing_gate(verify.check_max_stable, "findim_worst_z")
     assert gate.statistic > gate.threshold
 
