@@ -94,11 +94,14 @@ def _poisson_max(
     ``truncation``, at each field's index (no ``reduce``: the (n, m) maxima);
     ``bound`` bounds every profile, and ``draw`` returns a fresh array, which the
     loop overwrites. At most one ``row_blocks`` block of fields is in flight. A
-    field leaves the round its point falls to ``truncation`` (before the draw) or
-    its maxima settle; ``reduce`` sees the leaving rows, which it may overwrite,
-    and keeps one float or fixed-width row a field. The next fields take the free
-    slots in place; once too few are left, the staying rows move up in order, so up
-    to one block this is the round-major loop, bit for bit."""
+    field leaves the round its point falls to ``truncation`` or its maxima settle;
+    ``reduce`` sees the leaving rows, which it may overwrite, and keeps one float or
+    fixed-width row a field. Rows that fall to the truncation leave before the draw
+    and the staying rows move up in order, so that round draws fewer rows. Rows
+    that settle leave after the draw: the next fields take their slots in place,
+    then the empty ones, and once too few are left the staying rows move up in
+    order instead. A round that leaves no row in flight still refills. Up to one
+    block this is the round-major loop, bit for bit."""
     check_count(n)
     reduce = reduce or (lambda rows: rows)
     out = np.empty((n, *reduce(np.empty((0, m))).shape[1:]))  # sized before any draw
@@ -140,7 +143,10 @@ def _poisson_max(
             np.maximum(maxima[:live], best, out=maxima[:live])
             # points only get smaller; once z * bound cannot beat the current
             # minimum over sites, no later point can change any site
-            live = leave(z * bound > maxima[:live].min(axis=1), live, n - entered)
+            stay = z * bound > maxima[:live].min(axis=1)
+        else:  # the truncation emptied the block: the queue still fills the free slots
+            stay = stay[:0]
+        live = leave(stay, live, n - entered)
     return out
 
 

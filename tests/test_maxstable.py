@@ -1,3 +1,4 @@
+import itertools
 import tracemalloc
 
 import numpy as np
@@ -125,6 +126,82 @@ def test_one_block_of_moving_maxima_is_the_round_major_loop_bitwise(monkeypatch)
     refill = sample_moving_maximum_batch(grid, n, make_rng(16, "compact"))
     monkeypatch.setattr(maxstable, "_poisson_max", _uncompacted_poisson_max)
     assert np.array_equal(refill, sample_moving_maximum_batch(grid, n, make_rng(16, "compact")))
+
+
+def _refill_poisson_max(n, m, scale, bound, draw, rng, truncation, cap):
+    """The refill loop written field by field, a list of at most ``cap`` fields in
+    flight in slot order. Rows whose point falls to ``truncation`` leave before the
+    draw and the rest close up. After the draw the settled rows leave; if the queue
+    fills them all, the next fields take their places, then join at the end, else
+    the staying rows close up and the next fields follow. Each field is stored once."""
+    out = np.full((n, m), np.nan)
+    queue = iter(range(n))
+    flight = [(f, 0.0, np.zeros(m)) for f in itertools.islice(queue, cap)]
+
+    def store(rows):
+        for f, _, top in rows:
+            assert np.isnan(out[f]).all(), f"field {f} stored twice"
+            out[f] = top
+
+    while flight:
+        sums = rng.standard_exponential(len(flight))
+        flight = [(f, g + e, top) for (f, g, top), e in zip(flight, sums)]
+        store([row for row in flight if not scale / row[1] > truncation])
+        flight = [row for row in flight if scale / row[1] > truncation]
+        settled = []
+        if flight:
+            best = draw(len(flight), rng)
+            flight = [(f, g, np.maximum(top, scale / g * b))
+                      for (f, g, top), b in zip(flight, best)]
+            settled = [not scale / g * bound > top.min() for f, g, top in flight]
+        store([row for row, done in zip(flight, settled) if done])
+        fresh = [(f, 0.0, np.zeros(m))
+                 for f in itertools.islice(queue, sum(settled) + cap - len(flight))]
+        if len(fresh) >= sum(settled):
+            refill = iter(fresh)
+            flight = [next(refill) if done else row for row, done in zip(flight, settled)]
+            flight += list(refill)
+        else:
+            flight = [row for row, done in zip(flight, settled) if not done] + fresh
+    return out
+
+
+@settings(derandomize=True, max_examples=40, deadline=None)
+@given(m=st.integers(spectral.BLOCK_CELLS // 4, spectral.BLOCK_CELLS // 2)
+       | st.integers(spectral.BLOCK_CELLS // 40, spectral.BLOCK_CELLS // 4) | st.integers(100, 150),
+       truncation=st.sampled_from([0.0, 0.5]), moving_max=st.booleans(), data=st.data())
+def test_refill_loop_matches_a_field_by_field_reference(m, truncation, moving_max, data):
+    # above one block of fields; from 16,384 sites a block is 2 to 4 fields, so at
+    # truncation 0.5 every row in flight often leaves before the draw
+    cap = max(2, spectral.BLOCK_CELLS // m)
+    n = data.draw(st.integers(cap + 2, max(3 * cap, 64))
+                  | st.sampled_from([cap + 2, 2 * cap + 1]), label="n")
+    draw = _uniform_or_bump(m, moving_max)
+    refill, reference = make_rng(m, "field_by_field"), make_rng(m, "field_by_field")
+    expected = _refill_poisson_max(n, m, 1.0, 1.0, draw, reference, truncation, cap)
+    assert np.array_equal(maxstable._poisson_max(n, m, 1.0, 1.0, draw, refill, truncation),
+                          expected)
+    assert refill.random() == reference.random()
+
+
+def test_a_block_the_truncation_empties_still_refills():
+    # at 40,000 sites a block is two fields, and a fresh row falls to 0.5 in round
+    # one with probability e^-2: both rows in flight leave before the draw, often
+    n, m = 1_000, 40_000
+    seen = []
+
+    def count(rows):
+        seen.append(len(rows))
+        return rows.max(axis=1)
+
+    rng = make_rng(0, "emptied_block")
+    got = maxstable._poisson_max(n, m, 1.0, 1.0, lambda k, rng: np.ones((k, m)), rng, 0.5, count)
+    assert sum(seen) == n
+    # a row of ones settles at its first point, or falls to the truncation at maxima 0
+    expected = _refill_poisson_max(n, 1, 1.0, 1.0, lambda k, rng: np.ones((k, 1)),
+                                   make_rng(0, "emptied_block"), 0.5, 2)
+    assert np.array_equal(got, expected[:, 0])
+    assert (got == 0.0).any()
 
 
 REDUCERS = {
