@@ -114,8 +114,7 @@ def _bump_exponent(sites: np.ndarray, centers: np.ndarray, h: float,
         sq = np.subtract(sites[:, a], centers[:, a:a + 1])
         sq *= sq
         out += sq
-    out *= -0.5
-    out /= h**2
+    out /= -2.0 * h**2
     return out
 
 
