@@ -5,16 +5,16 @@ over the points Z_i of a Poisson process on (0, inf] with mean measure r^-2 dr
 and i.i.d. profiles V_i. Points are produced in decreasing order as
 reciprocals of cumulative standard-exponential sums (same law as drawing a
 Poisson(1/eps) count and points eps/U_i, which is the restriction of the
-r^-2 dr process to (eps, inf]). The loop runs on the raw profiles, whose sup
-is omega0 exactly, so the bound is sitewise: generation stops once z * omega0
-cannot beat the running maximum at any site, after which no later point can
-raise a site, and the sampled law is unchanged. Each row's stopping test reads
-only that row, so at most one ``spectral.row_blocks`` block of fields is in
-flight: a field leaves the round it settles, divided by E V(s) (which commutes
-with the maximum) and reduced to what its caller reads of it, a column or a
-sup, and the next field takes its slot. Memory is one block plus what the
-caller keeps. A ``PenroseConfig`` takes E V(s) from one cache, exact or Monte
-Carlo.
+r^-2 dr process to (eps, inf]). The loop settles only what its caller reads: a
+reducer that commutes with the sitewise maximum and with positive scaling (a column,
+some columns, the sup) maps each drawn block of V / E V, and the row omega0 / E V to
+the bound of each kept column. Generation stops once z times that bound beats no
+kept column's running maximum, after which no later point can raise a kept value,
+so the sampled law is unchanged; at 101 sites a middle column settles in 5 profiles
+a field, where all sites take 16. Each row's stopping test reads only that row, so at
+most one ``spectral.row_blocks`` block of fields is in flight: a field leaves the
+round it settles and the next takes its slot. Memory is one block plus what the
+caller keeps. A ``PenroseConfig`` takes E V(s) from one cache, exact or Monte Carlo.
 """
 from __future__ import annotations
 
@@ -85,41 +85,37 @@ class PenroseConfig:
         self.sup_bound = float(self.spec.omega0 / self.mean_field.min())
 
 
-def _poisson_max(
-    n: int, m: int, scale: float, bound: float, draw, rng: np.random.Generator,
-    truncation: float = 0.0, reduce=None,
-) -> np.ndarray:
-    """What ``reduce(rows)`` keeps of n sitewise maxima of z_i * draw(k, rng) over
-    the points z_i = scale / (cumulative standard-exponential sum) above
-    ``truncation``, at each field's index (no ``reduce``: the (n, m) maxima);
-    ``bound`` bounds every profile, and ``draw`` returns a fresh array, which the
-    loop overwrites. At most one ``row_blocks`` block of fields is in flight. A
-    field leaves the round its point falls to ``truncation`` or its maxima settle;
-    ``reduce`` sees the leaving rows, which it may overwrite, and keeps one float or
-    fixed-width row a field. Rows that fall to the truncation leave before the draw
-    and the staying rows move up in order, so that round draws fewer rows. Rows
-    that settle leave after the draw: the next fields take their slots in place,
-    then the empty ones, and once too few are left the staying rows move up in
-    order instead. A round that leaves no row in flight still refills. Up to one
-    block this is the round-major loop, bit for bit."""
+def _poisson_max(n: int, m: int, scale: float, bound, draw, rng: np.random.Generator,
+                 truncation: float = 0.0) -> np.ndarray:
+    """n maxima, an (n, c) array, of z_i * draw(k, rng) over the points z_i = scale /
+    (cumulative standard-exponential sum) above ``truncation``, at each field's index.
+    ``draw`` returns a fresh (k, c) array from k profiles on m sites, which the loop
+    overwrites. ``bound`` holds the bound of each kept column, c floats, or is one float
+    that bounds all c = m columns. At most one ``row_blocks`` block of fields on m sites
+    is in flight. A field leaves the round its point falls to ``truncation`` or z * bound
+    can beat its maxima in no column. Rows that fall to the truncation leave before the
+    draw and the staying rows move up in order, so that round draws fewer rows. Rows
+    that settle leave after the draw: the next fields take their slots in place, then
+    the empty ones, and once too few are left the staying rows move up in order
+    instead. A round that leaves no row in flight still refills. Up to one block this
+    is the round-major loop, bit for bit."""
     check_count(n)
-    reduce = reduce or (lambda rows: rows)
-    out = np.empty((n, *reduce(np.empty((0, m))).shape[1:]))  # sized before any draw
+    out = np.empty((n, np.size(bound) if np.ndim(bound) else m))  # sized before any draw
     cap = next(row_blocks(n, m), (0, 0))[1]  # at most n: the first cap fields fill every slot
     # the fields in flight, their exponential sums and their maxima, in the draws' layout
-    fields, gamma_sum, maxima = np.arange(cap), np.zeros(cap), _empty(cap, m)
+    fields, gamma_sum, maxima = np.arange(cap), np.zeros(cap), _empty(cap, out.shape[1])
     maxima[...] = 0.0
     live = entered = cap
 
     def leave(stay, live, queued):
-        """Store what the caller keeps of the first ``live`` rows not staying. Their
-        slots, then the empty ones, take up to ``queued`` next fields; if too few
-        come, the staying rows first move up in order. Returns the rows in flight."""
+        """Store the maxima of the first ``live`` rows not staying. Their slots, then
+        the empty ones, take up to ``queued`` next fields; if too few come, the staying
+        rows first move up in order. Returns the rows in flight."""
         nonlocal entered
         gone = np.flatnonzero(~stay)
         k = min(gone.size + cap - live, queued)
         if gone.size:
-            out[fields[gone]] = reduce(maxima[gone])
+            out[fields[gone]] = maxima[gone]
         elif not k:
             return live
         live -= gone.size
@@ -141,30 +137,31 @@ def _poisson_max(
             best = draw(live, rng)
             best *= z[:, None]
             np.maximum(maxima[:live], best, out=maxima[:live])
-            # points only get smaller; once z * bound cannot beat the current
-            # minimum over sites, no later point can change any site
-            stay = z * bound > maxima[:live].min(axis=1)
+            # points only get smaller: once z * bound beats no column's maximum, no later
+            # point can (with one bound for every column, the least column decides)
+            stay = ((np.multiply.outer(z, bound) > maxima[:live]).any(axis=1) if np.ndim(bound)
+                    else z * bound > maxima[:live].min(axis=1))
         else:  # the truncation emptied the block: the queue still fills the free slots
             stay = stay[:0]
         live = leave(stay, live, n - entered)
     return out
 
 
-def sample_max_stable_batch(
-    cfg: PenroseConfig, n: int, rng: np.random.Generator, reduce=None
-) -> np.ndarray:
-    """n independent simple max-stable fields as an (n, n_sites) matrix, or
-    what ``reduce(eta)`` keeps of each block of finished fields: the Poisson
-    maximum of raw profiles, bounded by omega0 = sup V, divided by the mean
-    field as each field finishes."""
-    def finished(eta):
-        np.divide(eta, cfg.mean_field, out=eta)
-        return eta if reduce is None else reduce(eta)
+def sample_max_stable_batch(cfg: PenroseConfig, n: int, rng: np.random.Generator,
+                            reduce=None) -> np.ndarray:
+    """n independent simple max-stable fields as an (n, n_sites) matrix, or what
+    ``reduce(eta)`` keeps of each: ``reduce`` must commute with the sitewise maximum and
+    with positive scaling, as a column selection or a sup does. It maps each drawn block
+    of V / E V, and the row omega0 / E V to the bound of each kept column."""
+    reduce = reduce or (lambda eta: eta)
+    bound = reduce((cfg.spec.omega0 / cfg.mean_field)[None, :])
 
-    return _poisson_max(
-        n, cfg.grid.n_sites, 1.0, cfg.spec.omega0,
-        lambda k, rng: sample_profiles(cfg.spec, cfg.grid, k, rng), rng, cfg.truncation, finished,
-    )
+    def draw(k, rng):
+        v = sample_profiles(cfg.spec, cfg.grid, k, rng)
+        return reduce(np.divide(v, cfg.mean_field, out=v)).reshape(k, -1)
+
+    eta = _poisson_max(n, cfg.grid.n_sites, 1.0, bound.reshape(-1), draw, rng, cfg.truncation)
+    return eta.reshape(n, *bound.shape[1:])
 
 
 def sample_max_stable(cfg: PenroseConfig, rng: np.random.Generator) -> Field:
@@ -213,6 +210,8 @@ def mmax_self_similarity_pvalue(
     """Two-sample KS p-value between eta(s) at the middle site and the
     componentwise maximum of m independent copies divided by m (equal in law
     for simple max-stable)."""
+    check_count(m, "m", 1)
+    check_count(n, "n", 1)
     site = cfg.grid.n_sites // 2
     one = sample_max_stable_batch(cfg, n, rng, lambda eta: eta[:, site])
     many = sample_max_stable_batch(cfg, m * n, rng, lambda eta: eta[:, site]).reshape(n, m)

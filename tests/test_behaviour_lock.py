@@ -92,21 +92,21 @@ EXPECTED = {
         "selected.csv": "f56e25e04e27e5248571fd7c340c494da50cb7bf9e275a0460cce612d4a8b7c7",
     },
     "maxstable-check": {
-        # re-pinned when the Poisson-max loop moved to raw profiles with the
-        # sitewise omega0 bound, which draws fewer profiles per field
-        "maxstable_report.json": "72d324beeb2843220c512604980cf47ada6210e63f27fe166909bf3238aff14c",
-        "stdout": "43b4db72b76086e09e1f4081dca0aaaf7880888daa400e7c9af5ed5c743dc07b",
+        # re-pinned when the Poisson-max loop came to stop on the columns or the sup
+        # its caller keeps: the construction and max-stable DOA fields take a new
+        # stream; the Pareto DOA arm stays
+        "maxstable_report.json": "22aff0d8030b80e1714855260d70f3fc063172d39c86bb78eb0aa70ce2002e99",
+        "stdout": "ccac436432ac1c894513424f58f21fce3b6d58659fece1ffe69eefae0872a642",
     },
     "maxstable-check-101": {
-        # re-pinned when the Poisson-max loop came to hold one 648-field block in
-        # flight and refill it: the 1,200 m-max fields and the 2,000 max-stable DOA
-        # fields take a new stream; the 300 marginal fields are one block and stay
-        "maxstable_report.json": "c76f2b63f50b75665a30aab38105ee7104583d5fd1be785d811e5d72943df9b2",
-        "stdout": "61b44addacc9ca41921328f495fc0ad38cb8a993b74cb58a87eb25507365c2c6",
+        # re-pinned with maxstable-check, for the same reason
+        "maxstable_report.json": "f624ca405fb0586768b070bf937bdd5012cf1fb73b4c6c55a60b3b3c9ba4ea06",
+        "stdout": "fde6746ef5df1e147a01d449a18dc1a6aa33bd61e81e4b859808936ac4d634b2",
     },
     "maxstable-check-rescaled": {
-        "maxstable_report.json": "a96259376aaf2933239388684e5736e700b85206aa2a83db4fd6d2c4ccd60ea3",
-        "stdout": "996ec5e007cb7aff3031f6815ecd81b27a2177ef2d3dbccf858b62d4e91d36f1",
+        # re-pinned with maxstable-check, for the same reason
+        "maxstable_report.json": "dee4b38b163888bc44c9b7dab4bd36935c5c846b1fb5886a88c3fe516c6b1b91",
+        "stdout": "b91259d714daa22b03d10547fcae86455e62499027f2e86e4362855f36a1e455",
     },
     "df-battery": {
         "battery.csv": "a5de5e8fbda0157f653baaaec1b1c92f9315a5dd9164b0f2563f9e23b7ce3792",

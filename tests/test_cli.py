@@ -462,9 +462,9 @@ def test_help_exits_zero(capsys):
 # SHA-256 of the --quick report without its "seconds" fields (json.dumps,
 # sort_keys): every statistic, threshold and verdict, the same with one or two
 # BLAS threads. A change that moves any statistic by one bit shows here. Re-pinned
-# when the Poisson-max loop came to refill one block of fields in flight, which
+# when the Poisson-max loop came to stop on the columns its caller keeps, which
 # moved the three max_stable_validation statistics and no verdict.
-QUICK_STATISTICS_SHA256 = "45569729928f4bdecf3a425287d56cb0bcb36ed03a6ec8ce6f93fdaf765641de"
+QUICK_STATISTICS_SHA256 = "360ed15b685e320000926cf5fcc6a88f88fc10f699473604289ead883a2d5def"
 
 
 def test_verify_all_quick(tmp_path):

@@ -1,5 +1,6 @@
 import itertools
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -11,7 +12,7 @@ from paretoproc.gof import (
     standard_frechet_cdf,
     two_sample_ks_pvalue,
 )
-from paretoproc import maxstable, spectral
+from paretoproc import maxstable, spectral, verify
 from paretoproc.grid import Grid
 from paretoproc.pareto import sample_radii
 from paretoproc.maxstable import (
@@ -73,11 +74,16 @@ def test_marginal_frechet_ks_with_omega0_above_one():
         assert stat < ks_critical_value(n, alpha=0.01), site
 
 
+def _kept_width(m, bound):
+    return m if np.ndim(bound) == 0 else len(bound)
+
+
 def _uncompacted_poisson_max(n, m, scale, bound, draw, rng, truncation=0.0):
     """The round-major Poisson-max loop as it was before the live rows were
     compacted: every field enters in round one, and each round gathers and
-    scatters the running maxima of every live row."""
-    out = np.zeros((n, m))
+    scatters the running maxima of every live row. A row stays while z * bound
+    beats its maximum in some column."""
+    out = np.zeros((n, _kept_width(m, bound)))
     gamma_sum = np.zeros(n)
     active = np.arange(n)
     while active.size:
@@ -91,7 +97,7 @@ def _uncompacted_poisson_max(n, m, scale, bound, draw, rng, truncation=0.0):
         best = draw(active.size, rng)
         best *= z[:, None]
         out[active] = np.maximum(out[active], best, out=best)
-        undecided = z * bound > best.min(axis=1)
+        undecided = (z[:, None] * bound > best).any(axis=1)
         active = active[undecided]
     return out
 
@@ -103,18 +109,39 @@ def _uniform_or_bump(m, moving_max):
     return lambda k, rng: rng.random((k, m))
 
 
-@settings(derandomize=True, max_examples=30, deadline=None)
+REDUCERS = {
+    "identity": lambda rows: rows,
+    "middle_column": lambda rows: rows[:, rows.shape[1] // 2],
+    "row_max": lambda rows: rows.max(axis=1),
+    "three_columns": lambda rows: rows[:, [0, rows.shape[1] // 2, -1]],
+}
+
+
+def _reduced_draw(m, moving_max, reducer):
+    """(draw, bound) of profiles on m sites, each bounded by one, times fixed column
+    weights as V / E V is, then reduced by ``reducer``; the reduced weights bound the
+    kept columns. ``reducer`` None keeps every column under the one bound 1.0."""
+    base = _uniform_or_bump(m, moving_max)
+    if reducer is None:
+        return base, 1.0
+    weights, reduce = 0.5 + np.random.default_rng(m).random(m), REDUCERS[reducer]
+    return (lambda k, rng: reduce(base(k, rng) * weights).reshape(k, -1),
+            reduce(weights[None, :]).reshape(-1))
+
+
+@settings(derandomize=True, max_examples=40, deadline=None)
 @given(m=st.integers(2, 150), truncation=st.sampled_from([0.0, 0.5]), moving_max=st.booleans(),
-       data=st.data())
-def test_one_block_of_fields_is_the_round_major_loop_bitwise(m, truncation, moving_max, data):
+       reducer=st.sampled_from([None, *sorted(REDUCERS)]), data=st.data())
+def test_one_block_of_fields_is_the_round_major_loop_bitwise(m, truncation, moving_max, reducer,
+                                                             data):
     # up to one row block, including the one-row tail that joins it, every field
     # enters in round one and the refill loop draws what the round-major loop drew
     rows = max(2, spectral.BLOCK_CELLS // m)
     n = data.draw(st.integers(1, rows + 1) | st.sampled_from([rows, rows + 1]), label="n")
-    draw = _uniform_or_bump(m, moving_max)
+    draw, bound = _reduced_draw(m, moving_max, reducer)
     refill, round_major = make_rng(m, "one_block"), make_rng(m, "one_block")
-    expected = _uncompacted_poisson_max(n, m, 1.0, 1.0, draw, round_major, truncation)
-    assert np.array_equal(maxstable._poisson_max(n, m, 1.0, 1.0, draw, refill, truncation),
+    expected = _uncompacted_poisson_max(n, m, 1.0, bound, draw, round_major, truncation)
+    assert np.array_equal(maxstable._poisson_max(n, m, 1.0, bound, draw, refill, truncation),
                           expected)
     assert refill.random() == round_major.random()
 
@@ -131,12 +158,15 @@ def test_one_block_of_moving_maxima_is_the_round_major_loop_bitwise(monkeypatch)
 def _refill_poisson_max(n, m, scale, bound, draw, rng, truncation, cap):
     """The refill loop written field by field, a list of at most ``cap`` fields in
     flight in slot order. Rows whose point falls to ``truncation`` leave before the
-    draw and the rest close up. After the draw the settled rows leave; if the queue
-    fills them all, the next fields take their places, then join at the end, else
-    the staying rows close up and the next fields follow. Each field is stored once."""
-    out = np.full((n, m), np.nan)
+    draw and the rest close up. After the draw the rows that z * bound beats in no
+    column leave; if the queue fills them all, the next fields take their places, then
+    join at the end, else the staying rows close up and the next fields follow. Each
+    field is stored once."""
+    c = _kept_width(m, bound)
+    bounds = np.broadcast_to(bound, c)
+    out = np.full((n, c), np.nan)
     queue = iter(range(n))
-    flight = [(f, 0.0, np.zeros(m)) for f in itertools.islice(queue, cap)]
+    flight = [(f, 0.0, np.zeros(c)) for f in itertools.islice(queue, cap)]
 
     def store(rows):
         for f, _, top in rows:
@@ -153,9 +183,9 @@ def _refill_poisson_max(n, m, scale, bound, draw, rng, truncation, cap):
             best = draw(len(flight), rng)
             flight = [(f, g, np.maximum(top, scale / g * b))
                       for (f, g, top), b in zip(flight, best)]
-            settled = [not scale / g * bound > top.min() for f, g, top in flight]
+            settled = [bool(np.all(scale / g * bounds <= top)) for f, g, top in flight]
         store([row for row, done in zip(flight, settled) if done])
-        fresh = [(f, 0.0, np.zeros(m))
+        fresh = [(f, 0.0, np.zeros(c))
                  for f in itertools.islice(queue, sum(settled) + cap - len(flight))]
         if len(fresh) >= sum(settled):
             refill = iter(fresh)
@@ -166,76 +196,74 @@ def _refill_poisson_max(n, m, scale, bound, draw, rng, truncation, cap):
     return out
 
 
-@settings(derandomize=True, max_examples=40, deadline=None)
+@settings(derandomize=True, max_examples=50, deadline=None)
 @given(m=st.integers(spectral.BLOCK_CELLS // 4, spectral.BLOCK_CELLS // 2)
        | st.integers(spectral.BLOCK_CELLS // 40, spectral.BLOCK_CELLS // 4) | st.integers(100, 150),
-       truncation=st.sampled_from([0.0, 0.5]), moving_max=st.booleans(), data=st.data())
-def test_refill_loop_matches_a_field_by_field_reference(m, truncation, moving_max, data):
-    # above one block of fields; from 16,384 sites a block is 2 to 4 fields, so at
-    # truncation 0.5 every row in flight often leaves before the draw
+       truncation=st.sampled_from([0.0, 0.5]), moving_max=st.booleans(),
+       reducer=st.sampled_from([None, *sorted(REDUCERS)]), data=st.data())
+def test_refill_loop_matches_a_field_by_field_reference(m, truncation, moving_max, reducer, data):
+    # two to three blocks of fields; from 16,384 sites a block is 2 to 4 fields, so at
+    # truncation 0.5 every row in flight often leaves before the draw. The kept
+    # columns have their own bounds (all m of them under the identity), or share one
     cap = max(2, spectral.BLOCK_CELLS // m)
     n = data.draw(st.integers(cap + 2, max(3 * cap, 64))
-                  | st.sampled_from([cap + 2, 2 * cap + 1]), label="n")
-    draw = _uniform_or_bump(m, moving_max)
+                  | st.sampled_from([cap + 2, 2 * cap + 1, 3 * cap]), label="n")
+    draw, bound = _reduced_draw(m, moving_max, reducer)
     refill, reference = make_rng(m, "field_by_field"), make_rng(m, "field_by_field")
-    expected = _refill_poisson_max(n, m, 1.0, 1.0, draw, reference, truncation, cap)
-    assert np.array_equal(maxstable._poisson_max(n, m, 1.0, 1.0, draw, refill, truncation),
+    expected = _refill_poisson_max(n, m, 1.0, bound, draw, reference, truncation, cap)
+    assert np.array_equal(maxstable._poisson_max(n, m, 1.0, bound, draw, refill, truncation),
                           expected)
+    assert refill.random() == reference.random()
+
+
+@pytest.mark.parametrize("reducer", [None, *sorted(REDUCERS)])
+@pytest.mark.parametrize("n", [5, 6, 40])
+@pytest.mark.parametrize("moving_max", [False, True])
+def test_two_field_blocks_at_truncation_half_match_the_field_by_field_reference(reducer, n,
+                                                                                moving_max):
+    # 30,000 sites make a block of two fields: n = 5 and 6 are up to three blocks
+    m = 30_000
+    draw, bound = _reduced_draw(m, moving_max, reducer)
+    refill, reference = make_rng(n, "two_field_blocks"), make_rng(n, "two_field_blocks")
+    expected = _refill_poisson_max(n, m, 1.0, bound, draw, reference, 0.5, 2)
+    assert np.array_equal(maxstable._poisson_max(n, m, 1.0, bound, draw, refill, 0.5), expected)
     assert refill.random() == reference.random()
 
 
 def test_a_block_the_truncation_empties_still_refills():
     # at 40,000 sites a block is two fields, and a fresh row falls to 0.5 in round
-    # one with probability e^-2: both rows in flight leave before the draw, often
+    # one with probability e^-2: both rows in flight leave before the draw, often.
+    # A row keeps one column of ones: it settles at its first point z, or falls to
+    # the truncation at maxima 0
     n, m = 1_000, 40_000
-    seen = []
-
-    def count(rows):
-        seen.append(len(rows))
-        return rows.max(axis=1)
-
-    rng = make_rng(0, "emptied_block")
-    got = maxstable._poisson_max(n, m, 1.0, 1.0, lambda k, rng: np.ones((k, m)), rng, 0.5, count)
-    assert sum(seen) == n
-    # a row of ones settles at its first point, or falls to the truncation at maxima 0
-    expected = _refill_poisson_max(n, 1, 1.0, 1.0, lambda k, rng: np.ones((k, 1)),
-                                   make_rng(0, "emptied_block"), 0.5, 2)
-    assert np.array_equal(got, expected[:, 0])
-    assert (got == 0.0).any()
+    ones = lambda k, rng: np.ones((k, 1))  # noqa: E731
+    got = maxstable._poisson_max(n, m, 1.0, np.ones(1), ones, make_rng(0, "emptied_block"), 0.5)
+    expected = _refill_poisson_max(n, m, 1.0, np.ones(1), ones, make_rng(0, "emptied_block"),
+                                   0.5, 2)
+    assert np.array_equal(got, expected)
+    assert (got == 0.0).any() and (got[got != 0.0] > 0.5).all()
 
 
-REDUCERS = {
-    "middle_column": lambda rows: rows[:, rows.shape[1] // 2],
-    "row_max": lambda rows: rows.max(axis=1),
-    "three_columns": lambda rows: rows[:, [0, rows.shape[1] // 2, -1]],
-}
+def _two_sample_pvalues(a, b):
+    return [two_sample_ks_pvalue(x, y) for x, y in zip(a.reshape(len(a), -1).T,
+                                                         b.reshape(len(b), -1).T)]
 
 
-@settings(derandomize=True, max_examples=30, deadline=None)
-@given(m=st.integers(2, 150), truncation=st.sampled_from([0.0, 0.5]), moving_max=st.booleans(),
-       reducer=st.sampled_from(sorted(REDUCERS)), data=st.data())
-def test_every_reducer_keeps_the_identity_output_reduced(m, truncation, moving_max, reducer,
-                                                         data):
-    # one to three blocks of fields in flight one after the other, refilled as they leave
-    rows = max(2, spectral.BLOCK_CELLS // m)
-    n = data.draw(st.integers(1, 3 * rows) | st.sampled_from([rows + 2, 2 * rows + 1]),
-                  label="n")
-    draw, reduce = _uniform_or_bump(m, moving_max), REDUCERS[reducer]
-    reduced, whole = make_rng(m, "reducers"), make_rng(m, "reducers")
-    got = maxstable._poisson_max(n, m, 1.0, 1.0, draw, reduced, truncation, reduce)
-    assert np.array_equal(got, reduce(maxstable._poisson_max(n, m, 1.0, 1.0, draw, whole,
-                                                             truncation)))
-    assert reduced.random() == whole.random()
-
-
-@pytest.mark.parametrize("reducer", sorted(REDUCERS))
-def test_max_stable_batch_keeps_the_identity_output_reduced(reducer):
-    # 101 sites take 648 fields a block: three blocks, the mean field divided per block
+@pytest.mark.parametrize("reducer", ["middle_column", "row_max", "three_columns"])
+def test_reduced_draws_keep_the_law_of_the_identity_columns(reducer):
+    # the reduced loop stops on the kept columns alone, so it draws another stream;
+    # what it keeps has the law of the same columns of the whole fields. 101 sites
+    # take 648 fields a block: eight blocks here
     cfg = PenroseConfig(SpectralProfileSpec("gaussian_moving_max"), Grid.regular(101))
-    n, reduce = 2 * 648 + 7, REDUCERS[reducer]
-    got = sample_max_stable_batch(cfg, n, make_rng(5, "batch_reducers"), reduce)
-    whole = sample_max_stable_batch(cfg, n, make_rng(5, "batch_reducers"))
-    assert np.array_equal(got, reduce(whole))
+    n, reduce = 5_000, REDUCERS[reducer]
+    got = sample_max_stable_batch(cfg, n, make_rng(5, "reduced_law"), reduce)
+    whole = reduce(sample_max_stable_batch(cfg, n, make_rng(6, "identity_law")))
+    assert got.shape == whole.shape
+    assert min(_two_sample_pvalues(got, whole)) > 0.01
+    if reducer == "three_columns":  # the joint df at one point, within 3 pooled SE
+        x = np.array([1.5, 1.0, 2.0])
+        p, q = np.all(got <= x, axis=1).mean(), np.all(whole <= x, axis=1).mean()
+        assert abs(p - q) <= 3.0 * np.sqrt((p * (1 - p) + q * (1 - q)) / n)
 
 
 @pytest.mark.parametrize("reduce, shape", [
@@ -243,12 +271,73 @@ def test_max_stable_batch_keeps_the_identity_output_reduced(reducer):
 ])
 def test_no_fields_is_an_empty_draw_that_moves_no_stream(reduce, shape):
     rng = make_rng(0, "no_fields")
-    got = maxstable._poisson_max(0, 7, 1.0, 1.0, lambda k, rng: rng.random((k, 7)), rng, 0.5,
-                                 reduce)
-    assert got.shape == shape
+    width = shape[1] if len(shape) > 1 else 1
+    got = maxstable._poisson_max(0, 7, 1.0, np.ones(width),
+                                 lambda k, rng: rng.random((k, width)), rng, 0.5)
+    assert got.shape == (0, width)
     assert sample_max_stable_batch(PenroseConfig(SpectralProfileSpec("constant"), Grid.regular(7)),
                                    0, rng, reduce).shape == shape
     assert rng.random() == make_rng(0, "no_fields").random()
+
+
+@pytest.fixture(scope="module")
+def package_reducers():
+    """Every reducer the package passes to ``sample_max_stable_batch``, as (reducer, sites
+    of the grid it reads) by what it keeps, caught at each caller."""
+    cfg = PenroseConfig(SpectralProfileSpec("gaussian_moving_max"), Grid.regular(21))
+    found = {}
+
+    def spy(kept):
+        def recorded(cfg, n, rng, reduce=None):
+            found.setdefault(kept, []).append((reduce, cfg.grid.n_sites))
+            return sample_max_stable_batch(cfg, n, rng, reduce)
+        return recorded
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(maxstable, "sample_max_stable_batch", spy("middle_column"))
+        construction_checks(cfg, 20, 1)
+        mp.setattr(maxstable, "sample_max_stable_batch", spy("row_max"))
+        doa_empirical_check(cfg, 50, 20, make_rng(0, "reducer_spy"), "maxstable")
+        mp.setattr(verify, "sample_max_stable_batch", spy("three_columns"))
+        mp.setattr(verify, "construction_checks", lambda cfg, n, seed: [None, None])
+        mp.setattr(verify, "findim_evd", lambda *args, **kwargs: (0.5, 0.1))
+        verify.check_max_stable(quick=True)
+    return found
+
+
+def _commutes(reduce, a, b, c):
+    """Whether ``reduce`` commutes, bit for bit, with the sitewise maximum of a and b and
+    with scaling a by c > 0."""
+    return (np.array_equal(reduce(np.maximum(a, b)), np.maximum(reduce(a), reduce(b)))
+            and np.array_equal(reduce(c * a), c * reduce(a)))
+
+
+def test_the_package_passes_a_column_three_columns_and_a_sup(package_reducers):
+    # construction_checks passes three: the marginal draw and the two m-max draws
+    widths = {kept: [np.shape(reduce(np.ones((4, m)))) for reduce, m in found]
+              for kept, found in package_reducers.items()}
+    assert widths == {"middle_column": [(4,)] * 3, "row_max": [(4,)], "three_columns": [(4, 3)]}
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(kept=st.sampled_from(["middle_column", "row_max", "three_columns"]), k=st.integers(1, 40),
+       seed=st.integers(0, 2**32 - 1),
+       c=st.floats(1e-100, 1e100) | st.sampled_from([1.0, 0.5, 3.0, 1e-300, 1e300]))
+def test_every_package_reducer_commutes_with_the_maximum_and_positive_scaling(
+        package_reducers, kept, k, seed, c):
+    for reduce, m in package_reducers[kept]:
+        rng = np.random.default_rng(seed)
+        a, b = rng.standard_exponential((2, k, m)) * rng.choice([1e-3, 1.0, 1e3], (2, k, m))
+        assert _commutes(reduce, a, b, c)
+
+
+def test_a_row_mean_is_not_a_reducer():
+    # the negative control: a mean neither commutes with the sitewise maximum nor,
+    # in floating point, with scaling
+    mean = lambda rows: rows.mean(axis=1)  # noqa: E731
+    assert not _commutes(mean, np.array([[1.0, 0.0]]), np.array([[0.0, 1.0]]), 2.0)
+    rows = np.array([[0.7, 0.2, 0.9]])  # 3 * mean(rows) rounds to 1.8, mean(3 * rows) above it
+    assert not _commutes(mean, rows, rows, 3.0)
 
 
 def test_poisson_max_peak_memory_is_the_result_and_one_block():
@@ -266,9 +355,7 @@ def test_poisson_max_peak_memory_is_the_result_and_one_block():
     assert peak <= n * cfg.grid.n_sites * 8 + (4 << 20)
 
 
-def test_sitewise_bound_draws_few_profiles_per_field(monkeypatch):
-    # the bound omega0 / min_s E V(s) drew 25.4 profiles per field here; the
-    # sitewise bound omega0 on the raw profiles draws about 16.4
+def _profiles_per_field(monkeypatch, reduce):
     cfg = PenroseConfig(SpectralProfileSpec("gaussian_moving_max"), Grid.regular(101))
     drawn, sample = [], maxstable.sample_profiles
 
@@ -278,8 +365,23 @@ def test_sitewise_bound_draws_few_profiles_per_field(monkeypatch):
 
     monkeypatch.setattr(maxstable, "sample_profiles", counted)
     n = 2_000
-    sample_max_stable_batch(cfg, n, make_rng(18, "per_field"))
-    assert sum(drawn) / n <= 18.0
+    sample_max_stable_batch(cfg, n, make_rng(18, "per_field"), reduce)
+    return sum(drawn) / n
+
+
+def test_sitewise_bound_draws_few_profiles_per_field(monkeypatch):
+    # the bound omega0 / min_s E V(s) drew 25.4 profiles per field here; the
+    # sitewise bound omega0 on the raw profiles draws about 16.4
+    assert _profiles_per_field(monkeypatch, None) <= 18.0
+
+
+@pytest.mark.parametrize("reducer, most", [("middle_column", 6.0), ("row_max", 3.5),
+                                           ("three_columns", 15.0)])
+def test_a_reduced_field_settles_on_the_columns_kept(monkeypatch, reducer, most):
+    # every site settling took 16.4 profiles a field; the middle column takes 5.0 and
+    # the sup 2.7. The end sites see half the middle's mean field, so their bound
+    # omega0 / E V is twice as high: the columns 0, 50 and 100 take 13.5
+    assert _profiles_per_field(monkeypatch, REDUCERS[reducer]) <= most
 
 
 def test_sample_max_stable_single_field(gmm_cfg):
@@ -342,6 +444,19 @@ def test_findim_matches_empirical_df(gmm_cfg):
 def test_mmax_self_similarity(gmm_cfg):
     pval = mmax_self_similarity_pvalue(gmm_cfg, m=4, n=4_000, rng=make_rng(8, "mm"))
     assert pval > 0.01
+
+
+@pytest.mark.parametrize("m, n, name", [(0, 100, "m"), (-1, 100, "m"), (2.5, 100, "m"),
+                                        (True, 100, "m"), (4, 0, "n"), (4, -3, "n")])
+def test_mmax_self_similarity_rejects_a_count_by_its_name_before_drawing(const_cfg, m, n, name):
+    # m = 0 reached numpy's empty-reduction error, m = -1 and 2.5 were blamed on n, and
+    # n = 0 reached scipy's small-sample warning
+    rng = make_rng(0, "mmax_counts")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=f"^{name} must be an integer >= 1$"):
+            mmax_self_similarity_pvalue(const_cfg, m, n, rng)
+    assert rng.random() == make_rng(0, "mmax_counts").random()  # nothing was drawn
 
 
 def test_moving_maximum_marginals_frechet():
@@ -442,10 +557,15 @@ def test_doa_pareto_report_equals_the_whole_batch_draw_bitwise(cfg_101, kind):
 
 @pytest.mark.parametrize("n_block", [2, 50])
 @pytest.mark.parametrize("kind", ["gaussian_moving_max", "rescaled_positive_field"])
-def test_doa_maxstable_report_equals_the_whole_batch_normalization_bitwise(cfg_101, kind, n_block):
+def test_doa_maxstable_report_equals_the_whole_batch_normalization_bitwise(cfg_101, kind, n_block,
+                                                                          monkeypatch):
+    # the arm normalizes each field's sup alone. With the sup read off whole fields (the
+    # reduced loop stops on the sup and draws another stream, in law the same), that is
+    # the normalization of the whole (n_rep, m) batch, then its sup
     cfg, n_rep = cfg_101[kind], 2_000
+    monkeypatch.setattr(maxstable, "sample_max_stable_batch",
+                        lambda cfg, n, rng, reduce: reduce(sample_max_stable_batch(cfg, n, rng)))
     report = doa_empirical_check(cfg, n_block, n_rep, make_rng(8, "doams101"), "maxstable")
-    # the max-stable arm as it normalized the whole (n_rep, m) batch, then took the sup
     t = float(n_block)
     normalized = sample_max_stable_batch(cfg, n_rep, make_rng(8, "doams101"))
     b_t = -1.0 / np.log1p(-1.0 / t)
