@@ -100,7 +100,7 @@ def _poisson_max(n: int, m: int, scale: float, bound, draw, rng: np.random.Gener
     instead. A round that leaves no row in flight still refills. Up to one block this
     is the round-major loop, bit for bit."""
     check_count(n)
-    out = np.empty((n, np.size(bound) if np.ndim(bound) else m))  # sized before any draw
+    out = np.empty((n, *(np.shape(bound) or (m,))))  # sized before any draw
     cap = next(row_blocks(n, m), (0, 0))[1]  # at most n: the first cap fields fill every slot
     # the fields in flight, their exponential sums and their maxima, in the draws' layout
     fields, gamma_sum, maxima = np.arange(cap), np.zeros(cap), _empty(cap, out.shape[1])
@@ -138,9 +138,8 @@ def _poisson_max(n: int, m: int, scale: float, bound, draw, rng: np.random.Gener
             best *= z[:, None]
             np.maximum(maxima[:live], best, out=maxima[:live])
             # points only get smaller: once z * bound beats no column's maximum, no later
-            # point can (with one bound for every column, the least column decides)
-            stay = ((np.multiply.outer(z, bound) > maxima[:live]).any(axis=1) if np.ndim(bound)
-                    else z * bound > maxima[:live].min(axis=1))
+            # point can
+            stay = (z[:, None] * bound > maxima[:live]).any(axis=1)
         else:  # the truncation emptied the block: the queue still fills the free slots
             stay = stay[:0]
         live = leave(stay, live, n - entered)
@@ -151,17 +150,40 @@ def sample_max_stable_batch(cfg: PenroseConfig, n: int, rng: np.random.Generator
                             reduce=None) -> np.ndarray:
     """n independent simple max-stable fields as an (n, n_sites) matrix, or what
     ``reduce(eta)`` keeps of each: ``reduce`` must commute with the sitewise maximum and
-    with positive scaling, as a column selection or a sup does. It maps each drawn block
-    of V / E V, and the row omega0 / E V to the bound of each kept column."""
-    reduce = reduce or (lambda eta: eta)
-    bound = reduce((cfg.spec.omega0 / cfg.mean_field)[None, :])
+    with positive scaling, as a column selection or a sup does, else ``ValueError``
+    before any draw. It maps each drawn block of V / E V, and the row omega0 / E V to
+    the bound of each kept column. The whole fields are the maxima of raw profiles,
+    each site bounded by omega0, divided by the mean field once they finish."""
+    m = cfg.grid.n_sites
+    if reduce is None:
+        eta = _poisson_max(n, m, 1.0, cfg.spec.omega0,
+                           lambda k, rng: sample_profiles(cfg.spec, cfg.grid, k, rng), rng,
+                           cfg.truncation)
+        return np.divide(eta, cfg.mean_field, out=eta)
+    row = cfg.spec.omega0 / cfg.mean_field
+    _check_reducer(reduce, row)
+    bound = reduce(row[None, :])
 
     def draw(k, rng):
         v = sample_profiles(cfg.spec, cfg.grid, k, rng)
         return reduce(np.divide(v, cfg.mean_field, out=v)).reshape(k, -1)
 
-    eta = _poisson_max(n, cfg.grid.n_sites, 1.0, bound.reshape(-1), draw, rng, cfg.truncation)
+    eta = _poisson_max(n, m, 1.0, bound.reshape(-1), draw, rng, cfg.truncation)
     return eta.reshape(n, *bound.shape[1:])
+
+
+def _check_reducer(reduce, row: np.ndarray) -> None:
+    """``ValueError`` unless ``reduce`` keeps one value or row per row and commutes, bit
+    for bit, with the sitewise maximum and with doubling on probes made from ``row``:
+    its even and odd sites, each with the other sites zeroed, and the reverse."""
+    even = np.arange(row.size) % 2 == 0
+    a = np.stack((np.where(even, row, 0.0), np.where(even, 0.0, row)))
+    b = 2.0 * a[::-1]
+    kept = reduce(a)
+    if (np.shape(kept)[:1] != (2,) or not np.array_equal(reduce(2.0 * a), 2.0 * kept)
+            or not np.array_equal(reduce(np.maximum(a, b)), np.maximum(kept, reduce(b)))):
+        raise ValueError("reduce must keep a value or row per field and commute with the "
+                         "sitewise maximum and positive scaling, as a column or the sup does")
 
 
 def sample_max_stable(cfg: PenroseConfig, rng: np.random.Generator) -> Field:

@@ -340,6 +340,37 @@ def test_a_row_mean_is_not_a_reducer():
     assert not _commutes(mean, rows, rows, 3.0)
 
 
+@pytest.mark.parametrize("reduce", [
+    lambda rows: rows.mean(axis=1),  # misses the maximum
+    lambda rows: rows[:, 3] ** 2,  # misses the scaling
+    lambda rows: rows.max(axis=0),  # the sup over fields, not over sites
+    lambda rows: rows[:, 3] + rows[:, 4],  # two sites summed
+])
+def test_a_reducer_that_misses_the_contract_fails_before_any_draw(reduce):
+    cfg = PenroseConfig(SpectralProfileSpec("gaussian_moving_max"), Grid.regular(9))
+    rng = make_rng(0, "bad_reducer")
+    with pytest.raises(ValueError, match="reduce"):
+        sample_max_stable_batch(cfg, 10, rng, reduce)
+    assert rng.random() == make_rng(0, "bad_reducer").random()
+
+
+@pytest.mark.parametrize("reducer", sorted(REDUCERS))
+def test_the_test_reducers_meet_the_contract(reducer):
+    cfg = PenroseConfig(SpectralProfileSpec("gaussian_moving_max"), Grid.regular(9))
+    assert len(sample_max_stable_batch(cfg, 10, make_rng(0, "good_reducer"), REDUCERS[reducer])) == 10
+
+
+def test_whole_fields_are_raw_maxima_divided_by_the_mean_field():
+    # no reducer: raw profiles under the one bound omega0, divided once as they finish
+    cfg = PenroseConfig(SpectralProfileSpec("gaussian_moving_max", omega0=2.5), Grid.regular(101))
+    n = spectral.BLOCK_CELLS // 101
+    raw = _uncompacted_poisson_max(n, 101, 1.0, 2.5,
+                                   lambda k, rng: sample_profiles(cfg.spec, cfg.grid, k, rng),
+                                   make_rng(3, "whole"), cfg.truncation)
+    assert np.array_equal(sample_max_stable_batch(cfg, n, make_rng(3, "whole")),
+                          raw / cfg.mean_field)
+
+
 def test_poisson_max_peak_memory_is_the_result_and_one_block():
     # the compacted loop held the running maxima, their compaction copies and
     # the round's draw beside the result: 62.5 MB here
