@@ -8,13 +8,15 @@ Poisson(1/eps) count and points eps/U_i, which is the restriction of the
 r^-2 dr process to (eps, inf]). The loop settles only what its caller reads: a
 reducer that commutes with the sitewise maximum and with positive scaling (a column,
 some columns, the sup) maps each drawn block of V / E V, and the row omega0 / E V to
-the bound of each kept column. Generation stops once z times that bound beats no
-kept column's running maximum, after which no later point can raise a kept value,
-so the sampled law is unchanged; at 101 sites a middle column settles in 5 profiles
-a field, where all sites take 16. Each row's stopping test reads only that row, so at
-most one ``spectral.row_blocks`` block of fields is in flight: a field leaves the
-round it settles and the next takes its slot. Memory is one block plus what the
-caller keeps. A ``PenroseConfig`` takes E V(s) from one cache, exact or Monte Carlo.
+the bound of each kept column; whole fields take raw profiles under the one bound
+omega0 and are divided by E V once they finish. Generation stops once z times the
+bound beats no kept column's running maximum, after which no later point can raise a
+kept value, so the sampled law is unchanged; at 101 sites a middle column settles in
+5 profiles a field, where all sites take 16. Each row's stopping test reads only that
+row, so at most one ``spectral.row_blocks`` block of fields is in flight: a field
+leaves the round it settles and the next takes its slot. Memory is one block plus
+what the caller keeps. A ``PenroseConfig`` takes E V(s) from one cache, exact or
+Monte Carlo.
 """
 from __future__ import annotations
 
@@ -137,8 +139,7 @@ def _poisson_max(n: int, m: int, scale: float, bound, draw, rng: np.random.Gener
             best = draw(live, rng)
             best *= z[:, None]
             np.maximum(maxima[:live], best, out=maxima[:live])
-            # points only get smaller: once z * bound beats no column's maximum, no later
-            # point can
+            # points only get smaller: once z * bound beats no column's maximum, no later one can
             stay = (z[:, None] * bound > maxima[:live]).any(axis=1)
         else:  # the truncation emptied the block: the queue still fills the free slots
             stay = stay[:0]
@@ -148,21 +149,17 @@ def _poisson_max(n: int, m: int, scale: float, bound, draw, rng: np.random.Gener
 
 def sample_max_stable_batch(cfg: PenroseConfig, n: int, rng: np.random.Generator,
                             reduce=None) -> np.ndarray:
-    """n independent simple max-stable fields as an (n, n_sites) matrix, or what
-    ``reduce(eta)`` keeps of each: ``reduce`` must commute with the sitewise maximum and
-    with positive scaling, as a column selection or a sup does, else ``ValueError``
-    before any draw. It maps each drawn block of V / E V, and the row omega0 / E V to
-    the bound of each kept column. The whole fields are the maxima of raw profiles,
-    each site bounded by omega0, divided by the mean field once they finish."""
+    """n independent simple max-stable fields as an (n, n_sites) matrix: maxima of raw
+    profiles under the one bound omega0, divided by E V once they finish. Or what
+    ``reduce(eta)`` keeps of each, a column selection or a sup (``_reducer_bound``):
+    ``reduce`` maps each drawn block of V / E V, and the loop stops on the kept columns."""
     m = cfg.grid.n_sites
     if reduce is None:
         eta = _poisson_max(n, m, 1.0, cfg.spec.omega0,
                            lambda k, rng: sample_profiles(cfg.spec, cfg.grid, k, rng), rng,
                            cfg.truncation)
         return np.divide(eta, cfg.mean_field, out=eta)
-    row = cfg.spec.omega0 / cfg.mean_field
-    _check_reducer(reduce, row)
-    bound = reduce(row[None, :])
+    bound = _reducer_bound(reduce, cfg.spec.omega0 / cfg.mean_field)
 
     def draw(k, rng):
         v = sample_profiles(cfg.spec, cfg.grid, k, rng)
@@ -172,18 +169,19 @@ def sample_max_stable_batch(cfg: PenroseConfig, n: int, rng: np.random.Generator
     return eta.reshape(n, *bound.shape[1:])
 
 
-def _check_reducer(reduce, row: np.ndarray) -> None:
-    """``ValueError`` unless ``reduce`` keeps one value or row per row and commutes, bit
-    for bit, with the sitewise maximum and with doubling on probes made from ``row``:
-    its even and odd sites, each with the other sites zeroed, and the reverse."""
+def _reducer_bound(reduce, row: np.ndarray) -> np.ndarray:
+    """``reduce`` of the bound row omega0 / E V, the bound of each kept column. First a
+    ``ValueError`` unless ``reduce`` keeps a value or row per row and commutes, bit for
+    bit, with the sitewise maximum and with doubling on probes: ``row`` at its even and
+    at its odd sites (the others zeroed), and twice those two swapped."""
     even = np.arange(row.size) % 2 == 0
     a = np.stack((np.where(even, row, 0.0), np.where(even, 0.0, row)))
-    b = 2.0 * a[::-1]
-    kept = reduce(a)
+    kept, b = reduce(a), 2.0 * a[::-1]
     if (np.shape(kept)[:1] != (2,) or not np.array_equal(reduce(2.0 * a), 2.0 * kept)
             or not np.array_equal(reduce(np.maximum(a, b)), np.maximum(kept, reduce(b)))):
         raise ValueError("reduce must keep a value or row per field and commute with the "
                          "sitewise maximum and positive scaling, as a column or the sup does")
+    return reduce(row[None, :])
 
 
 def sample_max_stable(cfg: PenroseConfig, rng: np.random.Generator) -> Field:
