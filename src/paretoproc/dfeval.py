@@ -21,6 +21,15 @@ event evaluated as an empirical frequency of directly simulated processes.
 Every route draws in row blocks, the formulas through ``spectral.per_draw_blocks``
 and the direct arms through ``pareto.per_field_blocks``, so memory is set by the
 block size; one float per draw is kept for all n draws.
+
+Both routes settle what they can before evaluating a profile, with the bits of the
+full evaluation: V is exactly omega0 at a sup site, no V(s) exceeds it, and rounding
+a product or a quotient is monotone. So every W(s) = fl(y V(s)) is at most
+fl(y omega0), W at the sup site, and the direct arm evaluates only the draws whose
+radius does not settle the event (all are still drawn, so the stream is unchanged).
+For LEQ and NOT_LEQ the formula's sup r lies between fl(omega0 / max w) and
+fl(omega0 / min w); where min(1, .) of the two agree (a flat w, or max w <= omega0),
+every draw has that statistic and none is made.
 """
 from __future__ import annotations
 
@@ -100,14 +109,27 @@ def _per_draw(profiles: np.ndarray, w: np.ndarray, mode: str) -> np.ndarray:
     return 1.0 - sup if mode == LEQ else sup
 
 
+def _statistic_mean(spec: SpectralProfileSpec, grid: Grid, w: np.ndarray, mode: str, n: int,
+                    rng: np.random.Generator) -> DfResult:
+    """Mean +- SE of ``_per_draw(profiles, w, mode)`` over n profiles. For LEQ and
+    NOT_LEQ, where min(1, .) of fl(omega0 / max w) and fl(omega0 / min w), the bounds
+    of sup r, agree, the mean is over n copies of that statistic and nothing is drawn
+    (see the module docstring); the draws' set-up still checks the grid first."""
+    draw_setup(spec, grid)
+    if mode != GT:
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+            low, high = np.minimum(1.0, spec.omega0 / np.array([np.max(w), np.min(w)]))
+        if low == high:
+            return _mean_result(np.full(n, 1.0 - low if mode == LEQ else low))
+    return _mean_result(per_draw_blocks(spec, grid, n, rng, lambda _, v: _per_draw(v, w, mode)))
+
+
 def _formula(q: DfQuery, spec: SpectralProfileSpec, grid: Grid, mode: str) -> DfResult:
-    """Mean +- SE of ``_per_draw(profiles, w, mode)`` over the query's n_mc
-    profiles, drawn on stream (q.seed, "df_eval")."""
+    """``_statistic_mean`` of the query's w and mode over its n_mc profiles, drawn
+    (if at all) on stream (q.seed, "df_eval")."""
     if q.w.grid != grid:
         raise ValueError("query field and grid disagree")
-    rng = make_rng(q.seed, "df_eval")
-    return _mean_result(per_draw_blocks(spec, grid, q.n_mc, rng,
-                                        lambda _, v: _per_draw(v, q.w.values, mode)))
+    return _statistic_mean(spec, grid, q.w.values, mode, q.n_mc, make_rng(q.seed, "df_eval"))
 
 
 # ---------------------------------------------------------------------------
@@ -234,9 +256,7 @@ def df_findim(
     if not np.all(w >= 0):
         raise ValueError("w_vec must be nonnegative")
     check_count(n_mc, "n_mc", 1)
-    rng = make_rng(seed, "df_findim")
-    return _mean_result(per_draw_blocks(spec, vector_grid(d), n_mc, rng,
-                                        lambda _, v: _per_draw(v, w, LEQ)))
+    return _statistic_mean(spec, vector_grid(d), w, LEQ, n_mc, make_rng(seed, "df_findim"))
 
 
 def bernoulli_pair_cdf(x: float, y: float, omega0: float = 1.0) -> float:
@@ -263,11 +283,23 @@ def direct_frequency(
     rng: np.random.Generator,
 ) -> tuple[float, float]:
     """Empirical probability of the event from n directly simulated processes:
-    the mean of 0/1 hits, which is hits / n exactly."""
+    the mean of 0/1 hits, which is hits / n exactly. Every draw is made, but only
+    those its radius leaves open are evaluated: with fl(y omega0), W at a sup site,
+    at most min w, LEQ is a hit and GT a miss; above max w, LEQ is a miss; NOT_LEQ
+    is the complement of LEQ (see the module docstring)."""
     compare = np.less_equal if mode == LEQ else np.greater
     over = np.all if mode in (LEQ, GT) else np.any
-    hits = per_field_blocks(spec, grid, n, rng, lambda sim: over(compare(sim, w), axis=1))
-    p = float(hits.mean())
+    settled = 0
+
+    def unsettled(y):
+        nonlocal settled
+        top = y * spec.omega0
+        low, high = top <= np.min(w), top > np.max(w)
+        settled = 0 if mode == GT else np.count_nonzero(low if mode == LEQ else high)
+        return ~low if mode == GT else ~(low | high)
+
+    hits = per_field_blocks(spec, grid, n, rng, lambda sim: over(compare(sim, w), axis=1), unsettled)
+    p = (settled + np.count_nonzero(hits)) / n
     return p, float(np.sqrt(p * (1.0 - p) / n))
 
 

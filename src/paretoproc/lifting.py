@@ -21,6 +21,7 @@ from .errors import DegenerateTail, InsufficientData
 from .grid import Field, Grid, _read_only, check_count, read_csv_table, write_csv_table
 from .maxstable import sample_moving_maximum_batch
 from .rng import make_rng
+from .spectral import row_blocks
 from .transforms import (
     GAMMA_ZERO_TOL,
     NormingFunctions,
@@ -127,10 +128,13 @@ def select_exceedances(
     sites=None,
 ) -> list[int]:
     """Indices of fields whose normalized supremum exceeds 1 (``sup_anywhere``)
-    or which exceed the threshold b at every designated site (``sites``)."""
+    or which exceed the threshold b at every designated site (``sites``).
+    ``sup_anywhere`` normalizes the fields in ``row_blocks`` and keeps each
+    block's row max, so its memory is set by the block size, not by n."""
     if policy == SUP_ANYWHERE:
-        normalized = apply_T_values(data.values, nf)
-        keep = normalized.max(axis=1) > 1.0
+        keep = np.empty(data.n, dtype=bool)
+        for start, k in row_blocks(data.n, data.grid.n_sites):
+            keep[start:start + k] = apply_T_values(data.values[start:start + k], nf).max(axis=1) > 1.0
     elif policy == SITES:
         if sites is None or len(sites) == 0:
             raise ValueError("sites policy needs a nonempty site list")
@@ -214,19 +218,24 @@ def field_sample_to_csv(data: FieldSample, path) -> None:
 
 def field_sample_from_csv(path, grid: Grid) -> FieldSample:
     """Read the long CSV. Rows may come in any order; the n sample_ids must be
-    0..n-1, each with site_index 0..n_sites-1 exactly once, else ``ValueError``."""
+    0..n-1, each with site_index 0..n_sites-1 exactly once, else ``ValueError``.
+    Rows already in that order are not sorted."""
     _, table = read_csv_table(path)
     m = grid.n_sites
     if table.shape[1] != 3 or len(table) % m:
         raise ValueError(f"{path}: expected columns sample_id, site_index, value and {m} rows per sample")
-    step_id, step_site = np.diff(table[:, 0]), np.diff(table[:, 1])
-    if not np.all((step_id > 0) | ((step_id == 0) & (step_site > 0))):  # else sorting moves no row
+    n = len(table) // m
+
+    def canonical(t):  # ids and sites read as (n, m) views of the columns
+        return (np.all(t[:, 1].reshape(n, m) == np.arange(m))
+                and np.all(t[:, 0].reshape(n, m) == np.arange(n)[:, None]))
+
+    if not canonical(table):
         table = table[np.lexsort((table[:, 1], table[:, 0]))]
-    ids, sites, values = (table[:, j].reshape(-1, m) for j in range(3))
-    if not (np.all(sites == np.arange(m)) and np.all(ids == np.arange(len(ids))[:, None])):
-        raise ValueError(f"{path}: sample_id must run 0..{len(ids) - 1}, and every "
-                         f"sample_id needs site_index 0..{m - 1} exactly once")
-    return FieldSample(grid, values)
+        if not canonical(table):
+            raise ValueError(f"{path}: sample_id must run 0..{n - 1}, and every "
+                             f"sample_id needs site_index 0..{m - 1} exactly once")
+    return FieldSample(grid, table[:, 2].reshape(n, m))
 
 
 def write_lift_report(report: LiftReport, outdir, extra_manifest: dict | None = None) -> None:

@@ -13,8 +13,7 @@ import numpy as np
 from .errors import SpecGridMismatch, ZeroField
 from .grid import Field, Grid, check_count, sup_field, write_csv_table
 from .rng import fill_rows
-from .spectral import (BERNOULLI_PAIR, SpectralProfileSpec, per_draw_blocks, row_blocks,
-                       sample_profiles)
+from .spectral import BERNOULLI_PAIR, SpectralProfileSpec, per_draw_blocks, sample_profiles
 
 STABILITY = "stability"
 REJECTION = "rejection"
@@ -50,12 +49,15 @@ def sample_simple_pareto_batch(
 
 
 def per_field_blocks(spec: SpectralProfileSpec, grid: Grid, n: int,
-                     rng: np.random.Generator, per_field) -> np.ndarray:
+                     rng: np.random.Generator, per_field, keep=None) -> np.ndarray:
     """What ``per_field(w)`` keeps of n draws W = Y V: all n radii, then the blocks
-    of ``per_draw_blocks`` scaled in place, on ``sample_simple_pareto_batch``'s stream."""
+    of ``per_draw_blocks`` scaled in place, on ``sample_simple_pareto_batch``'s stream.
+    ``keep(y)``, given the radii, masks the draws that are evaluated; the profiles of
+    the others are drawn all the same and go unevaluated."""
     y = sample_radii(n, rng)
     return per_draw_blocks(spec, grid, n, rng,
-                           lambda rows, v: per_field(np.multiply(v, y[rows, None], out=v)))
+                           lambda rows, v: per_field(np.multiply(v, y[rows, None], out=v)),
+                           None if keep is None else keep(y))
 
 
 def sample_simple_pareto(
@@ -118,15 +120,14 @@ def pot_rejection_blocks(spec: SpectralProfileSpec, grid: Grid, r: float, n: int
                          rng: np.random.Generator, per_draw) -> tuple[np.ndarray, np.ndarray]:
     """Radii of n draws of W conditional on sup W > r * omega0 by rejection, and
     what ``per_draw(v)`` keeps of their profiles: unconditional candidates, radii
-    first, each profile block reduced (one float or fixed-width row a draw) before
-    its exceedances are kept."""
+    first, then every profile block drawn and only the exceedances' profiles
+    evaluated and reduced (one float or fixed-width row a draw)."""
     _check_level(r, n)
 
     def draw(size):
         y = sample_radii(size, rng)
         keep = y > r
-        return y[keep], np.concatenate([per_draw(sample_profiles(spec, grid, k, rng))[keep[s:s + k]]
-                                        for s, k in row_blocks(size, grid.n_sites)])
+        return y[keep], per_draw_blocks(spec, grid, size, rng, lambda _, v: per_draw(v), keep)
 
     if not n:
         return np.empty(0), per_draw(np.empty((0, grid.n_sites)))

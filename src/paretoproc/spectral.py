@@ -193,25 +193,55 @@ def _field_block(normals: np.ndarray, factors, out: np.ndarray) -> None:
         np.matmul(x.reshape(-1, f.shape[1]), f.T, out=out.reshape(-1, f.shape[0]))
 
 
+def _pack(z: np.ndarray, keep: np.ndarray) -> np.ndarray:
+    """The rows of the draw z that ``keep`` marks, packed in order to the front of z's
+    buffer in its layout. An eighth of the kept rows (row-major) or of the sites
+    (site-major) is copied at a time, to where no unread value lies."""
+    idx = np.flatnonzero(keep)
+    k, m = idx.size, z.shape[1]
+    if z.flags.c_contiguous:
+        packed = z[:k]
+        for j in range(0, k, step := max(1, -(-k // 8))):
+            packed[j:j + step] = z[idx[j:j + step]]
+        return packed
+    sites, out = z.T, z.T.reshape(-1)[:m * k].reshape(m, k)  # (m, n) read, (m, k) written
+    for s in range(0, m, step := -(-m // 8)):
+        out[s:s + step] = sites[s:s + step, idx]
+    return out.T
+
+
 def sample_profiles(
-    spec: SpectralProfileSpec, grid: Grid, n: int, rng: np.random.Generator
+    spec: SpectralProfileSpec, grid: Grid, n: int, rng: np.random.Generator,
+    keep: np.ndarray | None = None,
 ) -> np.ndarray:
     """n independent profiles as an (n, n_sites) matrix.
 
     This is the vectorized workhorse behind :func:`sample_profile`; every
     row is nonnegative with maximum exactly ``spec.omega0``. The shape is the
     contract; the memory order, which ``_empty`` sets by the grid alone, is not.
+
+    ``keep``, a boolean mask of the n draws, returns only the rows it marks, in
+    order, bitwise those of the unmasked draw: the randomness of all n is drawn, so
+    the stream is unchanged, and only kept rows are evaluated.
+    ``rescaled_positive_field`` contracts every block that holds a kept row as the
+    unmasked draw does, so BLAS sees the same blocks, and packs the kept rows
+    (``_pack``) before the row max, exp and scale.
     """
     check_count(n)
+    if keep is not None and (np.shape(keep) != (n,) or np.asarray(keep).dtype != bool):
+        raise ValueError(f"keep must be a boolean mask of the {n} draws")
     setup = draw_setup(spec, grid)
     m = grid.n_sites
     w0 = spec.omega0
-    z = _empty(n, m)
+    rows = n if keep is None else int(np.count_nonzero(keep))
+    # rescaled_positive_field contracts all n draws, the other kinds evaluate the kept ones
+    z = _empty(n if spec.kind == RESCALED_POSITIVE_FIELD else rows, m)
     if spec.kind == CONSTANT:
         z[...] = w0
         return z
     if spec.kind == BERNOULLI_PAIR:
         first = rng.random(n) < 0.5
+        first = first if keep is None else first[keep]
         z[...] = 0.0
         z[first, 0] = w0
         z[~first, 1] = w0
@@ -219,7 +249,7 @@ def sample_profiles(
     if spec.kind == GAUSSIAN_MOVING_MAX:
         lo, span = setup
         centers = lo + rng.random((n, grid.dim)) * span
-        _bump_exponent(grid.sites, centers, spec.bandwidth, z)
+        _bump_exponent(grid.sites, centers if keep is None else centers[keep], spec.bandwidth, z)
     else:
         # rescaled_positive_field: the covariance is the Kronecker product of the
         # per-axis covariances on a tensor grid, so one normal per rank-product cell
@@ -229,11 +259,15 @@ def sample_profiles(
         factors, flat = setup
         normals = rng.standard_normal((n, *(f.shape[1] for f in factors)))
         for start, k in row_blocks(n, m):
+            if keep is not None and not keep[start:start + k].any():
+                continue  # no row of this block is read
             block = z[start:start + k]
             dest = block if flat is None else _empty(k, m)
             _field_block(normals[start:start + k], factors, dest)
             if flat is not None:
                 block[...] = dest[:, flat]
+        if keep is not None:
+            z = _pack(z, keep)
     # z is the log-profile, finite (_check_grid bounds the bump's exponent):
     # shifted by its row max, every row peaks at exp(0) = 1 exactly
     z -= z.max(axis=1, keepdims=True)
@@ -259,15 +293,20 @@ def row_blocks(n: int, m: int):
 
 
 def per_draw_blocks(spec: SpectralProfileSpec, grid: Grid, n: int,
-                    rng: np.random.Generator, per_draw) -> np.ndarray:
+                    rng: np.random.Generator, per_draw, keep: np.ndarray | None = None) -> np.ndarray:
     """What ``per_draw(rows, v)`` keeps of n profiles drawn in ``row_blocks``,
     in row order: ``rows`` is a block's slice of the n draws, ``v`` its fresh profiles
-    (``per_draw`` may overwrite them); it keeps at most one float or fixed-width row a draw."""
-    out, filled = np.empty(n), 0  # allocated first: a count too large fails before any draw
+    (``per_draw`` may overwrite them); it keeps at most one float or fixed-width row a draw.
+    With ``keep``, a boolean mask of the n draws, every block is drawn but only its
+    kept profiles are evaluated (``sample_profiles``), and ``rows`` holds their indices."""
+    total = n if keep is None else int(np.count_nonzero(keep))
+    out, filled = np.empty(total), 0  # allocated first: a count too large fails before any draw
     for start, k in row_blocks(n, grid.n_sites):
-        kept = per_draw(slice(start, start + k), sample_profiles(spec, grid, k, rng))
+        mask = None if keep is None else keep[start:start + k]
+        rows = slice(start, start + k) if mask is None else start + np.flatnonzero(mask)
+        kept = per_draw(rows, sample_profiles(spec, grid, k, rng, mask))
         if kept.ndim > out.ndim:  # a row a draw: sized at the first block
-            out = np.empty((n, kept.shape[1]))
+            out = np.empty((total, kept.shape[1]))
         out[filled:filled + len(kept)] = kept
         filled += len(kept)
     return out[:filled]

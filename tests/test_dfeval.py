@@ -7,7 +7,7 @@ import warnings
 import numpy as np
 import pytest
 
-from paretoproc import dfeval, grid, spectral
+from paretoproc import dfeval, grid, pareto, spectral
 from paretoproc.dfeval import (
     DfQuery,
     bernoulli_pair_cdf,
@@ -463,3 +463,71 @@ def test_run_battery_raises_the_formula_error_after_joining_the_direct_arm(monke
     with pytest.raises(ValueError, match="query field and grid disagree"):
         run_battery(GMM, g, [DfQuery(flat(other, 2.0), "LEQ", 100, 0)], n_direct=100)
     assert threading.active_count() == before
+
+
+def _query_fields(g, omega0):
+    # in units of omega0 but the last: flat, tilted, tilted with zeros, all at or
+    # below omega0, and subnormal (every quotient omega0 / w overflows)
+    c = g.coords()
+    tilted = (1.5 + c) * omega0
+    return {"flat": np.full(g.n_sites, 2.0 * omega0), "tilted": tilted,
+            "zeros": np.where(np.arange(g.n_sites) % 3 == 1, 0.0, tilted),
+            "below": (0.5 + 0.5 * c) * omega0,
+            "subnormal": np.where(c > 0.5, 1e-310, 5e-324)}
+
+
+@pytest.mark.parametrize("kind", ["constant", "gaussian_moving_max", "rescaled_positive_field",
+                                  "bernoulli_pair"])
+@pytest.mark.parametrize("omega0", [1.0, 2.5, pytest.param(spectral.OMEGA0_MAX, id="omega0_max")])
+def test_settled_draws_give_the_bits_of_the_full_evaluation(kind, omega0):
+    # both arms against the unmasked evaluation of every draw: the direct arm
+    # against the hits of the one-shot batch, the formula against the per-draw
+    # statistic of every profile; n across the block edges
+    g = Grid.regular(2 if kind == "bernoulli_pair" else 51)
+    spec = SpectralProfileSpec(kind, omega0=omega0)
+    block = spectral.BLOCK_CELLS // g.n_sites
+    for name, w in _query_fields(g, omega0).items():
+        for n in (1, block + 1, 2 * block + 2):
+            y, v, sim = sample_simple_pareto_batch(spec, g, n, make_rng(n, "settle"))
+            for mode, hits in (("LEQ", np.all(sim <= w, axis=1)), ("GT", np.all(sim > w, axis=1)),
+                               ("NOT_LEQ", np.any(sim > w, axis=1))):
+                p = hits.mean()
+                assert direct_frequency(spec, g, w, mode, n, make_rng(n, "settle")) == (
+                    p, np.sqrt(p * (1.0 - p) / n)), (name, n, mode)
+                stat = spectral.per_draw_blocks(spec, g, n, make_rng(7, "df_eval"),
+                                                lambda _, v, m=mode: dfeval._per_draw(v, w, m))
+                assert evaluate(DfQuery(Field(g, w), mode, n, 7), spec, g) == dfeval._mean_result(stat)
+
+
+def test_a_settled_formula_still_checks_the_grid():
+    # a flat w settles every draw, but a grid the family cannot draw on is rejected
+    g = Grid.regular(3)
+    with pytest.raises(spectral.SpecGridMismatch):
+        evaluate(DfQuery(flat(g, 2.0), "LEQ", 100, 0), BP, g)
+    with pytest.raises(spectral.SpecGridMismatch):
+        df_findim([2.0, 2.0, 2.0], BP, 3, n_mc=10)
+
+
+def test_only_the_draws_left_open_are_evaluated(monkeypatch):
+    # the direct arm evaluates the draws whose fl(y omega0) lies in (min w, max w]
+    # (above min w for GT); the formula draws nothing where its bounds agree
+    g, n = Grid.regular(51), 4_000
+    evaluated = []
+    sample = spectral.sample_profiles
+
+    def counted(*args):
+        evaluated.append(len(v := sample(*args)))
+        return v
+
+    monkeypatch.setattr(spectral, "sample_profiles", counted)
+    for q in default_battery(g, n_mc=2_000, seed=3):
+        w = q.w.values
+        evaluated.clear()
+        evaluate(q, GMM, g)
+        flat_w = w.min() == w.max()
+        assert sum(evaluated) == (0 if flat_w and q.mode != "GT" else q.n_mc)
+        evaluated.clear()
+        direct_frequency(GMM, g, w, q.mode, n, make_rng(1, "open"))
+        top = pareto.sample_radii(n, make_rng(1, "open")) * GMM.omega0
+        left_open = (top > w.min()) & ((top <= w.max()) | (q.mode == "GT"))
+        assert sum(evaluated) == np.count_nonzero(left_open)

@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 from dataclasses import fields
 
 import numpy as np
@@ -6,7 +7,7 @@ import pytest
 
 from paretoproc.errors import DegenerateTail, InsufficientData
 from paretoproc.gof import two_sample_ks_pvalue
-from paretoproc.grid import Grid
+from paretoproc.grid import Field, Grid
 from paretoproc.lifting import (
     FieldSample,
     estimate_norming,
@@ -21,7 +22,7 @@ from paretoproc.lifting import (
 )
 from paretoproc.pareto import sample_simple_pareto_batch
 from paretoproc.rng import make_rng
-from paretoproc.spectral import SpectralProfileSpec
+from paretoproc.spectral import BLOCK_CELLS, SpectralProfileSpec
 from paretoproc.transforms import NormingFunctions, apply_T_values
 
 
@@ -276,3 +277,32 @@ def test_write_lift_report(tmp_path):
     norming = json.loads((out / "norming.json").read_text())
     assert list(norming) == [f.name for f in fields(NormingFunctions)]
     assert norming["a_t"] == [2.0] * 6 and norming["t"] == 2.0 and norming["k"] is None
+
+
+def test_sup_selection_normalizes_in_blocks_with_the_whole_arrays_bits():
+    # gamma below, at and above 0 across the sites; ten blocks of fields, one
+    # block's normalization alive at a time
+    grid = Grid.regular(101)
+    n = 10 * (BLOCK_CELLS // 101) + 7
+    data = FieldSample(grid, pareto_matrix(n, 101, make_rng(2, "blocked_sup")))
+    gamma = np.where(np.arange(101) % 3 == 0, 0.0, np.linspace(-0.4, 0.8, 101))
+    nf = NormingFunctions(Field(grid, gamma), Field(grid, np.full(101, 100.0)),
+                          Field(grid, np.full(101, 400.0)), t=10.0)
+    expected = np.flatnonzero(apply_T_values(data.values, nf).max(axis=1) > 1.0).tolist()
+    tracemalloc.start()
+    try:
+        selected = select_exceedances(data, nf)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert selected == expected and 0 < len(selected) < n
+    assert peak <= 8 * BLOCK_CELLS * 8 + 2 * n * 8  # the whole arrays took over 8 n m 8 bytes
+
+
+def test_rows_in_order_with_a_missing_sample_id_are_rejected(tmp_path):
+    # samples 0 and 2, each with sites 0..2 in order: sorting moves no row, and the ids skip 1
+    path = tmp_path / "fields.csv"
+    path.write_text("sample_id,site_index,value\n"
+                    + "".join(f"{i},{j},{1.0 + j}\n" for i in (0, 2) for j in range(3)))
+    with pytest.raises(ValueError, match="sample_id must run 0..1"):
+        field_sample_from_csv(path, Grid.regular(3))

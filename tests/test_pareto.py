@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from paretoproc import spectral
 from paretoproc.errors import ZeroField
 from paretoproc.gof import ks_critical_value, ks_statistic, standard_pareto_cdf, two_sample_ks_pvalue
 from paretoproc.grid import Field, Grid, sup_field
@@ -305,3 +306,19 @@ def test_rejection_arm_peak_memory_is_under_three_results():
     finally:
         tracemalloc.stop()
     assert peak <= 3 * n * m * 8 + (1 << 20)
+
+
+def test_rejection_arm_evaluates_only_the_accepted_profiles(monkeypatch):
+    # one round of 2,400 candidates; every profile is drawn, the accepted are evaluated
+    spec, grid = SpectralProfileSpec("rescaled_positive_field"), Grid.regular(51)
+    evaluated = []
+    sample = spectral.sample_profiles
+
+    def counted(*args):
+        evaluated.append(len(v := sample(*args)))
+        return v
+
+    monkeypatch.setattr(spectral, "sample_profiles", counted)
+    pot_rejection_blocks(spec, grid, 4.0, 500, make_rng(2, "accepted"), lambda v: v[:, 7])
+    accepted = np.count_nonzero(sample_radii(2_400, make_rng(2, "accepted")) > 4.0)
+    assert 500 <= sum(evaluated) == accepted

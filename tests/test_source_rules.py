@@ -12,8 +12,12 @@ kind and the lazy ``scipy`` import, read from the package's syntax trees.
 * No result of ``sample_max_stable_batch`` or ``_poisson_max`` is subscripted or
   sliced: a caller that keeps part of each field passes a reducer, so the (n, m)
   maxima are never held for a column or a sup.
+* No result of ``sample_profiles``, or of a call applied to one, has its rows
+  picked by a mask or an index array: a caller that reads some rows passes them as
+  ``keep``, so the profiles it drops are never evaluated.
 """
 import ast
+import textwrap
 from pathlib import Path
 
 import pytest
@@ -171,4 +175,65 @@ def test_no_poisson_max_result_is_subscripted_or_sliced():
     found = set()
     for path in sorted(PACKAGE.glob("*.py")):
         found |= _poisson_max_subscripts(ast.parse(path.read_text(), str(path)), path.stem)
+    assert found == set()
+
+
+def _profile_draw(node):
+    return isinstance(node, ast.Call) and (
+        isinstance(node.func, ast.Name) and node.func.id == "sample_profiles"
+        or isinstance(node.func, ast.Attribute) and node.func.attr == "sample_profiles")
+
+
+def _draw_or_reduced(node):
+    """A ``sample_profiles`` call, or a call that takes one as an argument."""
+    return _profile_draw(node) or isinstance(node, ast.Call) and any(map(_profile_draw, node.args))
+
+
+def _picks_rows(index):
+    """Whether a subscript's row index (the whole index, or its first entry) is
+    computed: neither a slice nor a constant, so a mask or an index array."""
+    row = index.elts[0] if isinstance(index, ast.Tuple) and index.elts else index
+    return not isinstance(row, (ast.Slice, ast.Constant))
+
+
+def _profile_row_picks(tree, stem):
+    """``module.function:line`` of every subscript, in ``tree``'s functions, that picks
+    rows of a profile draw (or of a call applied to one) or of a name assigned one."""
+    found = set()
+    for fn in ast.walk(tree):
+        if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        held = {t.id for node in ast.walk(fn) if isinstance(node, ast.Assign)
+                and _draw_or_reduced(node.value) for t in node.targets if isinstance(t, ast.Name)}
+        found |= {f"{stem}.{fn.name}:{node.lineno}" for node in ast.walk(fn)
+                  if isinstance(node, ast.Subscript) and _picks_rows(node.slice) and (
+                      _draw_or_reduced(node.value)
+                      or isinstance(node.value, ast.Name) and node.value.id in held)}
+    return found
+
+
+# the rejection arm as it evaluated every candidate's profile and then dropped the
+# rejected rows; the other lines pick columns or a constant row, which skips no draw
+MASKED_REJECTION = textwrap.dedent("""\
+    def draw(size):
+        y = sample_radii(size, rng)
+        keep = y > r
+        return y[keep], np.concatenate([per_draw(sample_profiles(spec, grid, k, rng))[keep[s:s + k]]
+                                        for s, k in row_blocks(size, grid.n_sites)])
+
+    def picks(spec, grid, rng, keep, site):
+        v = spectral.sample_profiles(spec, grid, 9, rng)
+        first = sample_profiles(spec, grid, 1, rng)[0]
+        return v[keep], v[~keep, site], v[:, site], first, sample_profiles(spec, grid, 9, rng, keep)
+""")
+
+
+def test_the_profile_row_rule_sees_a_masked_draw_and_a_masked_reduction():
+    assert _profile_row_picks(ast.parse(MASKED_REJECTION), "m") == {"m.draw:4", "m.picks:10"}
+
+
+def test_no_profile_draw_has_its_rows_picked():
+    found = set()
+    for path in sorted(PACKAGE.glob("*.py")):
+        found |= _profile_row_picks(ast.parse(path.read_text(), str(path)), path.stem)
     assert found == set()

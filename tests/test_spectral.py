@@ -589,3 +589,63 @@ def test_every_block_reducer_reads_a_site_major_block_as_its_row_major_copy(kind
         finally:
             maxstable._mean_field.cache_clear()
     assert found[0] == found[1]
+
+
+def _keep_grid(layout):
+    x, y = np.linspace(0.0, 1.0, 17), (0.0, 0.5, 1.0)
+    return {"1d_51": lambda: Grid.regular(51), "1d_300": lambda: Grid.regular(300),
+            "2d_c_order": lambda: Grid(np.array([(a, b) for a in x for b in y])),
+            "2d_not_c_order": lambda: Grid(np.array([(a, b) for b in y for a in x])),
+            "scattered": lambda: Grid(np.random.default_rng(7).random((40, 2)))}[layout]()
+
+
+@settings(derandomize=True, max_examples=80, deadline=None)
+@given(kind=st.sampled_from(ALL_KINDS),
+       layout=st.sampled_from(["1d_51", "1d_300", "2d_c_order", "2d_not_c_order", "scattered"]),
+       mask=st.sampled_from(["none", "all", "one", "random"]), data=st.data())
+def test_a_masked_draw_returns_the_kept_rows_of_the_unmasked_draw(kind, layout, mask, data):
+    # site-major at 51 sites, row-major at 300; the tensor grid in the axes' C order
+    # and not; every row is drawn, so the stream ends where the unmasked draw's does
+    grid = Grid.regular(2) if kind == "bernoulli_pair" else _keep_grid(layout)
+    m = grid.n_sites
+    n = data.draw(st.integers(1, 2 * (spectral.BLOCK_CELLS // m) + 3), label="n")
+    if mask == "random":
+        share = data.draw(st.floats(0.0, 1.0), label="share")
+        keep = np.random.default_rng(n).random(n) < share
+    else:
+        keep = {"none": np.zeros(n, bool), "all": np.ones(n, bool),
+                "one": np.arange(n) == data.draw(st.integers(0, n - 1), label="row")}[mask]
+    spec = SpectralProfileSpec(kind, omega0=1.5)
+    whole, masked = make_rng(n, "keep"), make_rng(n, "keep")
+    expected = sample_profiles(spec, grid, n, whole)[keep]
+    kept = sample_profiles(spec, grid, n, masked, keep)
+    assert kept.shape == expected.shape and np.array_equal(kept, expected)
+    assert whole.random() == masked.random()
+    layout_of = spectral._empty(len(kept), m).flags
+    assert (kept.flags.c_contiguous, kept.flags.f_contiguous) == (layout_of.c_contiguous,
+                                                                  layout_of.f_contiguous)
+
+
+@pytest.mark.parametrize("keep", [np.ones(4, bool), np.ones(6, bool), np.ones(5), np.arange(5)])
+def test_a_mask_that_is_not_one_bool_a_draw_is_rejected(keep):
+    with pytest.raises(ValueError, match="boolean mask of the 5 draws"):
+        sample_profiles(SpectralProfileSpec("constant"), Grid.regular(3), 5, make_rng(0, "k"), keep)
+
+
+def test_a_masked_rescaled_draw_packs_its_rows_in_place():
+    # one full block with every other row kept: the kept rows move to the front
+    # of the block's own buffer, through copies of an eighth of the sites at most
+    grid = Grid.regular(101)
+    spec = SpectralProfileSpec("rescaled_positive_field")
+    factor = spectral.draw_setup(spec, grid)[0][0]
+    n = spectral.BLOCK_CELLS // 101
+    keep = np.arange(n) % 2 == 0
+    tracemalloc.start()
+    try:
+        p = sample_profiles(spec, grid, n, make_rng(0, "alloc"), keep)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    block, normals = n * 101 * 8, n * factor.shape[1] * 8
+    assert p.shape == (keep.sum(), 101) and p.flags.f_contiguous
+    assert peak <= block + normals + factor.nbytes + block // 6 + 2 * n * 8
