@@ -234,7 +234,7 @@ def sample_profiles(
     m = grid.n_sites
     w0 = spec.omega0
     rows = n if keep is None else int(np.count_nonzero(keep))
-    # rescaled_positive_field contracts all n draws, the other kinds evaluate the kept ones
+    # rescaled_positive_field contracts whole blocks of the n draws, the others build the kept rows
     z = _empty(n if spec.kind == RESCALED_POSITIVE_FIELD else rows, m)
     if spec.kind == CONSTANT:
         z[...] = w0
