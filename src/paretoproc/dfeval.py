@@ -26,7 +26,9 @@ Both routes settle what they can before evaluating a profile, with the bits of t
 full evaluation: V is exactly omega0 at a sup site, no V(s) exceeds it, and rounding
 a product or a quotient is monotone. So every W(s) = fl(y V(s)) is at most
 fl(y omega0), W at the sup site, and the direct arm evaluates only the draws whose
-radius does not settle the event (all are still drawn, so the stream is unchanged).
+radius does not settle the event. Every settled draw before the last open one is still
+drawn, since a ziggurat normal takes a varying count of words; the profiles after the
+block of the last open draw are not, as ``run_battery`` reads no more of that stream.
 For LEQ and NOT_LEQ the formula's sup r lies between fl(omega0 / max w) and
 fl(omega0 / min w); where min(1, .) of the two agree (a flat w, or max w <= omega0),
 every draw has that statistic and none is made.
@@ -283,10 +285,20 @@ def direct_frequency(
     rng: np.random.Generator,
 ) -> tuple[float, float]:
     """Empirical probability of the event from n directly simulated processes:
-    the mean of 0/1 hits, which is hits / n exactly. Every draw is made, but only
-    those its radius leaves open are evaluated: with fl(y omega0), W at a sup site,
+    the mean of 0/1 hits, which is hits / n exactly. All n radii are drawn, but only
+    the draws a radius leaves open are evaluated: with fl(y omega0), W at a sup site,
     at most min w, LEQ is a hit and GT a miss; above max w, LEQ is a miss; NOT_LEQ
-    is the complement of LEQ (see the module docstring)."""
+    is the complement of LEQ (see the module docstring). Profiles are drawn only up
+    to the block of the last open draw (``per_field_blocks``), so rng ends there,
+    not after all n draws. The arguments and the grid are checked before any draw."""
+    check_count(n, "n", 1)
+    if mode not in MODES:
+        raise ValueError(f"mode must be one of {MODES}, not {mode!r}")
+    if np.shape(w) != (grid.n_sites,):
+        raise ValueError(f"w must have shape ({grid.n_sites},), not {np.shape(w)}")
+    if not np.all(w >= 0):
+        raise ValueError("w must be nonnegative, with no NaN")
+    draw_setup(spec, grid)  # a fully settled query draws no profile to check the grid
     compare = np.less_equal if mode == LEQ else np.greater
     over = np.all if mode in (LEQ, GT) else np.any
     settled = 0

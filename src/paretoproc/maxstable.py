@@ -337,8 +337,12 @@ def doa_empirical_check(
 
     if input_kind == "pareto":
         y = sample_radii(n_rep, rng)
-        sup, at = _sup_and_site(cfg, n_rep, rng, site)
-        # T_t X = (V / E V) y / t for gamma = 1, whose sup is sup(V / E V) y / t
+        # T_t X = (V / E V) y / t for gamma = 1, whose sup is sup(V / E V) y / t. Every
+        # fl(V / E V) is at most sup_bound and rounding is monotone, so a draw with
+        # fl(sup_bound y) / t <= 1 cannot exceed: it is drawn but not evaluated
+        keep = cfg.sup_bound * y / t > 1.0
+        sup, at = _sup_and_site(cfg, n_rep, rng, site, keep)
+        y = y[keep]
         radius, at_site = sup * y / t, at * y / t
     else:
         sup = sample_max_stable_batch(cfg, n_rep, rng, lambda eta: eta.max(axis=1))
@@ -388,10 +392,13 @@ def _sup_weighted_angle_sample(cfg: PenroseConfig, n: int, site: int,
     return fill_rows(n, lambda remaining: max(2048, 2 * remaining), draw)[0]
 
 
-def _sup_and_site(cfg: PenroseConfig, n: int, rng: np.random.Generator, site: int) -> np.ndarray:
-    """(sup, value at ``site``) of n profiles V / E V drawn in blocks, a (2, n) array."""
+def _sup_and_site(cfg: PenroseConfig, n: int, rng: np.random.Generator, site: int,
+                  keep: np.ndarray | None = None) -> np.ndarray:
+    """(sup, value at ``site``) of n profiles V / E V drawn in blocks, a (2, n) array;
+    with ``keep``, a boolean mask of the n draws, all are drawn and the (2, k) of the
+    kept ones returned (``per_draw_blocks``)."""
     def per_draw(_, v):
         v /= cfg.mean_field
         return np.column_stack((v.max(axis=1), v[:, site]))
 
-    return per_draw_blocks(cfg.spec, cfg.grid, n, rng, per_draw).T
+    return per_draw_blocks(cfg.spec, cfg.grid, n, rng, per_draw, keep).T

@@ -13,7 +13,7 @@ import numpy as np
 from .errors import SpecGridMismatch, ZeroField
 from .grid import Field, Grid, check_count, sup_field, write_csv_table
 from .rng import fill_rows
-from .spectral import BERNOULLI_PAIR, SpectralProfileSpec, per_draw_blocks, sample_profiles
+from .spectral import BERNOULLI_PAIR, SpectralProfileSpec, per_draw_blocks, row_blocks, sample_profiles
 
 STABILITY = "stability"
 REJECTION = "rejection"
@@ -53,11 +53,18 @@ def per_field_blocks(spec: SpectralProfileSpec, grid: Grid, n: int,
     """What ``per_field(w)`` keeps of n draws W = Y V: all n radii, then the blocks
     of ``per_draw_blocks`` scaled in place, on ``sample_simple_pareto_batch``'s stream.
     ``keep(y)``, given the radii, masks the draws that are evaluated; the profiles of
-    the others are drawn all the same and go unevaluated."""
+    the others are drawn all the same and go unevaluated, up to the end of the
+    ``row_blocks`` block of the last kept draw. No profile after it is drawn (none
+    when nothing is kept), so rng then stands there, not after all n draws: a caller
+    that passes ``keep`` reads no more of it."""
     y = sample_radii(n, rng)
+    mask = None if keep is None else keep(y)
+    if mask is not None:  # row_blocks of the shorter n are a prefix of those of n
+        n = max((start + k for start, k in row_blocks(n, grid.n_sites)
+                 if mask[start:start + k].any()), default=0)
+        mask = mask[:n]
     return per_draw_blocks(spec, grid, n, rng,
-                           lambda rows, v: per_field(np.multiply(v, y[rows, None], out=v)),
-                           None if keep is None else keep(y))
+                           lambda rows, v: per_field(np.multiply(v, y[rows, None], out=v)), mask)
 
 
 def sample_simple_pareto(

@@ -531,3 +531,54 @@ def test_only_the_draws_left_open_are_evaluated(monkeypatch):
         top = pareto.sample_radii(n, make_rng(1, "open")) * GMM.omega0
         left_open = (top > w.min()) & ((top <= w.max()) | (q.mode == "GT"))
         assert sum(evaluated) == np.count_nonzero(left_open)
+
+
+@pytest.mark.parametrize("kind", spectral.KINDS)
+@pytest.mark.parametrize("mode", ["LEQ", "NOT_LEQ"])
+def test_a_fully_settled_direct_arm_draws_no_profile(kind, mode, monkeypatch):
+    # a flat w settles every draw by its radius: the n radii are drawn and counted,
+    # no profile is, and the generator stands right after the radii
+    g = Grid.regular(2 if kind == "bernoulli_pair" else 51)
+    spec, n = SpectralProfileSpec(kind, omega0=2.5), 20_000
+    calls = []
+    sample = spectral.sample_profiles
+    monkeypatch.setattr(spectral, "sample_profiles", lambda *a: calls.append(a) or sample(*a))
+    for c in (0.5, 2.0, 7.0):
+        w = np.full(g.n_sites, c * spec.omega0)
+        rng, radii = make_rng(4, "settled"), make_rng(4, "settled")
+        p, se = direct_frequency(spec, g, w, mode, n, rng)
+        below = pareto.sample_radii(n, radii) * spec.omega0 <= w[0]
+        hit = np.count_nonzero(below if mode == "LEQ" else ~below) / n
+        assert (p, se) == (hit, np.sqrt(hit * (1.0 - hit) / n))
+        assert calls == []
+        assert repr(rng.bit_generator.state) == repr(radii.bit_generator.state)
+
+
+@pytest.mark.parametrize("args, match", [
+    ({"n": 0}, "n must be an integer >= 1"),
+    ({"n": 2.0}, "n must be an integer >= 1"),
+    ({"mode": "leq"}, "mode must be one of"),
+    ({"w": np.full(6, 2.0)}, r"w must have shape \(5,\)"),
+    ({"w": np.full((1, 5), 2.0)}, r"w must have shape \(5,\)"),
+    ({"w": np.full(5, np.nan)}, "w must be nonnegative"),
+    ({"w": np.array([2.0, 2.0, -1.0, 2.0, 2.0])}, "w must be nonnegative"),
+])
+def test_direct_frequency_checks_its_arguments_before_any_draw(args, match):
+    # each once reached the draw: 0/0 at n = 0, an unknown mode run as NOT_LEQ, a
+    # broadcast error in the block loop, a NaN w read as (0.0, 0.0)
+    g = Grid.regular(5)
+    call = {"spec": GMM, "grid": g, "w": np.full(5, 2.0), "mode": "LEQ", "n": 100,
+            "rng": make_rng(0, "checks")} | args
+    before = repr(call["rng"].bit_generator.state)
+    with pytest.raises(ValueError, match=match):
+        direct_frequency(**call)
+    assert repr(call["rng"].bit_generator.state) == before
+
+
+def test_a_fully_settled_direct_arm_still_checks_the_grid():
+    # a flat w settles every draw, but a grid the family cannot draw on is rejected
+    rng = make_rng(0, "grid")
+    before = repr(rng.bit_generator.state)
+    with pytest.raises(spectral.SpecGridMismatch):
+        direct_frequency(BP, Grid.regular(3), np.full(3, 2.0), "LEQ", 100, rng)
+    assert repr(rng.bit_generator.state) == before

@@ -580,6 +580,37 @@ def test_doa_pareto_report_equals_the_whole_batch_draw_bitwise(cfg_101, kind):
         two_sample_ks_pvalue(angle, reference)]
 
 
+@pytest.mark.parametrize("kind", ["constant", "gaussian_moving_max", "rescaled_positive_field",
+                                  "bernoulli_pair"])
+def test_doa_pareto_arm_settled_by_radius_reports_the_unmasked_evaluation(cfg_101, kind,
+                                                                         monkeypatch):
+    # the arm evaluates only draws with fl(sup_bound y) / t > 1; against one that
+    # evaluates every profile and drops the others after, key by key, with no dropped
+    # draw above radius 1
+    cfg = cfg_101.get(kind) or PenroseConfig(SpectralProfileSpec(kind),
+                                             Grid.regular(2 if kind == "bernoulli_pair" else 7))
+    n_block, n_rep = 50, 4_000
+    report = doa_empirical_check(cfg, n_block, n_rep, make_rng(3, "doa_settle"), "pareto")
+    whole, dropped = maxstable._sup_and_site, []
+
+    def unmasked(cfg, n, rng, site, keep=None):
+        both = whole(cfg, n, rng, site)
+        if keep is None:
+            return both
+        dropped.append(both[0, ~keep])
+        return both[:, keep]
+
+    monkeypatch.setattr(maxstable, "_sup_and_site", unmasked)
+    reference = doa_empirical_check(cfg, n_block, n_rep, make_rng(3, "doa_settle"), "pareto")
+    assert report.keys() == reference.keys()
+    for key in reference:
+        assert report[key] == reference[key], key
+    y = sample_radii(n_rep, make_rng(3, "doa_settle"))
+    settled = ~(cfg.sup_bound * y / n_block > 1.0)
+    assert 0 < np.count_nonzero(settled) < n_rep
+    assert np.all(dropped[0] * y[settled] / n_block <= 1.0)
+
+
 @pytest.mark.parametrize("n_block", [2, 50])
 @pytest.mark.parametrize("kind", ["gaussian_moving_max", "rescaled_positive_field"])
 def test_doa_maxstable_report_equals_the_whole_batch_normalization_bitwise(cfg_101, kind, n_block,

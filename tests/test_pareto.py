@@ -23,7 +23,7 @@ from paretoproc.pareto import (
 )
 from paretoproc.rng import fill_rows, make_rng
 from paretoproc.spectral import (BLOCK_CELLS, KINDS, SpectralProfileSpec, per_draw_blocks,
-                                 sample_profiles)
+                                 row_blocks, sample_profiles)
 
 
 def test_sup_is_standard_pareto_constant_profile():
@@ -234,6 +234,35 @@ def test_per_field_blocks_reduce_the_one_shot_batch_bitwise(kind, sites, scatter
         kept = per_draw_blocks(spec, grid, n, blocked, per_draw)
         assert np.array_equal(kept, per_draw(slice(0, n), sample_profiles(spec, grid, n, one_shot)))
         assert blocked.random() == one_shot.random()
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(kind=st.sampled_from(KINDS), sites=st.sampled_from([2, 51, 300]),
+       edge=st.sampled_from(["1", "R", "R+1", "2R+1", "3R+2"]),
+       mask=st.sampled_from(["empty", "first", "last", "random"]), seed=st.integers(0, 2**16))
+def test_per_field_blocks_with_keep_stop_after_the_last_open_block(kind, sites, edge, mask, seed):
+    # the kept draws' fields bitwise, and the stream stopped at the end of the block that
+    # holds the last kept draw: n radii, then one sample_profiles call a block up to it
+    sites = 2 if kind == "bernoulli_pair" else sites
+    spec, grid = SpectralProfileSpec(kind, omega0=1.5), Grid.regular(sites)
+    r = max(2, BLOCK_CELLS // sites)
+    n = {"1": 1, "R": r, "R+1": r + 1, "2R+1": 2 * r + 1, "3R+2": 3 * r + 2}[edge]
+    keep = {"empty": np.zeros(n, bool), "first": np.arange(n) == 0,
+            "last": np.arange(n) == n - 1,
+            "random": np.random.default_rng(seed).random(n) < 0.3 / r}[mask]
+    rng = make_rng(seed, "keep_stop")
+    got = per_field_blocks(spec, grid, n, rng, lambda w: w, lambda y: keep)
+    expected = sample_simple_pareto_batch(spec, grid, n, make_rng(seed, "keep_stop"))[2][keep]
+    # with nothing kept no block is drawn, so the empty result has no row width
+    assert np.array_equal(got.reshape(expected.shape), expected)
+    reference = make_rng(seed, "keep_stop")
+    sample_radii(n, reference)
+    last = np.flatnonzero(keep)
+    for start, k in row_blocks(n, sites):
+        if not last.size or start > last[-1]:
+            break
+        sample_profiles(spec, grid, k, reference)
+    assert repr(rng.bit_generator.state) == repr(reference.bit_generator.state)
 
 
 def test_per_field_blocks_peak_memory_is_two_floats_a_draw_and_one_block():

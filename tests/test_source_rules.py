@@ -15,6 +15,10 @@ kind and the lazy ``scipy`` import, read from the package's syntax trees.
 * No result of ``sample_profiles``, or of a call applied to one, has its rows
   picked by a mask or an index array: a caller that reads some rows passes them as
   ``keep``, so the profiles it drops are never evaluated.
+* Only ``dfeval.direct_frequency`` passes ``keep`` to ``pareto.per_field_blocks``,
+  and only ``dfeval.run_battery`` calls ``direct_frequency``: such a draw stops after
+  the block of its last kept draw, so its generator may go to no caller that reads
+  it again.
 """
 import ast
 import textwrap
@@ -28,6 +32,8 @@ PACKAGE = Path(paretoproc.__file__).parent
 KS_FUNCTIONS = {"gof.ks_statistic", "gof.two_sample_ks_pvalue"}
 SHAPES = {"fork": {"grid._forked"}, "ThreadPoolExecutor": {"grid._concurrently"}}
 CALLERS = {"_concurrently": {"dfeval.run_battery"}}
+# a draw that ends its generator early, and the callers that read no more of it
+STREAM_ENDERS = {"direct_frequency": {"dfeval.run_battery"}}
 
 
 def _uses():
@@ -45,7 +51,7 @@ def _uses():
             found.extend((where, f"import {node.module}.{a.name}") for a in node.names)
         elif isinstance(node, (ast.Name, ast.Attribute)):
             name = node.id if isinstance(node, ast.Name) else node.attr
-            if name in SHAPES or name in CALLERS:
+            if name in SHAPES or name in CALLERS or name in STREAM_ENDERS:
                 found.append((where, name))
         for child in ast.iter_child_nodes(node):
             visit(child, where)
@@ -77,6 +83,47 @@ def test_one_concurrency_shape_per_kind(kind):
 def test_a_shape_is_used_only_by_its_measured_callers(shape):
     # a new caller brings its own benchmark A/B before it joins the set
     assert _where(lambda what: what == shape) == CALLERS[shape]
+
+
+@pytest.mark.parametrize("draw", sorted(STREAM_ENDERS))
+def test_a_stream_ending_draw_is_used_only_by_callers_that_drop_its_generator(draw):
+    assert _where(lambda what: what == draw) == STREAM_ENDERS[draw]
+
+
+def _keep_passes(tree, stem):
+    """``module.function`` (nested functions joined by dots) of every call of
+    ``per_field_blocks`` that passes ``keep``, by name or as its sixth argument."""
+    found = set()
+
+    def visit(node, where):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            where = f"{where}.{node.name}"
+        if isinstance(node, ast.Call) and (
+                isinstance(node.func, ast.Name) and node.func.id == "per_field_blocks"
+                or isinstance(node.func, ast.Attribute) and node.func.attr == "per_field_blocks"):
+            if len(node.args) >= 6 or any(k.arg == "keep" for k in node.keywords):
+                found.add(where)
+        for child in ast.iter_child_nodes(node):
+            visit(child, where)
+
+    visit(tree, stem)
+    return found
+
+
+def test_the_keep_rule_sees_a_positional_and_a_named_keep():
+    code = ("def f(spec, grid, rng, keep):\n"
+            "    a = per_field_blocks(spec, grid, 9, rng, len, keep)\n"
+            "    def g():\n"
+            "        return pareto.per_field_blocks(spec, grid, 9, rng, per_field=len, keep=keep)\n"
+            "    return a, g, per_field_blocks(spec, grid, 9, rng, len)\n")
+    assert _keep_passes(ast.parse(code), "m") == {"m.f", "m.f.g"}
+
+
+def test_only_direct_frequency_passes_keep_to_per_field_blocks():
+    found = set()
+    for path in sorted(PACKAGE.glob("*.py")):
+        found |= _keep_passes(ast.parse(path.read_text(), str(path)), path.stem)
+    assert found == {"dfeval.direct_frequency"}
 
 
 def test_no_module_imports_threading_or_multiprocessing():
